@@ -41,18 +41,24 @@ class ClusterAggregate:
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - centroids[None, :, :]
-    return np.einsum("bkf,bkf->bk", diff, diff)
+    """(..., B, k) squared distances; ``centroids`` is (..., k, f), leading axes are restarts."""
+    diff = X[:, None, :] - centroids[..., None, :, :]
+    return np.einsum("...bkf,...bkf->...bk", diff, diff)
 
 
 def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.argmin(_sq_dists(X, centroids), axis=1)
+    return np.argmin(_sq_dists(X, centroids), axis=-1)
+
+
+def _objectives(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """kmeans_objective of each restart: labels (R, B), centroids (R, k, f)."""
+    diff = X - centroids[np.arange(len(labels))[:, None], labels]
+    return np.sum(diff * diff, axis=(1, 2))
 
 
 def kmeans_objective(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     """Sum of squared distances of each sample to its assigned centroid."""
-    diff = X - centroids[labels]
-    return float(np.sum(diff * diff))
+    return float(_objectives(X, np.asarray(labels)[None], np.asarray(centroids)[None])[0])
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,31 +99,100 @@ def _repair_empty(X, labels, centroids, k):
     return labels, centroids, repaired
 
 
-def _update_centroids(X, labels, centroids, k):
-    return np.stack(
-        [
-            X[labels == j].mean(axis=0) if np.any(labels == j) else centroids[j]
-            for j in range(k)
-        ]
-    )
+def _cluster_ids(labels: np.ndarray, k: int) -> np.ndarray:
+    """One id per (restart, cluster) pair for (R, B) labels, flattened restart-major."""
+    return (labels + k * np.arange(labels.shape[0])[:, None]).ravel()
 
 
-def _lloyd(X, k, centroids, max_iters):
-    labels = None
-    history = []
-    for _ in range(max_iters):
-        new_labels = _assign(X, centroids)
-        new_labels, centroids, repaired = _repair_empty(X, new_labels, centroids, k)
-        if not repaired and labels is not None and np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-        centroids = _update_centroids(X, labels, centroids, k)
-        history.append(kmeans_objective(X, labels, centroids))
+def _update_centroids(X, labels, centroids):
+    """Move every centroid to its members' mean; an empty cluster's centroid stays.
+
+    labels is (R, B) and centroids (R, k, f). Each mean adds the members in
+    the order ``X[labels == j].mean(axis=0)`` does: one row after another
+    when f > 1, pairwise along the single column when f = 1.
+    """
+    R, k, f = centroids.shape
+    ids = _cluster_ids(labels, k)
+    counts = np.bincount(ids, minlength=R * k)
+    rows = np.tile(X, (R, 1))
+    if f > 1:
+        sums = np.stack([np.bincount(ids, weights=col, minlength=R * k) for col in rows.T], axis=1)
     else:
-        # iteration budget exhausted: leave a consistent nearest-centroid state
-        labels = _assign(X, centroids)
-    return labels, centroids, history
+        x = rows[np.argsort(ids, kind="stable"), 0]
+        ends = np.cumsum(counts)
+        sums = np.array([x[e - c : e].sum() for e, c in zip(ends, counts)])[:, None]
+    means = centroids.reshape(R * k, f).copy()
+    np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
+    return means.reshape(R, k, f)
+
+
+def _lloyd(X, k, starts, max_iters):
+    """Lloyd iterations of every restart at once, from (R, k, f) starting centroids.
+
+    Each restart runs its own loop: assign each sample to its nearest
+    centroid, reseed empty clusters, stop when the labels repeat with no
+    reseed, else move the centroids to their members' means and record the
+    objective. Once ``max_iters`` updates are spent the labels are
+    reassigned to the final centroids. Returns (R, B) labels, (R, k, f)
+    centroids and each restart's objective history.
+
+    An iteration depends only on the centroids and labels it starts from,
+    so a restart whose state repeats an earlier one cycles until
+    ``max_iters`` (collapsed features do this: the reseeded cluster swaps
+    every iteration). The state is saved at every power-of-two iteration;
+    when a later state equals the saved one, the restart runs only the
+    iterations that bring it to the state it would reach at ``max_iters``,
+    and its history is filled out by repeating the cycle's objectives.
+    """
+    R, B = starts.shape[0], X.shape[0]
+    centroids = starts.copy()
+    labels = np.full((R, B), -1, dtype=np.intp)  # matches no assignment
+    history = np.empty((R, max(max_iters, 0)))
+    lengths = np.zeros(R, dtype=int)
+    stop = np.full(R, max_iters)  # iteration after which each restart's budget is spent
+    active = np.ones(R, dtype=bool)
+    saved_at, saved_centroids, saved_labels = 0, None, None
+    for it in range(max_iters):
+        rs = np.flatnonzero(active)
+        if rs.size == 0:
+            break
+        new = _assign(X, centroids[rs])
+        repaired = np.zeros(rs.size, dtype=bool)
+        counts = np.bincount(_cluster_ids(new, k), minlength=rs.size * k).reshape(-1, k)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            new[i], centroids[rs[i]], repaired[i] = _repair_empty(X, new[i], centroids[rs[i]], k)
+        converged = ~repaired & (new == labels[rs]).all(axis=1)
+        labels[rs] = new
+        active[rs[converged]] = False
+        moving = rs[~converged]
+        if moving.size == 0:
+            break
+        centroids[moving] = _update_centroids(X, labels[moving], centroids[moving])
+        history[moving, it] = _objectives(X, labels[moving], centroids[moving])
+        lengths[moving] = it + 1
+
+        t = it + 1  # the moving restarts' state now starts iteration t
+        if saved_centroids is not None:
+            bits = centroids[moving].view(np.int64)  # bit equality: -0.0 is not 0.0
+            same = (bits == saved_centroids[moving].view(np.int64)).all(axis=(1, 2))
+            cycling = moving[same & (labels[moving] == saved_labels[moving]).all(axis=1)]
+            if cycling.size:
+                period = t - saved_at
+                stop[cycling] = t + (max_iters - t) % period
+                later = np.arange(t, max_iters)
+                history[cycling[:, None], later] = history[
+                    cycling[:, None], saved_at + (later - saved_at) % period
+                ]
+        if t & (t - 1) == 0:
+            saved_at, saved_centroids, saved_labels = t, centroids.copy(), labels.copy()
+        spent = moving[stop[moving] == t]
+        if spent.size:  # leave a consistent nearest-centroid state
+            labels[spent] = _assign(X, centroids[spent])
+            lengths[spent] = max_iters
+            active[spent] = False
+    if active.any():  # max_iters < 1: no iteration ran
+        labels[active] = _assign(X, centroids[active])
+    return labels, centroids, [h[:n].tolist() for h, n in zip(history, lengths)]
 
 
 def kmeans(
@@ -131,8 +206,17 @@ def kmeans(
     """Cluster feature rows into k groups via Lloyd iterations.
 
     Seeding is deterministic kmeans++ from ``seed``; the best of
-    ``n_init`` restarts (by objective) is returned. ``init_centroids``
-    bypasses seeding and forces a single run from the given centroids.
+    ``n_init`` restarts (by objective, the first on ties) is returned.
+    ``init_centroids`` bypasses seeding and forces a single run from the
+    given (k, f) centroids.
+
+    The restarts are seeded one after another from one generator, then
+    iterate together in one batched Lloyd loop; every restart gives the
+    labels, centroids and objectives it would give on its own. A restart
+    that cycles without converging (all feature rows at one point make the
+    reseeded empty cluster swap every iteration) ends as soon as the cycle
+    is seen, with the state and the ``max_iters``-long objective history
+    that running out the budget would give.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -144,20 +228,20 @@ def kmeans(
         raise ValueError(f"k={k} exceeds the number of samples B={B}")
 
     if init_centroids is not None:
-        starts = [np.array(init_centroids, dtype=float, copy=True)]
+        starts = np.asarray(init_centroids, dtype=float)[None]
+        if starts.shape[1:] != (k, X.shape[1]):
+            raise ValueError(f"init_centroids must be a ({k}, {X.shape[1]}) matrix")
     else:
         rng = np.random.default_rng(seed)
-        starts = [_kmeans_pp_init(X, k, rng) for _ in range(max(1, n_init))]
+        starts = np.stack([_kmeans_pp_init(X, k, rng) for _ in range(max(1, n_init))])
 
-    best = None
-    for start in starts:
-        labels, centroids, history = _lloyd(X, k, start, max_iters)
-        obj = kmeans_objective(X, labels, centroids)
-        if best is None or obj < best[0]:
-            best = (obj, labels, centroids, history)
-    _, labels, centroids, history = best
+    labels, centroids, histories = _lloyd(X, k, starts, max_iters)
+    best = int(np.argmin(_objectives(X, labels, centroids)))
     return ClusterAssignment(
-        labels=labels, centroids=centroids, k=k, objective_history=history
+        labels=labels[best],
+        centroids=centroids[best],
+        k=k,
+        objective_history=histories[best],
     )
 
 

@@ -29,12 +29,16 @@ from .analysis import (
     threshold_plain_reported,
     zeta,
 )
+from . import nn
 from .clustering import aggregate, choose_k, kmeans
 from .core import BoostConfig, GradQueue, QueueLengthController, delta_rho
-from .nn import (
+# batch_loss stays bound here although unused: perfbench/tracing.py wraps it by name
+from .nn import (  # noqa: F401
     LineDetectorModel,
     batch_loss,
     generate_lines,
+    grads_from_forward,
+    loss_from_forward,
     per_sample_grads,
     template_alignment,
 )
@@ -330,6 +334,11 @@ def _batch_schedule(n: int, batch_size: int, steps: int, rng: np.random.Generato
     return schedule
 
 
+def _whole_dataset(idx: np.ndarray, n: int) -> bool:
+    """Whether a step's batch is all n samples in their dataset order."""
+    return idx.size == n and np.array_equal(idx, np.arange(n))
+
+
 def _train_single(
     model: LineDetectorModel,
     dataset,
@@ -339,18 +348,31 @@ def _train_single(
     k: int,
     cluster_seed: int,
 ):
-    """Training loop (SGDM or Adam); returns per-step (loss, align_f1, align_f2)."""
+    """Training loop (SGDM or Adam); returns per-step (loss, align_f1, align_f2).
+
+    The loss after each step comes from a forward of the whole dataset
+    under the updated parameters. When the next step's batch is the whole
+    dataset in order (batch_size >= dataset size), that forward is the
+    next step's training forward, so the step takes its gradients from it
+    instead of running the forward again; the outputs are the same bytes.
+    Every forward goes through ``nn.batch_forward``.
+    """
     theta = model.to_vector()
     momentum = np.zeros_like(theta)
     second = np.zeros_like(theta)
     adam_beta2, adam_eps = 0.999, 1e-8
     queue = GradQueue(capacity=cfg.capacity)
     boost_cfg = BoostConfig(rho=cfg.rho)
+    n = len(dataset)
+    last_eval = None  # forward of the current parameters on the whole dataset
     history = []
     for step, idx in enumerate(schedule):
         images, labels = dataset.images[idx], dataset.labels[idx]
         m = LineDetectorModel.from_vector(theta)
-        _, grads, feats = per_sample_grads(m, images, labels)
+        if last_eval is not None and _whole_dataset(idx, n):
+            _, grads, feats = grads_from_forward(m, last_eval, labels)
+        else:
+            _, grads, feats = per_sample_grads(m, images, labels)
         raw = grads.mean(axis=0)
         if boost and queue.warmed_up:
             stats = queue.stats()
@@ -374,7 +396,8 @@ def _train_single(
         queue.push(raw)
 
         m = LineDetectorModel.from_vector(theta)
-        loss = batch_loss(m, dataset.images, dataset.labels)
+        last_eval = nn.batch_forward(m, dataset.images)
+        loss = loss_from_forward(last_eval, dataset.labels)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"divergence: non-finite loss at step {step + 1} "

@@ -25,8 +25,10 @@ __all__ = [
     "forward",
     "batch_forward",
     "per_sample_grads",
+    "grads_from_forward",
     "batch_grad",
     "batch_loss",
+    "loss_from_forward",
     "template_alignment",
 ]
 
@@ -191,18 +193,24 @@ def per_sample_grads(model: LineDetectorModel, images, labels):
     Returns (losses (B,), grads (B, 23), features (B, 2)).
     """
     images = np.asarray(images, dtype=float)
-    labels = np.asarray(labels, dtype=float)
     if images.ndim == 2:
         images = images[None]
     if images.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    logits, features, patches = batch_forward(model, images)
+    return grads_from_forward(model, batch_forward(model, images), labels)
+
+
+def grads_from_forward(model: LineDetectorModel, forward_out, labels):
+    """``per_sample_grads`` from the ``batch_forward`` result of ``model`` on the batch."""
+    logits, features, patches = forward_out
+    labels = np.asarray(labels, dtype=float)
     losses = _bce_from_logit(logits, labels)
     dlogit = _sigmoid(logits) - labels  # (B,)
 
-    grads = np.empty((images.shape[0], N_PARAMS))
+    B = logits.shape[0]
+    grads = np.empty((B, N_PARAMS))
     dfilters = dlogit[:, None, None, None] * model.dense_weights[None, :, None, None]
-    grads[:, :18] = (dfilters * patches).reshape(images.shape[0], 18)
+    grads[:, :18] = (dfilters * patches).reshape(B, 18)
     grads[:, 18:20] = dlogit[:, None] * model.dense_weights[None, :]
     grads[:, 20:22] = dlogit[:, None] * features
     grads[:, 22] = dlogit
@@ -226,8 +234,12 @@ def batch_grad(model: LineDetectorModel, images, labels) -> np.ndarray:
 
 
 def batch_loss(model: LineDetectorModel, images, labels) -> float:
-    logits, _, _ = batch_forward(model, np.asarray(images, dtype=float))
-    return float(np.mean(_bce_from_logit(logits, np.asarray(labels, dtype=float))))
+    return loss_from_forward(batch_forward(model, np.asarray(images, dtype=float)), labels)
+
+
+def loss_from_forward(forward_out, labels) -> float:
+    """``batch_loss`` (mean binary cross-entropy) from a ``batch_forward`` result."""
+    return float(np.mean(_bce_from_logit(forward_out[0], np.asarray(labels, dtype=float))))
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -13,7 +13,8 @@ from gradqueue import (
     kmeans,
     kmeans_objective,
 )
-from gradqueue.clustering import _kmeans_pp_init
+from gradqueue import clustering
+from gradqueue.clustering import _kmeans_pp_init, _repair_empty
 
 
 def brute_force_best_objective(X, k):
@@ -249,3 +250,151 @@ class TestChooseK:
     def test_validation(self):
         with pytest.raises(ValueError):
             choose_k(0, 128)
+
+
+# ---------------------------------------------------------------------------
+# oracle: each restart's Lloyd loop run on its own, which the batched loop
+# in kmeans must match bit for bit
+
+
+def _oracle_sq_dists(X, centroids):
+    diff = X[:, None, :] - centroids[None, :, :]
+    return np.einsum("bkf,bkf->bk", diff, diff)
+
+
+def _oracle_objective(X, labels, centroids):
+    diff = X - centroids[labels]
+    return float(np.sum(diff * diff))
+
+
+def _oracle_lloyd(X, k, centroids, max_iters):
+    labels = None
+    history = []
+    for _ in range(max_iters):
+        new_labels = np.argmin(_oracle_sq_dists(X, centroids), axis=1)
+        new_labels, centroids, repaired = _repair_empty(X, new_labels, centroids, k)
+        if not repaired and labels is not None and np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        centroids = np.stack(
+            [
+                X[labels == j].mean(axis=0) if np.any(labels == j) else centroids[j]
+                for j in range(k)
+            ]
+        )
+        history.append(_oracle_objective(X, labels, centroids))
+    else:
+        labels = np.argmin(_oracle_sq_dists(X, centroids), axis=1)
+    return labels, centroids, history
+
+
+def oracle_kmeans(X, k, seed=0, max_iters=100, n_init=10, init_centroids=None):
+    X = np.asarray(X, dtype=float)
+    if init_centroids is not None:
+        starts = [np.array(init_centroids, dtype=float, copy=True)]
+    else:
+        rng = np.random.default_rng(seed)
+        starts = [_kmeans_pp_init(X, k, rng) for _ in range(max(1, n_init))]
+    best = None
+    for start in starts:
+        labels, centroids, history = _oracle_lloyd(X, k, start, max_iters)
+        obj = _oracle_objective(X, labels, centroids)
+        if best is None or obj < best[0]:
+            best = (obj, labels, centroids, history)
+    return best[1:]
+
+
+def assert_same_as_oracle(X, k, **kwargs):
+    result = kmeans(X, k, **kwargs)
+    labels, centroids, history = oracle_kmeans(X, k, **kwargs)
+    np.testing.assert_array_equal(result.labels, labels)
+    assert result.centroids.tobytes() == centroids.tobytes()
+    assert result.objective_history == history
+    return result
+
+
+def feature_sets(f, rng):
+    """Generic rows, rounded rows (distance ties), and rows collapsed to one or two points."""
+    B = int(rng.integers(6, 60))
+    X = rng.normal(size=(B, f)) * rng.uniform(0.5, 3.0)
+    two_points = np.where(rng.random((B, 1)) < 0.5, X[0], X[1])
+    return {
+        "generic": X,
+        "rounded": np.round(X),
+        "collapsed": np.tile(X[0], (B, 1)),
+        "two_points": two_points,
+    }
+
+
+class TestBatchedRestarts:
+    @pytest.mark.parametrize("f", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_init", [1, 10])
+    def test_matches_per_restart_loop(self, f, n_init):
+        rng = np.random.default_rng(100 * f + n_init)
+        for trial in range(2 if n_init == 1 else 1):
+            for X in feature_sets(f, rng).values():
+                for k in range(1, 7):
+                    # a budget of 20 keeps the oracle's cycling restarts short
+                    assert_same_as_oracle(X, k, seed=trial, n_init=n_init, max_iters=20)
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 4])
+    def test_init_centroids_match_per_restart_loop(self, f):
+        rng = np.random.default_rng(f)
+        for X in feature_sets(f, rng).values():
+            for k in range(1, 7):
+                init = X[rng.choice(X.shape[0], size=k, replace=False)] + rng.normal(size=(k, f))
+                assert_same_as_oracle(X, k, init_centroids=init, max_iters=20)
+
+    def test_short_budgets_match_per_restart_loop(self):
+        rng = np.random.default_rng(11)
+        for X in feature_sets(2, rng).values():
+            for max_iters in (0, 1, 2, 3, 5):
+                assert_same_as_oracle(X, 3, seed=1, max_iters=max_iters)
+
+    def test_ties_pick_the_first_best_restart(self):
+        # every restart of a symmetric set ends at an equal objective
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        assert_same_as_oracle(X, 2, seed=3, n_init=10)
+
+    def test_init_centroids_shape_checked(self):
+        X = np.zeros((5, 2))
+        with pytest.raises(ValueError, match="init_centroids"):
+            kmeans(X, 2, init_centroids=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="init_centroids"):
+            kmeans(X, 2, init_centroids=np.zeros((2, 3)))
+
+
+class TestCollapsedFeatures:
+    """All rows at one point: the reseeded empty cluster cycles until max_iters."""
+
+    def count_updates(self, monkeypatch):
+        counted = []
+        update = clustering._update_centroids
+
+        def counting(X, labels, centroids):
+            counted.append(labels.shape[0])  # one Lloyd update per restart in the batch
+            return update(X, labels, centroids)
+
+        monkeypatch.setattr(clustering, "_update_centroids", counting)
+        return counted
+
+    def test_ones_end_at_the_cycle(self, monkeypatch):
+        counted = self.count_updates(monkeypatch)
+        result = assert_same_as_oracle(np.ones((100, 2)), 2, seed=0)
+        assert len(result.objective_history) == 100
+        # the per-restart loop makes 10 restarts x 100 updates; here each
+        # restart's second state repeats its first
+        assert sum(counted) == 10 * 2
+
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_collapsed_values_match_per_restart_loop(self, monkeypatch, f):
+        counted = self.count_updates(monkeypatch)
+        for value in (0.1, -7.7):
+            X = np.full((100, f), value)
+            for k in (2, 3):
+                for max_iters in (7, 37):
+                    result = assert_same_as_oracle(X, k, seed=5, max_iters=max_iters)
+                    assert len(result.objective_history) == max_iters
+        # the per-restart loop makes 2 * 2 * 10 * (7 + 37) updates
+        assert sum(counted) <= 8 * 10 * 6

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from gradqueue import lemma1_closed
+from gradqueue import experiments, lemma1_closed, nn
 from gradqueue.cli import main
 from gradqueue.experiments import (
     ExperimentConfig,
@@ -185,6 +186,49 @@ class TestTrainLines:
         )
         for row in run_train_lines(cfg_deg).rows:
             assert row[1] == row[2]
+
+
+class TestEvalReuse:
+    """A whole-dataset batch takes its forward from the previous step's eval."""
+
+    # criterion-8 configuration (batch = dataset = 100, k = 2), fewer steps
+    B100 = dict(steps=50, p=95, q=5, batch_size=100, optimal_batch=50)
+
+    def count_forwards(self, monkeypatch):
+        calls = []
+        forward = nn.batch_forward
+
+        def counting(model, images):
+            calls.append(len(images))
+            return forward(model, images)
+
+        monkeypatch.setattr(nn, "batch_forward", counting)
+        return calls
+
+    def test_same_rows_as_a_fresh_forward(self, monkeypatch):
+        cfg = ExperimentConfig(seed=0, **self.B100)
+        reused = run_train_lines(cfg)
+        monkeypatch.setattr(experiments, "_whole_dataset", lambda idx, n: False)
+        fresh = run_train_lines(cfg)
+        assert repr(reused.rows) == repr(fresh.rows)
+
+    def test_one_forward_per_step_on_the_whole_dataset(self, monkeypatch):
+        calls = self.count_forwards(monkeypatch)
+        run_train_lines(ExperimentConfig(seed=3, **self.B100))
+        # per run: the first step's forward, then one eval forward per step
+        assert len(calls) == 2 * (1 + 50)
+        assert set(calls) == {100}
+
+    def test_minibatches_keep_their_own_forward(self, monkeypatch):
+        calls = self.count_forwards(monkeypatch)
+        run_train_lines(ExperimentConfig(seed=3, steps=50, p=95, q=5, batch_size=50, k=1))
+        assert len(calls) == 2 * (50 + 50)
+        assert sorted(set(calls)) == [50, 100]
+
+    def test_whole_dataset_rule(self):
+        assert experiments._whole_dataset(np.arange(5), 5)
+        assert not experiments._whole_dataset(np.array([0, 1, 2, 4, 3]), 5)
+        assert not experiments._whole_dataset(np.arange(4), 5)
 
 
 class TestQlenDemo:

@@ -13,7 +13,13 @@ from gradqueue import (
     save_dataset,
     template_alignment,
 )
-from gradqueue.nn import N_PARAMS, batch_loss
+from gradqueue.nn import (
+    N_PARAMS,
+    batch_forward,
+    batch_loss,
+    grads_from_forward,
+    loss_from_forward,
+)
 
 
 def sample_loss(theta, image, label):
@@ -154,6 +160,19 @@ class TestGradients:
         model = LineDetectorModel.init_random(0)
         with pytest.raises(ValueError):
             per_sample_grads(model, np.zeros((0, 8, 8)), np.zeros(0))
+
+    def test_one_forward_serves_loss_and_gradients(self):
+        # the forward of the stored images gives the bytes of a forward of an indexed copy
+        model = LineDetectorModel.init_random(4)
+        ds = generate_lines(8, 8, 9, 3, noise_std=0.1, seed=5)
+        out = batch_forward(model, ds.images)
+        assert loss_from_forward(out, ds.labels) == batch_loss(model, ds.images, ds.labels)
+        copy = np.arange(len(ds))
+        for got, want in zip(
+            grads_from_forward(model, out, ds.labels),
+            per_sample_grads(model, ds.images[copy], ds.labels[copy]),
+        ):
+            assert got.tobytes() == want.tobytes()
 
     def test_loss_non_increasing_under_small_sgd(self):
         # plain full-batch gradient descent, noise-free data, fixed seeds
