@@ -48,7 +48,6 @@ from .nn import (
     IDEAL_VERTICAL,
     LineDataset,
     LineDetectorModel,
-    batch_grad,
     batch_loss,
     forward,
     generate_lines,
@@ -98,7 +97,6 @@ __all__ = [
     "IDEAL_VERTICAL",
     "LineDataset",
     "LineDetectorModel",
-    "batch_grad",
     "batch_loss",
     "forward",
     "generate_lines",

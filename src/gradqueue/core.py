@@ -64,8 +64,9 @@ class GradQueue:
     """Bounded FIFO of flattened gradient vectors.
 
     The oldest entry is evicted when the queue is full. All entries share
-    one dimension, fixed by the first push. ``effective_length`` controls
-    how many of the most recent entries feed the statistics.
+    one dimension, fixed by the first push, and are finite (a NaN or inf
+    is rejected). ``effective_length`` controls how many of the most
+    recent entries feed the statistics.
     """
 
     def __init__(self, capacity: int, effective_length: int | None = None):
@@ -106,6 +107,8 @@ class GradQueue:
         g = np.atleast_1d(np.asarray(g, dtype=float))
         if g.ndim != 1:
             raise ValueError("gradients must be flattened to one dimension")
+        if not np.isfinite(g).all():
+            raise ValueError("gradient has a non-finite coordinate")
         if self._dim is None:
             self._dim = g.shape[0]
         elif g.shape[0] != self._dim:

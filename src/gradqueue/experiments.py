@@ -29,7 +29,7 @@ from .analysis import (
     threshold_plain_reported,
     zeta,
 )
-from . import nn
+from . import nn, optimizers
 from .clustering import aggregate, choose_k, kmeans
 from .core import BoostConfig, GradQueue, QueueLengthController, delta_rho
 # batch_loss stays bound here although unused: perfbench/tracing.py wraps it by name
@@ -42,6 +42,7 @@ from .nn import (  # noqa: F401
     per_sample_grads,
     template_alignment,
 )
+from .optimizers import AdamState, OptimizerConfig, SgdmState
 
 __all__ = [
     "ExperimentConfig",
@@ -350,6 +351,11 @@ def _train_single(
 ):
     """Training loop (SGDM or Adam); returns per-step (loss, align_f1, align_f2).
 
+    Each step is one ``optimizers.sgdm_step``/``adam_step`` (looked up at
+    call time) on the batch-mean gradient. With ``k > 1`` it gets a
+    ``boost`` hook: a step that boosts clusters the batch by its features
+    (``kmeans``) and aggregates the boosted cluster means (``aggregate``).
+
     The loss after each step comes from a forward of the whole dataset
     under the updated parameters. When the next step's batch is the whole
     dataset in order (batch_size >= dataset size), that forward is the
@@ -357,45 +363,31 @@ def _train_single(
     instead of running the forward again; the outputs are the same bytes.
     Every forward goes through ``nn.batch_forward``.
     """
-    theta = model.to_vector()
-    momentum = np.zeros_like(theta)
-    second = np.zeros_like(theta)
-    adam_beta2, adam_eps = 0.999, 1e-8
-    queue = GradQueue(capacity=cfg.capacity)
-    boost_cfg = BoostConfig(rho=cfg.rho)
+    opt_cfg = OptimizerConfig(
+        cfg.learning_rate, cfg.beta, boost=BoostConfig(rho=cfg.rho), boost_enabled=boost
+    )
+    state_cls = AdamState if cfg.use_adam else SgdmState
+    state = state_cls.init(model.to_vector(), cfg.capacity)
+    step_name = "adam_step" if cfg.use_adam else "sgdm_step"
     n = len(dataset)
     last_eval = None  # forward of the current parameters on the whole dataset
     history = []
     for step, idx in enumerate(schedule):
         images, labels = dataset.images[idx], dataset.labels[idx]
-        m = LineDetectorModel.from_vector(theta)
+        m = LineDetectorModel.from_vector(state.params)
         if last_eval is not None and _whole_dataset(idx, n):
             _, grads, feats = grads_from_forward(m, last_eval, labels)
         else:
             _, grads, feats = per_sample_grads(m, images, labels)
-        raw = grads.mean(axis=0)
-        if boost and queue.warmed_up:
-            stats = queue.stats()
-            if k > 1:
-                assignment = kmeans(feats, k, seed=cluster_seed + step)
-                b = aggregate(grads, assignment, stats, boost_cfg)
-            else:
-                b = delta_rho(raw, stats, boost_cfg)
-        else:
-            b = raw
-        if cfg.use_adam:
-            t = step + 1
-            momentum = cfg.beta * momentum + (1.0 - cfg.beta) * b
-            second = adam_beta2 * second + (1.0 - adam_beta2) * b * b
-            m_hat = momentum / (1.0 - cfg.beta**t)
-            v_hat = second / (1.0 - adam_beta2**t)
-            theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
-        else:
-            momentum = cfg.beta * momentum + b
-            theta = theta - cfg.learning_rate * momentum
-        queue.push(raw)
 
-        m = LineDetectorModel.from_vector(theta)
+        def cluster_boost(stats):  # called, if at all, within this step
+            assignment = kmeans(feats, k, seed=cluster_seed + step)
+            return aggregate(grads, assignment, stats, opt_cfg.boost)
+
+        hook = cluster_boost if k > 1 else None
+        getattr(optimizers, step_name)(state, grads.mean(axis=0), opt_cfg, boost=hook)
+
+        m = LineDetectorModel.from_vector(state.params)
         last_eval = nn.batch_forward(m, dataset.images)
         loss = loss_from_forward(last_eval, dataset.labels)
         if not np.isfinite(loss):
@@ -408,12 +400,8 @@ def _train_single(
     return history
 
 
-def run_train_lines(cfg: ExperimentConfig) -> RunResult:
-    """Paired training runs (plain SGDM vs boosted) from one initialization.
-
-    Dataset, initial weights and batch order are shared; only the boost
-    differs. Emits per-step loss and filter-template alignment for both.
-    """
+def _train_setup(cfg: ExperimentConfig):
+    """Seeds, dataset, initial model, batch size and batch schedule of a training run."""
     seeds = expand_seeds(cfg.seed)
     dataset = generate_lines(
         cfg.height, cfg.width, cfg.p, cfg.q, cfg.noise_std, seeds["dataset"]
@@ -422,6 +410,16 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     batch_size = min(cfg.batch_size, len(dataset))
     schedule_rng = np.random.default_rng(seeds["dataset"] + 1)
     schedule = _batch_schedule(len(dataset), batch_size, cfg.steps, schedule_rng)
+    return seeds, dataset, model, batch_size, schedule
+
+
+def run_train_lines(cfg: ExperimentConfig) -> RunResult:
+    """Paired training runs (plain SGDM vs boosted) from one initialization.
+
+    Dataset, initial weights and batch order are shared; only the boost
+    differs. Emits per-step loss and filter-template alignment for both.
+    """
+    seeds, dataset, model, batch_size, schedule = _train_setup(cfg)
     k = cfg.k if cfg.k is not None else choose_k(batch_size, cfg.optimal_batch)
     if k > batch_size:
         raise ValueError(f"k={k} exceeds the batch size {batch_size}")
@@ -482,15 +480,7 @@ def _loss_feed(cfg: ExperimentConfig) -> list[float]:
         floor = down[-1] if down else 5.0
         return down + [floor] * (n - half)
     if cfg.pattern == "train":
-        seeds = expand_seeds(cfg.seed)
-        dataset = generate_lines(
-            cfg.height, cfg.width, cfg.p, cfg.q, cfg.noise_std, seeds["dataset"]
-        )
-        model = LineDetectorModel.init_random(seeds["init"])
-        schedule = _batch_schedule(
-            len(dataset), min(cfg.batch_size, len(dataset)), n,
-            np.random.default_rng(seeds["dataset"] + 1),
-        )
+        _, dataset, model, _, schedule = _train_setup(cfg)
         history = _train_single(
             model, dataset, schedule, cfg, boost=False, k=1, cluster_seed=0
         )

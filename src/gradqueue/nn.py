@@ -26,7 +26,6 @@ __all__ = [
     "batch_forward",
     "per_sample_grads",
     "grads_from_forward",
-    "batch_grad",
     "batch_loss",
     "loss_from_forward",
     "template_alignment",
@@ -215,22 +214,6 @@ def grads_from_forward(model: LineDetectorModel, forward_out, labels):
     grads[:, 20:22] = dlogit[:, None] * features
     grads[:, 22] = dlogit
     return losses, grads, features
-
-
-def batch_grad(model: LineDetectorModel, images, labels) -> np.ndarray:
-    """Gradient of the mean loss, accumulated directly over the batch."""
-    images = np.asarray(images, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    logits, features, patches = batch_forward(model, images)
-    dlogit = (_sigmoid(logits) - labels) / images.shape[0]  # (B,)
-    grads = np.empty(N_PARAMS)
-    grads[:18] = np.einsum(
-        "b,f,bfxy->fxy", dlogit, model.dense_weights, patches
-    ).ravel()
-    grads[18:20] = dlogit.sum() * model.dense_weights
-    grads[20:22] = dlogit @ features
-    grads[22] = dlogit.sum()
-    return grads
 
 
 def batch_loss(model: LineDetectorModel, images, labels) -> float:

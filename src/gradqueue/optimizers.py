@@ -5,6 +5,12 @@ boosting is enabled and the queue is past warm-up, the incoming gradient
 is rescaled by the boost operator before entering the momentum (or
 moment) accumulators; the raw gradient is pushed onto the queue after
 every step.
+
+Both steps take an optional ``boost`` hook, a callable from the queue
+statistics to the boosted gradient. On a step that boosts (and only
+then) it replaces ``delta_rho(g, stats, cfg.boost)``; ``train-lines``
+passes one that aggregates boosted cluster means. A gradient with a NaN
+or infinite coordinate raises ``ValueError`` before any state changes.
 """
 
 from __future__ import annotations
@@ -76,24 +82,32 @@ class AdamState:
         )
 
 
-def _boosted(g: np.ndarray, queue: GradQueue, cfg: OptimizerConfig) -> np.ndarray:
-    if cfg.boost_enabled and queue.warmed_up:
-        return delta_rho(g, queue.stats(), cfg.boost)
+def _gradient(g, params: np.ndarray) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    if g.shape != params.shape:
+        raise ValueError(
+            f"dimension mismatch: gradient {g.shape} vs params {params.shape}"
+        )
+    if not np.isfinite(g).all():
+        raise ValueError("gradient has a non-finite coordinate")
     return g
 
 
-def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig) -> SgdmState:
+def _boosted(g: np.ndarray, queue: GradQueue, cfg: OptimizerConfig, boost) -> np.ndarray:
+    if cfg.boost_enabled and queue.warmed_up:
+        stats = queue.stats()
+        return boost(stats) if boost is not None else delta_rho(g, stats, cfg.boost)
+    return g
+
+
+def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmState:
     """One momentum step: m <- beta*m + b, params <- params - lr*m.
 
     b is the (possibly boosted) gradient; no (1 - beta) damping is applied
     to it. The raw gradient is pushed onto the queue afterwards.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.params.shape:
-        raise ValueError(
-            f"dimension mismatch: gradient {g.shape} vs params {state.params.shape}"
-        )
-    b = _boosted(g, state.queue, cfg)
+    g = _gradient(g, state.params)
+    b = _boosted(g, state.queue, cfg, boost)
     state.momentum = cfg.beta * state.momentum + b
     state.params = state.params - cfg.learning_rate * state.momentum
     state.queue.push(g)
@@ -101,14 +115,10 @@ def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig) -> SgdmState:
     return state
 
 
-def adam_step(state: AdamState, g, cfg: OptimizerConfig) -> AdamState:
+def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamState:
     """One bias-corrected Adam step on the (possibly boosted) gradient."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.params.shape:
-        raise ValueError(
-            f"dimension mismatch: gradient {g.shape} vs params {state.params.shape}"
-        )
-    b = _boosted(g, state.queue, cfg)
+    g = _gradient(g, state.params)
+    b = _boosted(g, state.queue, cfg, boost)
     t = state.step_count + 1
     b1, b2 = cfg.beta, cfg.adam_beta2
     state.first_moment = b1 * state.first_moment + (1.0 - b1) * b

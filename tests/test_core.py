@@ -39,6 +39,17 @@ class TestGradQueue:
         with pytest.raises(ValueError, match="dimension"):
             q.push([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        q = GradQueue(capacity=3)
+        with pytest.raises(ValueError, match="non-finite"):
+            q.push([bad])
+        assert len(q) == 0 and q.dim is None  # the first push fixes no dimension
+        q.push([1.0, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            q.push([1.0, bad])
+        np.testing.assert_array_equal(q.as_array(), [[1.0, 2.0]])
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             GradQueue(capacity=0)

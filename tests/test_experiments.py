@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from gradqueue import experiments, lemma1_closed, nn
+from gradqueue import (
+    BoostConfig,
+    GradQueue,
+    aggregate,
+    delta_rho,
+    experiments,
+    kmeans,
+    lemma1_closed,
+    nn,
+)
 from gradqueue.cli import main
 from gradqueue.experiments import (
     ExperimentConfig,
@@ -229,6 +238,124 @@ class TestEvalReuse:
         assert experiments._whole_dataset(np.arange(5), 5)
         assert not experiments._whole_dataset(np.array([0, 1, 2, 4, 3]), 5)
         assert not experiments._whole_dataset(np.arange(4), 5)
+
+
+def oracle_train_single(model, dataset, schedule, cfg, boost, k, cluster_seed):
+    """The training loop with its own inline SGDM/Adam update and boost branch.
+
+    This is how ``_train_single`` ran before it called the library
+    optimizers; the library path must give the same bytes.
+    """
+    theta = model.to_vector()
+    momentum = np.zeros_like(theta)
+    second = np.zeros_like(theta)
+    adam_beta2, adam_eps = 0.999, 1e-8
+    queue = GradQueue(capacity=cfg.capacity)
+    boost_cfg = BoostConfig(rho=cfg.rho)
+    n = len(dataset)
+    last_eval = None
+    history = []
+    for step, idx in enumerate(schedule):
+        images, labels = dataset.images[idx], dataset.labels[idx]
+        m = nn.LineDetectorModel.from_vector(theta)
+        if last_eval is not None and experiments._whole_dataset(idx, n):
+            _, grads, feats = nn.grads_from_forward(m, last_eval, labels)
+        else:
+            _, grads, feats = nn.per_sample_grads(m, images, labels)
+        raw = grads.mean(axis=0)
+        if boost and queue.warmed_up:
+            stats = queue.stats()
+            if k > 1:
+                assignment = kmeans(feats, k, seed=cluster_seed + step)
+                b = aggregate(grads, assignment, stats, boost_cfg)
+            else:
+                b = delta_rho(raw, stats, boost_cfg)
+        else:
+            b = raw
+        if cfg.use_adam:
+            t = step + 1
+            momentum = cfg.beta * momentum + (1.0 - cfg.beta) * b
+            second = adam_beta2 * second + (1.0 - adam_beta2) * b * b
+            m_hat = momentum / (1.0 - cfg.beta**t)
+            v_hat = second / (1.0 - adam_beta2**t)
+            theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
+        else:
+            momentum = cfg.beta * momentum + b
+            theta = theta - cfg.learning_rate * momentum
+        queue.push(raw)
+
+        m = nn.LineDetectorModel.from_vector(theta)
+        last_eval = nn.batch_forward(m, dataset.images)
+        loss = nn.loss_from_forward(last_eval, dataset.labels)
+        align = nn.template_alignment(m)
+        history.append((loss, align[0], align[1]))
+    return history
+
+
+class TestLibraryStepPipeline:
+    """train-lines runs through ``optimizers.sgdm_step``/``adam_step``."""
+
+    SMALL = dict(steps=25, p=20, q=5, noise_std=0.1)
+
+    @pytest.mark.parametrize("use_adam", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("batch_size", [25, 10])  # whole dataset, minibatch
+    @pytest.mark.parametrize("boost", [True, False])
+    def test_rows_match_the_inline_oracle(
+        self, monkeypatch, use_adam, k, batch_size, boost
+    ):
+        cfg = ExperimentConfig(
+            seed=k + batch_size, k=k, batch_size=batch_size, boost_enabled=boost,
+            use_adam=use_adam, learning_rate=0.02 if use_adam else 0.05, **self.SMALL,
+        )
+        library = run_train_lines(cfg)
+        monkeypatch.setattr(experiments, "_train_single", oracle_train_single)
+        oracle = run_train_lines(cfg)
+        assert repr(library.rows) == repr(oracle.rows)
+
+    def count_kmeans(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "kmeans", counting)
+        return calls
+
+    @pytest.mark.parametrize("capacity", [2, 3, 5])
+    def test_kmeans_runs_on_warmed_up_boosted_steps_only(self, monkeypatch, capacity):
+        calls = self.count_kmeans(monkeypatch)
+        cfg = ExperimentConfig(
+            seed=1, k=2, batch_size=25, capacity=capacity, **self.SMALL
+        )
+        run_train_lines(cfg)
+        # warm-up needs min(3, capacity) queued gradients; the plain run never clusters
+        warmup = min(3, capacity)
+        assert len(calls) == cfg.steps - warmup
+        cluster_seed = expand_seeds(1)["clustering"]
+        assert calls == [cluster_seed + step for step in range(warmup, cfg.steps)]
+
+    def test_no_kmeans_without_boost(self, monkeypatch):
+        calls = self.count_kmeans(monkeypatch)
+        run_train_lines(ExperimentConfig(k=2, boost_enabled=False, **self.SMALL))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "field, flag, value",
+        [
+            ("learning_rate", "--alpha", 0.0),
+            ("learning_rate", "--alpha", -0.1),
+            ("beta", "--beta", 1.0),
+            ("beta", "--beta", -0.1),
+        ],
+    )
+    def test_optimizer_settings_validated(self, field, flag, value, capsys):
+        # train-lines builds an OptimizerConfig, so it rejects what that rejects
+        with pytest.raises(ValueError):
+            run_train_lines(ExperimentConfig(**{field: value}, **self.SMALL))
+        assert main(["train-lines", "--steps", "3", flag, str(value)]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestQlenDemo:

@@ -5,7 +5,6 @@ from gradqueue import (
     IDEAL_HORIZONTAL,
     IDEAL_VERTICAL,
     LineDetectorModel,
-    batch_grad,
     forward,
     generate_lines,
     load_dataset,
@@ -15,11 +14,28 @@ from gradqueue import (
 )
 from gradqueue.nn import (
     N_PARAMS,
+    _sigmoid,
     batch_forward,
     batch_loss,
     grads_from_forward,
     loss_from_forward,
 )
+
+
+def batch_grad(model, images, labels):
+    """Gradient of the mean loss, accumulated directly over the batch."""
+    images = np.asarray(images, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    logits, features, patches = batch_forward(model, images)
+    dlogit = (_sigmoid(logits) - labels) / images.shape[0]  # (B,)
+    grads = np.empty(N_PARAMS)
+    grads[:18] = np.einsum(
+        "b,f,bfxy->fxy", dlogit, model.dense_weights, patches
+    ).ravel()
+    grads[18:20] = dlogit.sum() * model.dense_weights
+    grads[20:22] = dlogit @ features
+    grads[22] = dlogit.sum()
+    return grads
 
 
 def sample_loss(theta, image, label):

@@ -172,3 +172,87 @@ class TestConfigValidation:
             OptimizerConfig(beta=1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(beta=-0.1)
+
+
+BOTH = [(SgdmState, sgdm_step), (AdamState, adam_step)]
+
+
+class TestBoostHook:
+    @pytest.mark.parametrize("state_cls, step", BOTH)
+    @pytest.mark.parametrize("capacity", [2, 3, 5])
+    def test_called_only_on_warmed_up_boosted_steps(self, state_cls, step, capacity):
+        seen = []
+
+        def hook(stats):
+            seen.append(stats.sample_count)
+            return np.zeros(3)
+
+        boosted = state_cls.init(np.zeros(3), capacity=capacity)
+        plain = state_cls.init(np.zeros(3), capacity=capacity)
+        for g in random_stream(7, 8, 3):
+            step(boosted, g, cfg(boost=True), boost=hook)
+            step(plain, g, cfg(boost=False), boost=hook)
+        warmup = min(3, capacity)
+        assert len(seen) == 8 - warmup
+        assert seen[0] == warmup
+
+    def test_return_value_is_the_sgdm_update(self):
+        b = np.array([0.5, -2.0, 7.0])
+        state = SgdmState.init(np.ones(3), capacity=3)
+        stream = random_stream(8, 4, 3)
+        for g in stream[:3]:
+            sgdm_step(state, g, cfg(boost=True))
+        momentum, params = state.momentum.copy(), state.params.copy()
+        sgdm_step(state, stream[3], cfg(boost=True, beta=0.9), boost=lambda stats: b)
+        np.testing.assert_array_equal(state.momentum, 0.9 * momentum + b)
+        np.testing.assert_array_equal(state.params, params - 0.1 * state.momentum)
+
+    def test_return_value_is_the_adam_update(self):
+        b = np.array([0.5, -2.0, 7.0])
+        state = AdamState.init(np.ones(3), capacity=3)
+        stream = random_stream(9, 4, 3)
+        for g in stream[:3]:
+            adam_step(state, g, cfg(boost=True))
+        first, second = state.first_moment.copy(), state.second_moment.copy()
+        adam_step(state, stream[3], cfg(boost=True), boost=lambda stats: b)
+        np.testing.assert_array_equal(state.first_moment, 0.9 * first + (1.0 - 0.9) * b)
+        np.testing.assert_array_equal(
+            state.second_moment, 0.999 * second + (1.0 - 0.999) * b * b
+        )
+
+    @pytest.mark.parametrize("state_cls, step", BOTH)
+    def test_hook_sees_queue_stats_and_raw_gradient_is_pushed(self, state_cls, step):
+        state = state_cls.init(np.zeros(2), capacity=3)
+        stream = random_stream(10, 5, 2)
+        seen = []
+
+        def hook(stats):
+            np.testing.assert_array_equal(stats.mean, state.queue.stats().mean)
+            seen.append(stats)
+            return 100.0 * np.ones(2)
+
+        for g in stream:
+            step(state, g, cfg(boost=True), boost=hook)
+            np.testing.assert_array_equal(state.queue.as_array()[-1], g)
+        assert len(seen) == 2
+        assert state.step_count == 5
+
+
+class TestNonFiniteGradients:
+    @pytest.mark.parametrize("state_cls, step", BOTH)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_before_any_state_changes(self, state_cls, step, bad):
+        state = state_cls.init(np.ones(3), capacity=3)
+        for g in random_stream(11, 4, 3):
+            step(state, g, cfg(boost=True))
+        before = {k: np.copy(v) for k, v in vars(state).items() if k != "queue"}
+        queued = state.queue.as_array().copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            step(state, np.array([bad, 1.0, 1.0]), cfg(boost=True))
+        for key, value in before.items():
+            np.testing.assert_array_equal(getattr(state, key), value)
+        np.testing.assert_array_equal(state.queue.as_array(), queued)
+        # the state still takes finite gradients
+        step(state, np.ones(3), cfg(boost=True))
+        assert state.step_count == 5
+        assert np.isfinite(state.params).all()
