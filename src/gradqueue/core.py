@@ -5,6 +5,21 @@ and standard deviation over the queue give each incoming gradient a
 z-score; the boost operator rescales every coordinate by that z-score,
 clamped to [1/rho, rho]. Rare (high z) components are amplified, repeating
 ones are dampened.
+
+The queue is a ring: one ``(capacity, dim)`` array allocated by the first
+push, so later pushes copy into a slot and allocate nothing. ``stats``
+reduces the ring in blocks of ``STATS_BLOCK`` columns, each gathered
+oldest entry first into a C-contiguous ``(n, c)`` array, with the sums
+and divisions ``np.mean`` would apply to the whole stacked window. numpy
+reduces such an array along axis 0 row by row when ``c >= 2`` but sums a
+single column pairwise, so the blocking keeps every byte as long as no
+block is one column wide unless the whole vector is: the last block
+takes the remainder, and a vector narrower than two blocks is one block.
+
+Overflow: a column whose mean or variance overflows (entries beyond about
+1e154 in magnitude) is recomputed on its entries divided by their largest
+magnitude, and the results are scaled back. Other columns keep their
+bytes, and finite entries always give a finite mean and std.
 """
 
 from __future__ import annotations
@@ -21,6 +36,8 @@ __all__ = [
     "QueueLengthController",
     "delta_rho",
 ]
+
+STATS_BLOCK = 8192  # columns per block of the queue statistics
 
 
 @dataclass(frozen=True)
@@ -61,26 +78,35 @@ class BoostConfig:
 
 
 class GradQueue:
-    """Bounded FIFO of flattened gradient vectors.
+    """Bounded FIFO of flattened gradient vectors, stored as a ring.
 
     The oldest entry is evicted when the queue is full. All entries share
     one dimension, fixed by the first push, and are finite (a NaN or inf
     is rejected). ``effective_length`` controls how many of the most
     recent entries feed the statistics.
+
+    Storage is a ring, one ``(capacity, dim)`` float64 array; a push into
+    a full queue overwrites the oldest slot. ``stats`` reduces it in
+    column blocks and rescales overflowing columns (see the module
+    docstring for why the blocks keep every byte).
     """
 
     def __init__(self, capacity: int, effective_length: int | None = None):
         if capacity < 1:
             raise ValueError("capacity must be a positive integer")
         self.capacity = int(capacity)
-        self._entries: deque[np.ndarray] = deque(maxlen=self.capacity)
+        self._ring: np.ndarray | None = None
         self._dim: int | None = None
+        self._next = 0  # the slot the next push writes
+        self._count = 0
+        # ring slots in push order from any start: _slots[start : start + n]
+        self._slots = np.arange(2 * self.capacity) % self.capacity
         self._effective_length = self.capacity
         if effective_length is not None:
             self.effective_length = effective_length
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
 
     @property
     def dim(self) -> int | None:
@@ -101,7 +127,7 @@ class GradQueue:
     @property
     def warmed_up(self) -> bool:
         """True once enough entries exist for boosting to be meaningful."""
-        return len(self._entries) >= min(3, self.capacity)
+        return self._count >= min(3, self.capacity)
 
     def push(self, g) -> "GradQueue":
         g = np.atleast_1d(np.asarray(g, dtype=float))
@@ -111,29 +137,75 @@ class GradQueue:
             raise ValueError("gradient has a non-finite coordinate")
         if self._dim is None:
             self._dim = g.shape[0]
+            self._ring = np.empty((self.capacity, self._dim))
         elif g.shape[0] != self._dim:
             raise ValueError(
                 f"dimension mismatch: queue holds vectors of size {self._dim}, "
                 f"got {g.shape[0]}"
             )
-        self._entries.append(g.copy())
+        self._ring[self._next] = g
+        self._next = (self._next + 1) % self.capacity
+        self._count = min(self._count + 1, self.capacity)
         return self
+
+    def _window_slots(self, n: int) -> np.ndarray:
+        """Ring slots of the newest n entries, oldest first."""
+        start = (self._next - n) % self.capacity
+        return self._slots[start : start + n]
 
     def as_array(self) -> np.ndarray:
         """Entries as an (n, d) array, oldest first."""
-        if not self._entries:
+        if not self._count:
             raise ValueError("queue is empty")
-        return np.stack(list(self._entries))
+        return self._ring[self._window_slots(self._count)]
 
     def stats(self) -> QueueStats:
         """Population mean/std per coordinate over the effective window."""
-        if not self._entries:
+        if not self._count:
             raise ValueError("statistics undefined for an empty queue")
-        n = min(self._effective_length, len(self._entries))
-        window = np.stack(list(self._entries)[-n:])
-        mean = window.mean(axis=0)
-        var = np.mean((window - mean) ** 2, axis=0)
-        return QueueStats(mean=mean, std=np.sqrt(var), sample_count=n)
+        n = min(self._effective_length, self._count)
+        slots = self._window_slots(n)
+        d = self._dim
+        blocks = max(1, d // STATS_BLOCK)
+        if blocks == 1:
+            mean, std = _moments(self._ring.take(slots, axis=0))
+        else:
+            mean = np.empty(d)
+            std = np.empty(d)
+            for i in range(blocks):
+                stop = d if i == blocks - 1 else (i + 1) * STATS_BLOCK
+                cols = slice(i * STATS_BLOCK, stop)
+                _moments(self._ring[:, cols].take(slots, axis=0), mean[cols], std[cols])
+        return QueueStats(mean=mean, std=std, sample_count=n)
+
+
+def _moments(window: np.ndarray, mean=None, std=None) -> tuple[np.ndarray, np.ndarray]:
+    """Population mean and std of each column of a C-contiguous (n, c) window.
+
+    They are written into ``mean`` and ``std`` when those are given. Each
+    mean is the column sum divided by n, exactly what ``np.mean`` computes,
+    without its Python wrapper. A column whose variance overflows (its
+    mean may overflow too) is recomputed on its entries divided by their
+    largest magnitude, and its mean and std are scaled back.
+    """
+    n = window.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(window, axis=0, out=mean)
+        mean /= n
+        var = np.add.reduce((window - mean) ** 2, axis=0, out=std)
+        var /= n
+    # with finite entries, a finite variance implies a finite mean
+    finite = np.isfinite(var)
+    std = np.sqrt(var, out=var)
+    if not finite.all():
+        overflow = ~finite
+        scaled = window[:, overflow]
+        scale = np.abs(scaled).max(axis=0)
+        scaled /= scale
+        m = scaled.mean(axis=0)
+        mean[overflow] = m * scale
+        std[overflow] = np.sqrt(np.mean((scaled - m) ** 2, axis=0)) * scale
+    return mean, std
 
 
 def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
@@ -146,19 +218,30 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
     Zero-variance coordinates: a coordinate sitting on the (degenerate)
     mean is treated as maximally repetitive (z = 0, scale 1/rho); one far
     from it as maximally rare (z = rho, scale rho).
+
+    With no zero-variance coordinate the scale is ``clip(z, 1/rho, rho)``,
+    computed in place on one buffer that becomes the result; it equals the
+    two-sided rule, because z > 1 lies above 1/rho and z <= 1 below rho.
+    With finite statistics the result is finite wherever rho * |g_i| is.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != stats.mean.shape:
         raise ValueError(
             f"dimension mismatch: gradient {g.shape} vs stats {stats.mean.shape}"
         )
-    dev = np.abs(g - stats.mean)
     degenerate = stats.std <= cfg.sigma_floor
-    safe_std = np.where(degenerate, 1.0, stats.std)
-    z = dev / safe_std
-    z = np.where(degenerate, np.where(dev > cfg.sigma_floor, cfg.rho, 0.0), z)
-    scale = np.where(z > 1.0, np.minimum(z, cfg.rho), np.maximum(z, 1.0 / cfg.rho))
-    return scale * g
+    if degenerate.any():
+        dev = np.abs(g - stats.mean)
+        safe_std = np.where(degenerate, 1.0, stats.std)
+        z = dev / safe_std
+        z = np.where(degenerate, np.where(dev > cfg.sigma_floor, cfg.rho, 0.0), z)
+        scale = np.where(z > 1.0, np.minimum(z, cfg.rho), np.maximum(z, 1.0 / cfg.rho))
+        return scale * g
+    z = np.subtract(g, stats.mean)
+    np.abs(z, out=z)
+    np.divide(z, stats.std, out=z)
+    np.clip(z, 1.0 / cfg.rho, cfg.rho, out=z)
+    return np.multiply(z, g, out=z)
 
 
 class QueueLengthController:

@@ -1,5 +1,14 @@
+import math
+import tracemalloc
+import warnings
+from collections import deque
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradqueue import (
     BoostConfig,
@@ -8,6 +17,31 @@ from gradqueue import (
     QueueStats,
     delta_rho,
 )
+from gradqueue.core import STATS_BLOCK
+
+# deterministic example streams, no example database written to disk
+examples = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def vectors(d, elements):
+    return hnp.arrays(np.float64, d, elements=elements)
+
+
+# queue contents: 1-6 entries of one dimension, anywhere in the finite range
+finite_entries = st.integers(1, 4).flatmap(
+    lambda d: st.lists(
+        vectors(d, st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=6
+    )
+)
+# (g, mean, std) of one dimension; std is often exactly zero
+boost_cases = st.integers(1, 12).flatmap(
+    lambda d: st.tuples(
+        vectors(d, st.floats(-1e6, 1e6)),
+        vectors(d, st.floats(-1e6, 1e6)),
+        vectors(d, st.one_of(st.just(0.0), st.floats(0.0, 1e3))),
+    )
+)
+rhos = st.floats(1.0, 10.0)
 
 
 def brute_force_stats(entries):
@@ -16,6 +50,68 @@ def brute_force_stats(entries):
     mean = arr.sum(axis=0) / len(entries)
     second = (arr * arr).sum(axis=0) / len(entries)
     return mean, np.sqrt(np.maximum(second - mean * mean, 0.0))
+
+
+class OracleQueue:
+    """The deque queue the ring replaced: stacks its window on every call."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.effective_length = capacity
+        self._entries = deque(maxlen=capacity)
+
+    def __len__(self):
+        return len(self._entries)
+
+    @property
+    def warmed_up(self):
+        return len(self._entries) >= min(3, self.capacity)
+
+    def push(self, g):
+        self._entries.append(np.atleast_1d(np.asarray(g, dtype=float)).copy())
+
+    def as_array(self):
+        return np.stack(list(self._entries))
+
+    def stats(self):
+        n = min(self.effective_length, len(self._entries))
+        window = np.stack(list(self._entries)[-n:])
+        mean = window.mean(axis=0)
+        var = np.mean((window - mean) ** 2, axis=0)
+        return QueueStats(mean=mean, std=np.sqrt(var), sample_count=n)
+
+
+def oracle_delta_rho(g, stats, cfg):
+    """The two-sided where/minimum/maximum rule delta_rho replaced by a clip."""
+    dev = np.abs(g - stats.mean)
+    degenerate = stats.std <= cfg.sigma_floor
+    safe_std = np.where(degenerate, 1.0, stats.std)
+    z = dev / safe_std
+    z = np.where(degenerate, np.where(dev > cfg.sigma_floor, cfg.rho, 0.0), z)
+    scale = np.where(z > 1.0, np.minimum(z, cfg.rho), np.maximum(z, 1.0 / cfg.rho))
+    return scale * g
+
+
+def assert_same_queue(ring, oracle):
+    assert len(ring) == len(oracle)
+    assert ring.warmed_up == oracle.warmed_up
+    assert ring.as_array().tobytes() == oracle.as_array().tobytes()
+    got, want = ring.stats(), oracle.stats()
+    assert got.sample_count == want.sample_count
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.std.tobytes() == want.std.tobytes()
+
+
+def random_gradient(rng, dim, kind):
+    """A gradient of one of four shapes; entries stay far from overflow."""
+    if kind == "constant":
+        return np.full(dim, 0.1)
+    g = rng.normal(size=dim) * 10.0 ** rng.integers(-8, 9)
+    if kind == "rounded":  # repeated values and ties
+        return np.round(g, 1)
+    if kind == "sparse":
+        g[rng.random(dim) < 0.9] = 0.0
+    return g
 
 
 class TestGradQueue:
@@ -223,6 +319,201 @@ class TestDeltaRho:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             delta_rho(np.array([1.0, 2.0]), self.stats([0.0], [1.0]), self.cfg())
+
+
+class TestRingMatchesDeque:
+    """The ring's blocked statistics are byte-equal to stacking the window."""
+
+    B = STATS_BLOCK
+    EDGE_DIMS = (1, 2, B - 1, B, 2 * B - 1, 2 * B, 2 * B + 1)
+
+    @examples
+    @given(data=st.data())
+    def test_random_pushes_and_lengths(self, data):
+        dim = data.draw(st.sampled_from(self.EDGE_DIMS), label="dim")
+        capacity = data.draw(st.integers(1, 17), label="capacity")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        ring, oracle = GradQueue(capacity), OracleQueue(capacity)
+        kinds = st.sampled_from(("normal", "rounded", "sparse", "constant"))
+        for _ in range(data.draw(st.integers(1, 2 * capacity + 3), label="pushes")):
+            if data.draw(st.booleans(), label="resize"):
+                length = data.draw(st.integers(1, capacity), label="effective_length")
+                ring.effective_length = oracle.effective_length = length
+            g = random_gradient(rng, dim, data.draw(kinds, label="kind"))
+            ring.push(g)
+            oracle.push(g)
+            assert_same_queue(ring, oracle)
+
+    @pytest.mark.parametrize("dim", [1, 2 * STATS_BLOCK + 1])
+    @pytest.mark.parametrize("capacity", [9, 17])
+    def test_long_single_column_window(self, dim, capacity):
+        # numpy sums a lone column pairwise, which a row-by-row sum of nine
+        # or more entries does not reproduce
+        rng = np.random.default_rng(capacity)
+        ring, oracle = GradQueue(capacity), OracleQueue(capacity)
+        for _ in range(capacity + 4):
+            g = rng.normal(size=dim) * 1e3
+            ring.push(g)
+            oracle.push(g)
+        assert_same_queue(ring, oracle)
+
+    def test_as_array_is_a_copy(self):
+        q = GradQueue(capacity=2)
+        q.push([1.0, 2.0])
+        q.as_array()[0, 0] = 99.0
+        np.testing.assert_array_equal(q.as_array(), [[1.0, 2.0]])
+
+
+class TestOverflow:
+    @staticmethod
+    def queue(entries):
+        q = GradQueue(capacity=len(entries))
+        for e in entries:
+            q.push(e)
+        return q
+
+    @examples
+    @given(entries=finite_entries)
+    def test_finite_entries_give_finite_stats(self, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning escapes
+            s = self.queue(entries).stats()
+        assert np.isfinite(s.mean).all() and np.isfinite(s.std).all()
+        for col, mean, std in zip(np.stack(entries).T, s.mean, s.std):
+            top = float(np.abs(col).max())
+            exact = [Fraction(x) for x in col]
+            exact_mean = sum(exact) / len(exact)
+            if top == 0.0:
+                assert mean == 0.0 and std == 0.0
+                continue
+            # exact moments, the variance taken relative to top**2 to stay in range
+            rel_var = sum((x - exact_mean) ** 2 for x in exact) / len(exact) / Fraction(top) ** 2
+            tol = top * 1e-14 + 1e-150  # squared deviations below ~1e-154 underflow
+            assert abs(mean - float(exact_mean)) <= tol
+            assert abs(std - math.sqrt(float(rel_var)) * top) <= tol
+
+    @examples
+    @given(
+        entries=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=6),
+        g=st.floats(-1e308 / 3.0, 1e308 / 3.0),
+    )
+    def test_finite_gradient_gives_finite_boost(self, entries, g):
+        out = delta_rho(np.array([g]), self.queue([[e] for e in entries]).stats(), BoostConfig())
+        assert np.isfinite(out).all()
+
+    def test_rare_huge_coordinate_is_amplified(self):
+        q = self.queue([[1e200], [-1e200], [1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = q.stats()
+        assert s.std[0] == pytest.approx(2e200 * np.sqrt(2.0) / 3.0, rel=1e-14)
+        out = delta_rho(np.array([-1e200]), s, BoostConfig(rho=3.0))
+        assert out[0] == pytest.approx(-1e200 * np.sqrt(2.0), rel=1e-14)  # z = sqrt(2)
+
+    def test_single_column_partial_sums_of_opposite_sign(self):
+        # a lone column is summed pairwise: with these 16 entries one partial
+        # sum overflows to +inf and another to -inf, and the plain mean is NaN
+        s = self.queue(([[1.5e308]] * 4 + [[-1.5e308]] * 4) * 2).stats()
+        np.testing.assert_array_equal(s.mean, [0.0])
+        np.testing.assert_array_equal(s.std, [1.5e308])
+
+    def test_top_of_range_entries(self):
+        s = self.queue([[1.5e308, 1.0]] * 3).stats()
+        np.testing.assert_array_equal(s.mean, [1.5e308, 1.0])
+        np.testing.assert_array_equal(s.std, [0.0, 0.0])
+        out = delta_rho(np.array([1.0, 1.0]), s, BoostConfig(rho=3.0))
+        np.testing.assert_array_equal(out, [3.0, 1.0 / 3.0])  # far from the mean, on it
+
+    def test_in_range_columns_keep_their_bytes(self):
+        rng = np.random.default_rng(2)
+        entries = rng.normal(size=(5, 40))
+        entries[:, 7] *= 1e300
+        ring, oracle = GradQueue(5), OracleQueue(5)
+        for e in entries:
+            ring.push(e)
+            oracle.push(e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the oracle overflows
+            want = oracle.stats()
+        got = ring.stats()
+        keep = np.arange(40) != 7
+        assert got.mean[keep].tobytes() == want.mean[keep].tobytes()
+        assert got.std[keep].tobytes() == want.std[keep].tobytes()
+        assert not np.isfinite(want.std[7]) and np.isfinite(got.std[7])
+
+
+class TestDeltaRhoProperties:
+    @examples
+    @given(case=boost_cases, rho=rhos)
+    def test_scale_bounds_and_signs(self, case, rho):
+        g, mean, std = case
+        out = delta_rho(g, QueueStats(mean, std, 5), BoostConfig(rho=rho))
+        # rounding is monotone, so the float bounds hold exactly
+        assert np.all(np.abs(out) <= np.abs(g) * rho)
+        assert np.all(np.abs(out) >= np.abs(g) * (1.0 / rho))
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(g))
+
+    @examples
+    @given(case=boost_cases)
+    def test_rho_one_is_identity(self, case):
+        g, mean, std = case
+        out = delta_rho(g, QueueStats(mean, std, 5), BoostConfig(rho=1.0))
+        assert out.tobytes() == g.tobytes()
+
+    @examples
+    @given(case=boost_cases, rho=rhos)
+    def test_zero_variance_rule(self, case, rho):
+        g, mean, _ = case
+        cfg = BoostConfig(rho=rho)
+        out = delta_rho(g, QueueStats(mean, np.zeros_like(g), 5), cfg)
+        far = np.abs(g - mean) > cfg.sigma_floor
+        np.testing.assert_array_equal(out[far], g[far] * rho)
+        np.testing.assert_array_equal(out[~far], g[~far] * (1.0 / rho))
+
+    @examples
+    @given(case=boost_cases, rho=rhos)
+    def test_matches_two_sided_rule(self, case, rho):
+        g, mean, std = case
+        stats, cfg = QueueStats(mean, std, 5), BoostConfig(rho=rho)
+        assert delta_rho(g, stats, cfg).tobytes() == oracle_delta_rho(g, stats, cfg).tobytes()
+
+
+class TestQueueMemory:
+    """Allocations of the hot calls, in units of one gradient vector."""
+
+    DIM = 200_000
+    VECTOR = DIM * 8
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def wrapped_queue(self):
+        rng = np.random.default_rng(0)
+        q = GradQueue(capacity=5)
+        for _ in range(7):
+            q.push(rng.normal(size=self.DIM))
+        return q, rng.normal(size=self.DIM)
+
+    def test_stats_builds_no_window(self):
+        q, _ = self.wrapped_queue()
+        assert self.peak(q.stats) < 5 * self.VECTOR
+
+    def test_push_allocates_less_than_a_vector(self):
+        q, g = self.wrapped_queue()
+        assert self.peak(lambda: q.push(g)) < self.VECTOR
+
+    def test_delta_rho_peak(self):
+        q, g = self.wrapped_queue()
+        stats, cfg = q.stats(), BoostConfig()
+        assert self.peak(lambda: delta_rho(g, stats, cfg)) <= 3 * self.VECTOR
 
 
 class TestQueueLengthController:
