@@ -3,107 +3,99 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .experiments import (
-    ExperimentConfig,
-    load_config_file,
-    run_lemma_check,
-    run_momentum_sim,
-    run_qlen_demo,
-    run_train_lines,
-    run_zeta_table,
-)
+from . import experiments
+from .experiments import ExperimentConfig, _parse_value, load_config_file
 
 _RUNNERS = {
-    "lemma-check": run_lemma_check,
-    "momentum-sim": run_momentum_sim,
-    "train-lines": run_train_lines,
-    "qlen-demo": run_qlen_demo,
-    "zeta-table": run_zeta_table,
+    "lemma-check": experiments.run_lemma_check,
+    "momentum-sim": experiments.run_momentum_sim,
+    "train-lines": experiments.run_train_lines,
+    "qlen-demo": experiments.run_qlen_demo,
+    "zeta-table": experiments.run_zeta_table,
 }
 
-# flag name -> config field
+# config field -> help of its flag, --<field with "-" for "_">, but --alpha for learning_rate
 _FLAGS = {
-    "--alpha": ("learning_rate", float, "learning rate"),
-    "--beta": ("beta", float, "momentum coefficient"),
-    "--rho": ("rho", float, "boost clamp constant"),
-    "--capacity": ("capacity", int, "gradient queue length"),
-    "--k": ("k", int, "cluster count (default: batch_size/optimal_batch)"),
-    "--u": ("u", float, "repeating signal value"),
-    "--C": ("C", float, "rare signal value"),
-    "--N": ("N", int, "sparse period"),
-    "--steps": ("steps", int, "number of steps"),
-    "--height": ("height", int, "image height"),
-    "--width": ("width", int, "image width"),
-    "--p": ("p", int, "horizontal-line sample count"),
-    "--q": ("q", int, "vertical-line sample count"),
-    "--noise-std": ("noise_std", float, "pixel noise standard deviation"),
-    "--seed": ("seed", int, "master seed"),
-    "--batch-size": ("batch_size", int, "mini-batch size B"),
-    "--optimal-batch": ("optimal_batch", int, "reference batch size for choose_k"),
-    "--window": ("window", int, "loss window size"),
-    "--min-length": ("min_length", int, "minimum effective queue length"),
-    "--max-length": ("max_length", int, "maximum effective queue length"),
-    "--pattern": ("pattern", str, "qlen-demo loss feed: decreasing|flat|staged|train"),
-    "--eq-q": ("eq_q", float, "rare-group expected gradient (zeta-table)"),
-    "--eq-p": ("eq_p", float, "frequent-group expected gradient (zeta-table)"),
-    "--output": ("output", str, "CSV output path"),
+    "learning_rate": "learning rate",
+    "beta": "momentum coefficient",
+    "rho": "boost clamp constant",
+    "capacity": "gradient queue length",
+    "k": "cluster count (default: batch_size/optimal_batch)",
+    "u": "repeating signal value",
+    "C": "rare signal value",
+    "N": "sparse period",
+    "steps": "number of steps",
+    "height": "image height",
+    "width": "image width",
+    "p": "horizontal-line sample count",
+    "q": "vertical-line sample count",
+    "noise_std": "pixel noise standard deviation",
+    "seed": "master seed",
+    "batch_size": "mini-batch size B",
+    "optimal_batch": "reference batch size for choose_k",
+    "window": "loss window size",
+    "min_length": "minimum effective queue length",
+    "max_length": "maximum effective queue length",
+    "pattern": "qlen-demo loss feed: decreasing|flat|staged|train",
+    "eq_q": "rare-group expected gradient (zeta-table)",
+    "eq_p": "frequent-group expected gradient (zeta-table)",
+    "output": "CSV output path",
 }
+
+
+def _field_type(name: str):
+    """argparse type for one config field: the config-file coercion, reported per flag."""
+
+    def parse(raw: str):
+        try:
+            return _parse_value(name, raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = "".join(
+        f"\n  {name:<14}{run.__doc__.splitlines()[0].lower()}" for name, run in _RUNNERS.items()
+    )
     parser = argparse.ArgumentParser(
         prog="gradqueue",
         description="Queue-driven sparse-gradient boosting: checks and experiments",
+        epilog="commands:" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        argument_default=argparse.SUPPRESS,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, runner in _RUNNERS.items():
-        p = sub.add_parser(name, help=runner.__doc__.splitlines()[0].lower())
-        p.add_argument("--config", help="flat key=value config file")
-        for flag, (dest, ftype, help_text) in _FLAGS.items():
-            p.add_argument(flag, dest=dest, type=ftype, default=None, help=help_text)
-        p.add_argument(
-            "--no-boost",
-            dest="boost_enabled",
-            action="store_const",
-            const=False,
-            default=None,
-            help="disable the boost in train-lines",
-        )
-        p.add_argument(
-            "--adam",
-            dest="use_adam",
-            action="store_const",
-            const=True,
-            default=None,
-            help="use Adam instead of SGDM",
-        )
+    parser.add_argument("command", choices=_RUNNERS, metavar="command", help="listed below")
+    parser.add_argument("--config", help="flat key=value config file; flags override it")
+    for name, help_text in _FLAGS.items():
+        flag = "--alpha" if name == "learning_rate" else "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, type=_field_type(name), help=help_text)
+    for flag, dest, action, help_text in (
+        ("--no-boost", "boost_enabled", "store_false", "disable the boost in train-lines"),
+        ("--adam", "use_adam", "store_true", "use Adam instead of SGDM"),
+    ):
+        parser.add_argument(flag, dest=dest, action=action, help=help_text)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = load_config_file(args.config, cfg)
-    for dest, _, _ in _FLAGS.values():
-        value = getattr(args, dest, None)
-        if value is not None:
-            setattr(cfg, dest, value)
-    for dest in ("boost_enabled", "use_adam"):
-        value = getattr(args, dest, None)
-        if value is not None:
-            setattr(cfg, dest, value)
-    return cfg
+    """The config file, if any, with every flag given on the command line applied over it."""
+    path = getattr(args, "config", None)
+    cfg = load_config_file(path) if path else ExperimentConfig()
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    return dataclasses.replace(cfg, **flags)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
+        cfg = config_from_args(args)
         result = _RUNNERS[args.command](cfg)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.summary)

@@ -222,7 +222,8 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
     With no zero-variance coordinate the scale is ``clip(z, 1/rho, rho)``,
     computed in place on one buffer that becomes the result; it equals the
     two-sided rule, because z > 1 lies above 1/rho and z <= 1 below rho.
-    With finite statistics the result is finite wherever rho * |g_i| is.
+    With finite statistics the result is finite wherever rho * |g_i| is;
+    a z that overflows to inf is clamped to rho without a warning.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != stats.mean.shape:
@@ -231,15 +232,17 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
         )
     degenerate = stats.std <= cfg.sigma_floor
     if degenerate.any():
-        dev = np.abs(g - stats.mean)
         safe_std = np.where(degenerate, 1.0, stats.std)
-        z = dev / safe_std
+        with np.errstate(over="ignore"):  # z = inf is clamped to rho
+            dev = np.abs(g - stats.mean)
+            z = dev / safe_std
         z = np.where(degenerate, np.where(dev > cfg.sigma_floor, cfg.rho, 0.0), z)
         scale = np.where(z > 1.0, np.minimum(z, cfg.rho), np.maximum(z, 1.0 / cfg.rho))
         return scale * g
-    z = np.subtract(g, stats.mean)
-    np.abs(z, out=z)
-    np.divide(z, stats.std, out=z)
+    with np.errstate(over="ignore"):  # z = inf is clamped to rho
+        z = np.subtract(g, stats.mean)
+        np.abs(z, out=z)
+        np.divide(z, stats.std, out=z)
     np.clip(z, 1.0 / cfg.rho, cfg.rho, out=z)
     return np.multiply(z, g, out=z)
 

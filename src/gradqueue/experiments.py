@@ -107,41 +107,42 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
 
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _parse_value(name: str, raw: str):
-    ftypes = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    if name not in ftypes:
+    """Coerce a config-file or flag value to its field's type; ``none`` clears an optional field."""
+    if name not in _FIELD_TYPES:
         raise ValueError(f"unknown config key: {name}")
-    raw = raw.strip()
-    if raw.lower() == "none":
+    raw, kind = raw.strip(), _FIELD_TYPES[name]
+    if raw.lower() == "none" and kind.endswith(" | None"):
         return None
-    t = ftypes[name]
-    if t == "bool":
-        if raw.lower() not in _BOOL_STRINGS:
-            raise ValueError(f"cannot parse boolean {name}={raw!r}")
-        return _BOOL_STRINGS[raw.lower()]
-    if t == "int" or t == "int | None":
-        return int(raw)
-    if t == "float" or t == "float | None":
-        return float(raw)
-    return raw
+    kind = kind.removesuffix(" | None")
+    try:
+        if kind == "bool":
+            return _BOOL_STRINGS[raw.lower()]
+        return {"int": int, "float": float}.get(kind, str)(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"invalid {kind} value for {name}: {raw!r}") from None
 
 
-def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read flat key=value lines into an ExperimentConfig."""
-    cfg = base or ExperimentConfig()
+def load_config_file(path) -> ExperimentConfig:
+    """Read flat key=value lines into an ExperimentConfig; errors name ``path:lineno``."""
+    settings = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            setattr(cfg, key.strip(), _parse_value(key.strip(), value))
-    return cfg
+            key, sep, value = line.partition("=")
+            try:
+                if not sep:
+                    raise ValueError(f"expected key=value, got {line!r}")
+                settings[key.strip()] = _parse_value(key.strip(), value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return ExperimentConfig(**settings)
 
 
 def expand_seeds(master: int) -> dict[str, int]:

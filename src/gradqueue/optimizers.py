@@ -10,7 +10,8 @@ Both steps take an optional ``boost`` hook, a callable from the queue
 statistics to the boosted gradient. On a step that boosts (and only
 then) it replaces ``delta_rho(g, stats, cfg.boost)``; ``train-lines``
 passes one that aggregates boosted cluster means. A gradient with a NaN
-or infinite coordinate raises ``ValueError`` before any state changes.
+or infinite coordinate, or one whose update overflows the parameters (or
+Adam's second moment), raises ``ValueError`` before any state changes.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def _gradient(g, params: np.ndarray) -> np.ndarray:
     return g
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("update overflows: the step would leave a non-finite parameter or moment")
+
+
 def _boosted(g: np.ndarray, queue: GradQueue, cfg: OptimizerConfig, boost) -> np.ndarray:
     if cfg.boost_enabled and queue.warmed_up:
         stats = queue.stats()
@@ -108,8 +114,11 @@ def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmStat
     """
     g = _gradient(g, state.params)
     b = _boosted(g, state.queue, cfg, boost)
-    state.momentum = cfg.beta * state.momentum + b
-    state.params = state.params - cfg.learning_rate * state.momentum
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_finite
+        momentum = cfg.beta * state.momentum + b
+        params = state.params - cfg.learning_rate * momentum
+    _check_finite(params)
+    state.momentum, state.params = momentum, params
     state.queue.push(g)
     state.step_count += 1
     return state
@@ -121,13 +130,14 @@ def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamStat
     b = _boosted(g, state.queue, cfg, boost)
     t = state.step_count + 1
     b1, b2 = cfg.beta, cfg.adam_beta2
-    state.first_moment = b1 * state.first_moment + (1.0 - b1) * b
-    state.second_moment = b2 * state.second_moment + (1.0 - b2) * b * b
-    m_hat = state.first_moment / (1.0 - b1**t)
-    v_hat = state.second_moment / (1.0 - b2**t)
-    state.params = state.params - cfg.learning_rate * m_hat / (
-        np.sqrt(v_hat) + cfg.adam_epsilon
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_finite
+        first_moment = b1 * state.first_moment + (1.0 - b1) * b
+        second_moment = b2 * state.second_moment + (1.0 - b2) * b * b
+        m_hat = first_moment / (1.0 - b1**t)
+        v_hat = second_moment / (1.0 - b2**t)
+        params = state.params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    _check_finite(params, second_moment)
+    state.first_moment, state.second_moment, state.params = first_moment, second_moment, params
     state.queue.push(g)
     state.step_count = t
     return state

@@ -2,6 +2,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradqueue import (
     BoostConfig,
@@ -149,6 +152,26 @@ class TestAggregate:
             st = self.stats(rng.normal(), rng.uniform(0.5, 2.0), 6)
             out = aggregate(grads, assignment, st, BoostConfig(rho=1.0))
             np.testing.assert_allclose(out, grads.mean(axis=0), rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 5), st.integers(1, 6)),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+    )
+    def test_rho_one_recovers_batch_mean_for_any_assignment(self, data, shape, scale):
+        B, d, k = shape  # labels drawn freely, so clusters may be empty
+        G = data.draw(hnp.arrays(np.float64, (B, d), elements=st.floats(-1.0, 1.0))) * scale
+        labels = data.draw(hnp.arrays(np.int64, B, elements=st.integers(0, k - 1)))
+        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 1)), k=k)
+        stats = QueueStats(
+            data.draw(hnp.arrays(np.float64, d, elements=st.floats(-1e300, 1e300))),
+            data.draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 1e300))),
+            5,
+        )
+        out = aggregate(G, assignment, stats, BoostConfig(rho=1.0))
+        tol = 1e-12 * np.abs(G).max()
+        assert np.all(np.abs(out - G.mean(axis=0)) <= tol)
 
     def test_single_cluster_equals_boosted_mean(self):
         from gradqueue import delta_rho

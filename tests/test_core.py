@@ -424,6 +424,22 @@ class TestOverflow:
         out = delta_rho(np.array([1.0, 1.0]), s, BoostConfig(rho=3.0))
         np.testing.assert_array_equal(out, [3.0, 1.0 / 3.0])  # far from the mean, on it
 
+    @pytest.mark.parametrize(
+        "g, mean, std",
+        [
+            ([1e300], [0.0], [1e-10]),  # the division overflows
+            ([1e308], [-1e308], [1.0]),  # the subtraction overflows
+            ([1e300, 1.0], [0.0, 1.0], [1e-10, 0.0]),  # the same, next to a zero-variance column
+            ([1e308, 1.0], [-1e308, 1.0], [1.0, 0.0]),
+        ],
+    )
+    def test_overflowing_z_clamps_to_rho_without_warning(self, g, mean, std):
+        g = np.array(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = delta_rho(g, QueueStats(np.array(mean), np.array(std), 3), BoostConfig(rho=1.5))
+        assert out[0] == 1.5 * g[0]
+
     def test_in_range_columns_keep_their_bytes(self):
         rng = np.random.default_rng(2)
         entries = rng.normal(size=(5, 40))
@@ -540,6 +556,20 @@ class TestQueueLengthController:
         for _ in range(200):
             ctrl.observe(rng.uniform(0, 10))
             assert 3 <= ctrl.effective_length() <= 5
+
+    @examples
+    @given(
+        window=st.integers(1, 6),
+        lengths=st.tuples(st.integers(1, 8), st.integers(0, 6)),
+        losses=st.lists(st.one_of(st.floats(), st.floats(-10.0, 10.0)), max_size=40),
+    )
+    def test_output_in_bounds_for_any_feed(self, window, lengths, losses):
+        min_length, extra = lengths
+        max_length = max(min_length + extra, window)
+        ctrl = QueueLengthController(window, min_length, max_length)
+        assert ctrl.effective_length() == min_length
+        for loss in losses:
+            assert min_length <= ctrl.observe(loss).effective_length() <= max_length
 
     def test_staged_losses_rise_then_fall(self):
         ctrl = QueueLengthController(window=2, min_length=3, max_length=5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,39 @@ class TestNonFiniteGradients:
         step(state, np.ones(3), cfg(boost=True))
         assert state.step_count == 5
         assert np.isfinite(state.params).all()
+
+
+class TestOverflowingUpdates:
+    """A finite gradient whose update overflows is rejected and changes nothing."""
+
+    @staticmethod
+    def assert_rejected_untouched(state, step, g, opt):
+        before = {k: np.copy(v) for k, v in vars(state).items() if k != "queue"}
+        queued = state.queue.as_array().copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported once, as ValueError
+            with pytest.raises(ValueError, match="overflow"):
+                step(state, g, opt)
+        for key, value in before.items():
+            np.testing.assert_array_equal(getattr(state, key), value)
+        np.testing.assert_array_equal(state.queue.as_array(), queued)
+
+    def test_sgdm_momentum_overflow(self):
+        state = SgdmState.init(np.zeros(1), capacity=3)
+        sgdm_step(state, np.array([1.5e308]), cfg())
+        self.assert_rejected_untouched(state, sgdm_step, np.array([1.5e308]), cfg())
+        assert state.step_count == 1
+        sgdm_step(state, np.array([-1.5e308]), cfg())  # still takes a step that fits
+        assert np.isfinite(state.params).all() and state.step_count == 2
+
+    def test_adam_second_moment_overflow(self):
+        # b*b overflows; unchecked, the parameters would stay where they are for good
+        state = AdamState.init(np.zeros(1), capacity=3)
+        adam_step(state, np.array([1.0]), cfg())
+        self.assert_rejected_untouched(state, adam_step, np.array([1e200]), cfg())
+        assert state.step_count == 1
+
+    def test_adam_parameter_overflow(self):
+        state = AdamState.init(np.full(2, -1.7e308), capacity=3)
+        adam_step(state, np.array([0.0, 1.0]), cfg())
+        self.assert_rejected_untouched(state, adam_step, np.ones(2), cfg(lr=1e308))
