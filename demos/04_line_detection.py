@@ -6,10 +6,22 @@ trained twice from one initialization: plain SGDM vs the boosted,
 cluster-aggregating variant. Full-batch updates make the 5 vertical
 samples nearly invisible to the plain run; the boosted run keeps them.
 
-Run: python3 demos/04_line_detection.py
+Run: python3 demos/04_line_detection.py [OUTPUT_CSV]
+
+The full trajectory goes to OUTPUT_CSV, or into a fresh temporary
+directory when no path is given.
 """
 
+import sys
+import tempfile
+from pathlib import Path
+
 from gradqueue.experiments import ExperimentConfig, run_train_lines
+
+if len(sys.argv) > 1:
+    output = Path(sys.argv[1])
+else:
+    output = Path(tempfile.mkdtemp(prefix="gradqueue-demo-")) / "line_detection.csv"
 
 cfg = ExperimentConfig(
     learning_rate=0.05,
@@ -22,7 +34,7 @@ cfg = ExperimentConfig(
     batch_size=100,   # full batch
     optimal_batch=50,  # choose_k gives 2 clusters
     seed=0,
-    output="line_detection.csv",
+    output=str(output),
 )
 
 result = run_train_lines(cfg)
@@ -35,6 +47,6 @@ for row in result.rows[::25] + [result.rows[-1]]:
     step, loss_s, loss_g, _, _, af2_s, af2_g = row
     print(f"{step:13d}  {loss_s:13.5f}  {loss_g:13.5f}  {af2_s:13.4f}  {af2_g:13.4f}")
 
-print("\nfull trajectory written to line_detection.csv")
+print(f"\nfull trajectory written to {output}")
 print("(columns: step, loss_sgdm, loss_gq, align_f1_sgdm, align_f1_gq,")
 print(" align_f2_sgdm, align_f2_gq)")

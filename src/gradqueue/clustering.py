@@ -71,7 +71,13 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         if total <= 0.0:  # all points coincide with chosen centroids
             centroids[i] = X[rng.integers(n)]
             continue
-        centroids[i] = X[rng.choice(n, p=d2 / total)]
+        if not np.isfinite(total):
+            raise ValueError("squared feature distances overflow")
+        # rng.choice(n, p=d2 / total) without its checks of p: the same
+        # draw, index and generator state
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        centroids[i] = X[int(cdf.searchsorted(rng.random(), side="right"))]
     return centroids
 
 

@@ -71,10 +71,11 @@ class BoostConfig:
     sigma_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.rho < 1.0:
+        # written so that NaN fails both checks
+        if not self.rho >= 1.0:
             raise ValueError(f"rho must be >= 1, got {self.rho}")
-        if self.sigma_floor <= 0.0:
-            raise ValueError("sigma_floor must be positive")
+        if not self.sigma_floor > 0.0:
+            raise ValueError(f"sigma_floor must be positive, got {self.sigma_floor}")
 
 
 class GradQueue:

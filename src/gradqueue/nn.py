@@ -4,6 +4,11 @@ Two 3x3 convolution filters, global max pooling, and a 2-to-1 dense head
 with a sigmoid/binary-cross-entropy loss. 23 parameters total. Gradients
 are computed in closed form (reverse mode by hand), vectorized over the
 batch, with the max-pool gradient routed to the first argmax location.
+
+The convolution is nine scalar multiply-adds over shifted pixel slices,
+one per filter tap, summed in the order numpy's einsum contraction uses,
+so its responses keep the einsum's bytes (see ``batch_forward``). The
+window view is taken only to gather each filter's argmax patch.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ IDEAL_HORIZONTAL = np.array([[-1, -1, -1], [2, 2, 2], [-1, -1, -1]], dtype=float
 IDEAL_VERTICAL = np.array([[-1, 2, -1], [-1, 2, -1], [-1, 2, -1]], dtype=float)
 
 N_PARAMS = 23  # 2 * (9 + 1) conv + 2 + 1 dense
+CONV_BLOCK = 8192  # pixels of whole images per convolution block: 128 KiB work buffers
 
 
 @dataclass
@@ -155,12 +161,61 @@ def _bce_from_logit(logits, labels):
     )
 
 
+def _conv(images: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Valid 3x3 responses of both filters plus their biases, shape (2, B, h*w).
+
+    The images go through in blocks of whole images of at most CONV_BLOCK
+    pixels (or one image), so the three work buffers stay small and are
+    reused. In a flattened block, tap (x, y) of the window at pixel p is
+    pixel ``p + x*W + y``: each tap is one contiguous slice, multiplied by
+    both filters' weights at once. The flat run covers every valid window;
+    the windows that wrap past a row or an image end are cropped away.
+    """
+    B, H, W = images.shape
+    h, w = H - 2, W - 2
+    per_block = max(1, min(B, CONV_BLOCK // (H * W)))
+    acc, row, tmp = (np.empty((2, per_block * H * W)) for _ in range(3))
+    resp = np.empty((2, B, h, w))
+    for start in range(0, B, per_block):
+        flat = images[start : start + per_block].reshape(-1)
+        n = flat.size - 2 * W - 2  # one past the last valid window
+        a, r, t = acc[:, :n], row[:, :n], tmp[:, :n]
+        # like the einsum, no floating-point warnings: the cropped windows
+        # meet non-finite pixels at taps that no valid window pairs them with
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in range(3):
+                taps = [flat[x * W + y : x * W + y + n] for y in range(3)]
+                np.multiply(taps[0], filters[:, x, 0, None], out=r)
+                np.multiply(taps[2], filters[:, x, 2, None], out=t)
+                r += t
+                np.multiply(taps[1], filters[:, x, 1, None], out=t)
+                r += t
+                np.add(a if x else 0.0, r, out=a)
+        count = flat.size // (H * W)
+        valid = acc[:, : flat.size].reshape(2, count, H, W)[:, :, :h, :w]
+        np.add(valid, bias[:, None, None, None], out=resp[:, start : start + count])
+    return resp.reshape(2, B, h * w)
+
+
 def batch_forward(model: LineDetectorModel, images: np.ndarray):
     """Logits, pooled features, and argmax patches for a batch of images.
 
     Returns (logits (B,), features (B, 2), patches (B, 2, 3, 3)) where
     patches are the image windows at each filter's max response, used for
     gradient routing.
+
+    The responses are byte-equal to numpy's
+    ``einsum("bijxy,fxy->bfij", windows, filters) + bias`` for images at
+    least 4 pixels wide, because the tap sums add in the einsum's order.
+    Kernel row x is ``(w[x,0]*p[x,0] + w[x,2]*p[x,2]) + w[x,1]*p[x,1]``:
+    einsum, built for 128-bit SIMD (the x86-64 baseline), reduces the
+    contiguous 3-long y axis in two lanes, lane 0 taking products 0 and 2
+    and lane 1 product 1, and adds the lanes last. The three rows are then
+    added in order to a sum that starts at +0.0, as einsum accumulates into
+    a zeroed output (so a -0.0 row sum turns +0.0). Width-3 images are the
+    exception: with one output column the 3x3 window is contiguous, einsum
+    reduces all 9 products in one loop in another order, and the responses
+    may differ from it in the last bits. tests/test_nn.py checks both.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim == 2:
@@ -168,13 +223,11 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
     B, H, W = images.shape
     if H < 3 or W < 3:
         raise ValueError("images must be at least 3x3")
+    resp = _conv(images, model.conv_filters, model.conv_bias)
+    arg = np.argmax(resp, axis=2)  # (2, B): first max in row-major order
+    features = np.ascontiguousarray(np.take_along_axis(resp, arg[:, :, None], axis=2)[:, :, 0].T)
+    i_star, j_star = np.unravel_index(arg.T, (H - 2, W - 2))
     windows = sliding_window_view(images, (3, 3), axis=(1, 2))  # (B, H-2, W-2, 3, 3)
-    resp = np.einsum("bijxy,fxy->bfij", windows, model.conv_filters)
-    resp = resp + model.conv_bias[None, :, None, None]
-    flat = resp.reshape(B, 2, -1)
-    arg = np.argmax(flat, axis=2)  # first max in row-major order
-    features = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
-    i_star, j_star = np.unravel_index(arg, resp.shape[2:])
     patches = windows[np.arange(B)[:, None], i_star, j_star]  # (B, 2, 3, 3)
     logits = features @ model.dense_weights + model.dense_bias
     return logits, features, patches

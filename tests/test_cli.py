@@ -135,6 +135,15 @@ def test_bad_config_file_exits_2(text, message, tmp_path, capsys):
     assert re.search(r"^error: .*" + message, capsys.readouterr().err), message
 
 
+@pytest.mark.parametrize("command", ["momentum-sim", "train-lines"])
+def test_nan_rho_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = [command, "--rho", "nan", "--steps", "12", "--N", "3", "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: rho must be >= 1, got nan")
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["zeta-table", "--output", str(tmp_path / "missing-dir" / "z.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

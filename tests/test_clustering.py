@@ -421,3 +421,52 @@ class TestCollapsedFeatures:
                     assert len(result.objective_history) == max_iters
         # the per-restart loop makes 2 * 2 * 10 * (7 + 37) updates
         assert sum(counted) <= 8 * 10 * 6
+
+
+def choice_kmeans_pp_init(X, k, rng):
+    """kmeans++ seeding drawn with ``Generator.choice``, the oracle for the written-out draw."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]), dtype=float)
+    centroids[0] = X[rng.integers(n)]
+    for i in range(1, k):
+        d2 = np.min(_oracle_sq_dists(X, centroids[:i]), axis=1)
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[i] = X[rng.integers(n)]
+            continue
+        centroids[i] = X[rng.choice(n, p=d2 / total)]
+    return centroids
+
+
+class TestKmeansPlusPlusDraw:
+    def test_same_centroids_and_generator_state_as_choice(self):
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            f = int(rng.integers(1, 4))
+            sets = feature_sets(f, rng)
+            X = list(sets.values())[trial % len(sets)]
+            k = int(rng.integers(1, min(7, X.shape[0]) + 1))
+            ours, oracle = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = _kmeans_pp_init(X, k, ours)
+            assert got.tobytes() == choice_kmeans_pp_init(X, k, oracle).tobytes()
+            assert ours.bit_generator.state == oracle.bit_generator.state
+
+    def test_draw_matches_choice_on_sparse_probabilities(self):
+        rng = np.random.default_rng(22)
+        for _ in range(1000):
+            n = int(rng.integers(1, 40))
+            p = rng.random(n) * (rng.random(n) >= 0.3)
+            if p.sum() == 0.0:
+                p[rng.integers(n)] = 1.0
+            p /= p.sum()
+            seed = int(rng.integers(2**32))
+            ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            assert int(cdf.searchsorted(ours.random(), side="right")) == oracle.choice(n, p=p)
+            assert ours.bit_generator.state == oracle.bit_generator.state
+
+    def test_overflowing_distances_rejected(self):
+        X = np.array([[1e200], [-1e200], [1e200]])
+        with pytest.raises(ValueError, match="overflow"):
+            kmeans(X, 2, seed=0)

@@ -297,6 +297,13 @@ class TestDeltaRho:
         with pytest.raises(ValueError):
             BoostConfig(rho=0.9)
 
+    @pytest.mark.parametrize(
+        "kwargs", [dict(rho=np.nan), dict(sigma_floor=np.nan), dict(sigma_floor=0.0)]
+    )
+    def test_nan_or_zero_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            BoostConfig(**kwargs)
+
     def test_repeated_value_damping_scale(self):
         # queue of L-1 copies of u and one C: scale on u is
         # max(1/sqrt(L-1), 1/rho)

@@ -1,5 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gradqueue import (
     IDEAL_HORIZONTAL,
@@ -14,6 +20,7 @@ from gradqueue import (
 )
 from gradqueue.nn import (
     N_PARAMS,
+    _conv,
     _sigmoid,
     batch_forward,
     batch_loss,
@@ -136,6 +143,135 @@ class TestForward:
         model = LineDetectorModel.init_random(0)
         with pytest.raises(ValueError):
             forward(model, np.zeros((2, 5)))
+
+
+def einsum_forward(model, images):
+    """The einsum convolution the tap sums must reproduce: (responses, logits, features, patches).
+
+    Responses are (2, B, (H-2)*(W-2)), filter-major like ``_conv``.
+    """
+    B, H, W = images.shape
+    windows = sliding_window_view(images, (3, 3), axis=(1, 2))
+    resp = np.einsum("bijxy,fxy->bfij", windows, model.conv_filters)
+    resp = resp + model.conv_bias[None, :, None, None]
+    flat = resp.reshape(B, 2, -1)
+    arg = np.argmax(flat, axis=2)
+    features = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+    i_star, j_star = np.unravel_index(arg, resp.shape[2:])
+    patches = windows[np.arange(B)[:, None], i_star, j_star]
+    logits = features @ model.dense_weights + model.dense_bias
+    return flat.transpose(1, 0, 2), logits, features, patches
+
+
+def tap_forward(model, images):
+    resp = _conv(images, model.conv_filters, model.conv_bias)
+    return (resp, *batch_forward(model, images))
+
+
+def conv_images(kind, B, H, W, rng):
+    if kind == "random":
+        return rng.random((B, H, W))
+    noise = 0.3 if kind == "noisy" else 0.0
+    ds = generate_lines(H, W, B, B, noise_std=noise, seed=int(rng.integers(1000)))
+    return ds.images[rng.permutation(2 * B)[:B]]
+
+
+def signed_zero_model(rng):
+    """Filters at scales 1e-3..1e3 with some taps +0.0 and some -0.0."""
+    vec = rng.normal(size=N_PARAMS)
+    filters = vec[:18] * 10.0 ** rng.uniform(-3, 3, size=2).repeat(9)
+    filters[rng.random(18) < 0.15] = 0.0
+    filters[rng.random(18) < 0.15] = -0.0
+    vec[:18] = filters
+    return LineDetectorModel.from_vector(vec)
+
+
+def assert_bytes_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        bits = [np.ascontiguousarray(a).view(np.int64) for a in (g, w)]
+        assert np.array_equal(*bits)
+
+
+class TestConvMatchesEinsum:
+    """The tap sums reproduce the einsum convolution byte for byte (signed zeros included)."""
+
+    SIDES = (4, 5, 6, 7, 8, 12)
+
+    @pytest.mark.parametrize("kind", ["random", "lines", "noisy"])
+    @pytest.mark.parametrize("B", [1, 20, 100, 200])
+    def test_byte_equal(self, kind, B):
+        rng = np.random.default_rng(B)
+        for H in (3,) + self.SIDES:
+            for W in self.SIDES:
+                model = signed_zero_model(rng)
+                images = conv_images(kind, B, H, W, rng)
+                assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+
+    def test_signed_zero_sums(self):
+        # every product -0.0: einsum's sum starts at +0.0
+        model = LineDetectorModel.from_vector(np.zeros(N_PARAMS))
+        model.conv_filters[:] = -0.0
+        model.conv_bias[:] = -0.0
+        images = np.ones((3, 5, 6))
+        images[1] = 0.0
+        images[2, ::2] = -0.0
+        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+        assert not np.signbit(tap_forward(model, images)[0]).any()
+
+    def test_one_image_per_block(self):
+        rng = np.random.default_rng(7)
+        model = signed_zero_model(rng)
+        images = rng.random((3, 95, 97))  # more pixels than one block holds
+        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+
+    def test_non_finite_pixels_warn_as_little_as_einsum(self):
+        # einsum sets no floating-point flags; the cropped outputs pair
+        # pixels with taps that no valid window pairs them with
+        rng = np.random.default_rng(8)
+        model = signed_zero_model(rng)
+        model.conv_filters[:, 0, 1] = 0.0
+        images = rng.random((4, 6, 7))
+        images[0, 1, 0] = np.inf
+        images[2, 3, 6] = -np.inf
+        images[3, 5, 3] = np.nan
+        images[1, 0, 0] = 1e308
+        model.conv_filters[:, 2, 2] = 1e10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = einsum_forward(model, images)
+            got = tap_forward(model, images)
+        assert_bytes_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["random", "lines", "noisy"])
+    def test_width_three_within_rounding(self, kind):
+        # a one-column einsum reduces each window in one 9-element loop in
+        # another order; each order's error is within 5 eps of the sum of
+        # the magnitudes (9 products, 9 additions), so they differ by <= 10 eps
+        rng = np.random.default_rng(3)
+        for H in (3,) + self.SIDES:
+            for B in (1, 20, 200):
+                model = signed_zero_model(rng)
+                images = conv_images(kind, B, H, 3, rng)
+                got, want = tap_forward(model, images), einsum_forward(model, images)
+                windows = sliding_window_view(np.abs(images), (3, 3), axis=(1, 2))
+                magnitude = np.einsum("bijxy,fxy->fbij", windows, np.abs(model.conv_filters))
+                magnitude = magnitude.reshape(got[0].shape) + np.abs(model.conv_bias)[:, None, None]
+                tol = 10 * np.finfo(float).eps * magnitude
+                assert np.all(np.abs(got[0] - want[0]) <= tol)
+                assert np.all(np.abs(got[2] - want[2]) <= tol.max(axis=2).T)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 30), st.integers(3, 12), st.integers(4, 12)),
+        data=st.data(),
+        filters=hnp.arrays(float, (2, 3, 3), elements=st.floats(-1e3, 1e3)),
+        bias=hnp.arrays(float, 2, elements=st.floats(-1e3, 1e3)),
+    )
+    def test_byte_equal_property(self, shape, data, filters, bias):
+        images = data.draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+        model = LineDetectorModel(filters, bias, np.array([0.5, -1.5]), 0.25)
+        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
 
 
 class TestGradients:
