@@ -17,7 +17,7 @@ _RUNNERS = {
     "zeta-table": experiments.run_zeta_table,
 }
 
-# config field -> help of its flag, --<field with "-" for "_">, but --alpha for learning_rate
+# config field -> help of its flag
 _FLAGS = {
     "learning_rate": "learning rate",
     "beta": "momentum coefficient",
@@ -43,6 +43,11 @@ _FLAGS = {
     "eq_q": "rare-group expected gradient (zeta-table)",
     "eq_p": "frequent-group expected gradient (zeta-table)",
     "output": "CSV output path",
+}
+# value flag -> config field: --<field with "-" for "_">, but --alpha for learning_rate
+_FLAG_FIELDS = {
+    ("--alpha" if f == "learning_rate" else "--" + f.replace("_", "-")): f
+    for f in _FLAGS
 }
 
 
@@ -71,15 +76,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_RUNNERS, metavar="command", help="listed below")
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    for name, help_text in _FLAGS.items():
-        flag = "--alpha" if name == "learning_rate" else "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, type=_field_type(name), help=help_text)
+    for flag, name in _FLAG_FIELDS.items():
+        parser.add_argument(flag, dest=name, type=_field_type(name), help=_FLAGS[name])
     for flag, dest, action, help_text in (
         ("--no-boost", "boost_enabled", "store_false", "disable the boost in train-lines"),
         ("--adam", "use_adam", "store_true", "use Adam instead of SGDM"),
     ):
         parser.add_argument(flag, dest=dest, action=action, help=help_text)
     return parser
+
+
+def _reads_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line; a value flag takes a negative number in any float form.
+
+    argparse reads ``-1`` and ``-1.5`` as values but ``-1e-3`` as an option,
+    so a value flag followed by a token that starts with ``-`` and reads as
+    a float is first joined to it: ``--alpha -1e-3`` parses as ``--alpha=-1e-3``.
+    """
+    joined = []
+    for token in sys.argv[1:] if argv is None else argv:
+        negative = token.startswith("-") and _reads_as_float(token)
+        if negative and joined and joined[-1] in _FLAG_FIELDS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return build_parser().parse_args(joined)
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -91,7 +120,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         cfg = config_from_args(args)
         result = _RUNNERS[args.command](cfg)

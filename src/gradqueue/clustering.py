@@ -3,6 +3,13 @@
 Samples in a mini-batch are clustered by their feature vectors; each
 cluster's mean gradient is boosted against the shared queue statistics
 and the boosted means are recombined weighted by cluster population.
+
+``kmeans`` runs all its restarts at once and gives each the result it
+would give alone: kmeans++ seeds every restart together under a plan of
+the generator draws (``_kmeans_pp_init``), and the Lloyd iterations are
+batched over restarts (``_lloyd``). Squared distances are computed one
+feature column at a time and add in the order of numpy's einsum
+(``_sq_dists``). Features must be finite.
 """
 
 from __future__ import annotations
@@ -41,18 +48,52 @@ class ClusterAggregate:
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(..., B, k) squared distances; ``centroids`` is (..., k, f), leading axes are restarts."""
-    diff = X[:, None, :] - centroids[..., None, :, :]
-    return np.einsum("...bkf,...bkf->...bk", diff, diff)
+    """(..., k, B) squared distances; ``centroids`` is (..., k, f), leading axes are restarts.
+
+    Each feature adds one squared column difference, B long. The squares
+    add in the order ``np.einsum("bkf,bkf->bk")`` uses on a contiguous f
+    axis with numpy's baseline x86-64 SIMD (a vector of two lanes, multiply
+    then add), so the bytes are the einsum's: lane 0 sums the even features
+    and lane 1 the odd ones; in each full round of 8 features a lane adds
+    its 4 squares last to first, the remaining ones in order; the two lanes
+    add last.
+    """
+    f = X.shape[1]
+    full = f - f % 8
+    order = [r + t for r in range(0, full, 8) for t in (6, 7, 4, 5, 2, 3, 0, 1)]
+    lanes = [None, None]
+    for j in order + list(range(full, f)):
+        d = X[:, j] - centroids[..., j, None]
+        d *= d
+        if lanes[j % 2] is None:
+            lanes[j % 2] = d
+        else:
+            lanes[j % 2] += d
+    return lanes[0] if lanes[1] is None else np.add(*lanes, out=lanes[0])
 
 
 def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.argmin(_sq_dists(X, centroids), axis=-1)
+    """Index of each sample's nearest centroid, the first of equals: (..., B) ints.
+
+    A running strict ``<`` over the k distance rows, which is ``argmin``
+    for distances that are not NaN (features are finite).
+    """
+    dists = _sq_dists(X, centroids)
+    k = dists.shape[-2]
+    best = dists[..., 0, :]
+    labels = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, k):
+        closer = dists[..., j, :] < best
+        np.putmask(labels, closer, j)
+        if j + 1 < k:
+            np.minimum(best, dists[..., j, :], out=best)
+    return labels
 
 
 def _objectives(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """kmeans_objective of each restart: labels (R, B), centroids (R, k, f)."""
-    diff = X - centroids[np.arange(len(labels))[:, None], labels]
+    R, k, f = centroids.shape
+    diff = X - centroids.reshape(R * k, f)[_cluster_ids(labels, k)].reshape(R, -1, f)
     return np.sum(diff * diff, axis=(1, 2))
 
 
@@ -61,23 +102,70 @@ def kmeans_objective(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -
     return float(_objectives(X, np.asarray(labels)[None], np.asarray(centroids)[None])[0])
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(
+    X: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 1
+) -> np.ndarray:
+    """kmeans++ starting centroids of ``n_init`` restarts, (n_init, k, f).
+
+    The centroids and the generator's final state are those of seeding the
+    restarts one after another: each draws its first centroid with
+    ``rng.integers(n)``, then each later one with ``rng.random()`` against
+    the cumulative distribution of the squared distances to the centroids
+    chosen so far, or with ``rng.integers(n)`` when all those distances are
+    0 (every point coincides with a chosen centroid).
+
+    All restarts are seeded together, one centroid at a time, from draws
+    made up front in that order under a plan of which draws are integers.
+    When a stage finds a restart whose distances are all 0 against the
+    plan, the plan is corrected at the first such restart: a coincidence
+    persists, so its later stages become integers too, and every later
+    restart's plan is reset. The generator is then rewound and all draws
+    are made again. With no coincidence the seeding computes k - 1
+    distances, one per stage.
+    """
     n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]), dtype=float)
-    centroids[0] = X[rng.integers(n)]
+    integers, random = rng.integers, rng.random
+    plan = np.zeros((n_init, k), dtype=bool)  # True: the draw is integers(n), else random()
+    plan[:, 0] = True
+    start = rng.bit_generator.state
+    while True:
+        draws = np.array([integers(n) if p else random() for p in plan.ravel().tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            centroids = _seed_under_plan(X, plan, draws.reshape(n_init, k))
+        if centroids is not None:
+            return centroids
+        rng.bit_generator.state = start
+
+
+def _seed_under_plan(X, plan, draws):
+    """kmeans++ centroids of every restart from its (R, k) draws made under ``plan``.
+
+    At the first stage whose distances show the plan wrong, corrects the
+    plan at the first restart it is wrong for, and returns None.
+    """
+    R, k = plan.shape
+    centroids = np.empty((R, k, X.shape[1]))
+    centroids[:, 0] = X[draws[:, 0].astype(np.intp)]
+    totals = np.zeros((R, k))
     for i in range(1, k):
-        d2 = np.min(_sq_dists(X, centroids[:i]), axis=1)
-        total = d2.sum()
-        if total <= 0.0:  # all points coincide with chosen centroids
-            centroids[i] = X[rng.integers(n)]
-            continue
-        if not np.isfinite(total):
-            raise ValueError("squared feature distances overflow")
-        # rng.choice(n, p=d2 / total) without its checks of p: the same
-        # draw, index and generator state
-        cdf = (d2 / total).cumsum()
-        cdf /= cdf[-1]
-        centroids[i] = X[int(cdf.searchsorted(rng.random(), side="right"))]
+        d2 = _sq_dists(X, centroids[:, :i]).min(axis=1)
+        totals[:, i] = d2.sum(axis=1)  # each row's sum is that of the row alone
+        coincide = totals[:, i] <= 0.0
+        wrong = coincide != plan[:, i]
+        if wrong.any():
+            r = wrong.argmax()
+            plan[r, i:] = coincide[r]
+            plan[r + 1 :, 1:] = False
+            return None
+        # rng.choice(n, p=d2 / total) without its checks of p: the same draw,
+        # index and generator state. Rows of a zero or non-finite total give
+        # NaN here and are not used.
+        cdf = (d2 / totals[:, i, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        drawn = (cdf <= draws[:, i, None]).sum(axis=1)
+        centroids[:, i] = X[np.where(coincide, draws[:, i], drawn).astype(np.intp)]
+    if not np.isfinite(totals).all():
+        raise ValueError("squared feature distances overflow")
     return centroids
 
 
@@ -140,7 +228,8 @@ def _lloyd(X, k, starts, max_iters):
     reseed, else move the centroids to their members' means and record the
     objective. Once ``max_iters`` updates are spent the labels are
     reassigned to the final centroids. Returns (R, B) labels, (R, k, f)
-    centroids and each restart's objective history.
+    centroids, each restart's final objective, and the (R, max_iters)
+    objective histories with each restart's history length.
 
     An iteration depends only on the centroids and labels it starts from,
     so a restart whose state repeats an earlier one cycles until
@@ -154,34 +243,44 @@ def _lloyd(X, k, starts, max_iters):
     centroids = starts.copy()
     labels = np.full((R, B), -1, dtype=np.intp)  # matches no assignment
     history = np.empty((R, max(max_iters, 0)))
-    lengths = np.zeros(R, dtype=int)
+    lengths = np.full(R, max(max_iters, 0))
+    objectives = np.empty(R)
     stop = np.full(R, max_iters)  # iteration after which each restart's budget is spent
-    active = np.ones(R, dtype=bool)
+    rs = np.arange(R)  # the restarts still iterating
     saved_at, saved_centroids, saved_labels = 0, None, None
     for it in range(max_iters):
-        rs = np.flatnonzero(active)
         if rs.size == 0:
             break
-        new = _assign(X, centroids[rs])
-        repaired = np.zeros(rs.size, dtype=bool)
-        counts = np.bincount(_cluster_ids(new, k), minlength=rs.size * k).reshape(-1, k)
-        for i in np.flatnonzero((counts == 0).any(axis=1)):
-            new[i], centroids[rs[i]], repaired[i] = _repair_empty(X, new[i], centroids[rs[i]], k)
-        converged = ~repaired & (new == labels[rs]).all(axis=1)
-        labels[rs] = new
-        active[rs[converged]] = False
-        moving = rs[~converged]
-        if moving.size == 0:
-            break
-        centroids[moving] = _update_centroids(X, labels[moving], centroids[moving])
-        history[moving, it] = _objectives(X, labels[moving], centroids[moving])
-        lengths[moving] = it + 1
+        at = rs if rs.size < R else slice(None)  # a slice while every restart iterates
+        new = _assign(X, centroids[at])
+        counts = np.bincount(_cluster_ids(new, k), minlength=rs.size * k)
+        reseeded = []
+        if not counts.all():
+            for i in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
+                new[i], centroids[rs[i]], repaired = _repair_empty(X, new[i], centroids[rs[i]], k)
+                if repaired:
+                    reseeded.append(i)
+        converged = (new == labels[at]).all(axis=1)
+        converged[reseeded] = False
+        labels[at] = new
+        if converged.any():
+            done = rs[converged]
+            # unchanged since the last update (none converges at it = 0)
+            objectives[done] = history[done, it - 1]
+            lengths[done] = it
+            at = rs = rs[~converged]
+            new = new[~converged]
+            if rs.size == 0:
+                break
+        moved = _update_centroids(X, new, centroids[at])
+        centroids[at] = moved
+        history[at, it] = _objectives(X, new, moved)
 
         t = it + 1  # the moving restarts' state now starts iteration t
         if saved_centroids is not None:
-            bits = centroids[moving].view(np.int64)  # bit equality: -0.0 is not 0.0
-            same = (bits == saved_centroids[moving].view(np.int64)).all(axis=(1, 2))
-            cycling = moving[same & (labels[moving] == saved_labels[moving]).all(axis=1)]
+            bits = moved.view(np.int64)  # bit equality: -0.0 is not 0.0
+            same = (bits == saved_centroids[at].view(np.int64)).all(axis=(1, 2))
+            cycling = rs[same & (new == saved_labels[at]).all(axis=1)]
             if cycling.size:
                 period = t - saved_at
                 stop[cycling] = t + (max_iters - t) % period
@@ -191,14 +290,16 @@ def _lloyd(X, k, starts, max_iters):
                 ]
         if t & (t - 1) == 0:
             saved_at, saved_centroids, saved_labels = t, centroids.copy(), labels.copy()
-        spent = moving[stop[moving] == t]
-        if spent.size:  # leave a consistent nearest-centroid state
-            labels[spent] = _assign(X, centroids[spent])
-            lengths[spent] = max_iters
-            active[spent] = False
-    if active.any():  # max_iters < 1: no iteration ran
-        labels[active] = _assign(X, centroids[active])
-    return labels, centroids, [h[:n].tolist() for h, n in zip(history, lengths)]
+        spent = stop[at] == t
+        if spent.any():  # leave a consistent nearest-centroid state
+            done = rs[spent]
+            labels[done] = _assign(X, centroids[done])
+            objectives[done] = _objectives(X, labels[done], centroids[done])
+            rs = rs[~spent]
+    if max_iters < 1:  # no iteration ran
+        labels = _assign(X, centroids)
+        objectives = _objectives(X, labels, centroids)
+    return labels, centroids, objectives, history, lengths
 
 
 def kmeans(
@@ -216,17 +317,27 @@ def kmeans(
     ``init_centroids`` bypasses seeding and forces a single run from the
     given (k, f) centroids.
 
-    The restarts are seeded one after another from one generator, then
-    iterate together in one batched Lloyd loop; every restart gives the
-    labels, centroids and objectives it would give on its own. A restart
+    The restarts are seeded together, one centroid at a time, under a plan
+    of the generator draws that gives each the centroids it would get
+    seeded after the one before it (``_kmeans_pp_init``). They then iterate
+    together in one batched Lloyd loop; every restart gives the labels,
+    centroids and objectives it would give on its own. A restart
     that cycles without converging (all feature rows at one point make the
     reseeded empty cluster swap every iteration) ends as soon as the cycle
     is seen, with the state and the ``max_iters``-long objective history
     that running out the budget would give.
+
+    Features and ``init_centroids`` must be finite. Squared distances add
+    per feature column in the order of numpy's einsum (``_sq_dists``), and
+    the nearest centroid is the first of equals, as ``argmin`` picks it. A
+    distance or objective that overflows is inf, with no warning; seeding
+    then raises.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a (B, f) matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
     B = X.shape[0]
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -237,17 +348,18 @@ def kmeans(
         starts = np.asarray(init_centroids, dtype=float)[None]
         if starts.shape[1:] != (k, X.shape[1]):
             raise ValueError(f"init_centroids must be a ({k}, {X.shape[1]}) matrix")
+        if not np.isfinite(starts).all():
+            raise ValueError("init_centroids must be finite")
     else:
-        rng = np.random.default_rng(seed)
-        starts = np.stack([_kmeans_pp_init(X, k, rng) for _ in range(max(1, n_init))])
-
-    labels, centroids, histories = _lloyd(X, k, starts, max_iters)
-    best = int(np.argmin(_objectives(X, labels, centroids)))
+        starts = _kmeans_pp_init(X, k, np.random.default_rng(seed), max(1, n_init))
+    with np.errstate(over="ignore"):
+        labels, centroids, objectives, history, lengths = _lloyd(X, k, starts, max_iters)
+    best = int(np.argmin(objectives))
     return ClusterAssignment(
         labels=labels[best],
         centroids=centroids[best],
         k=k,
-        objective_history=histories[best],
+        objective_history=history[best, : lengths[best]].tolist(),
     )
 
 

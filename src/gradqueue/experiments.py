@@ -9,6 +9,7 @@ so every run is reproducible from its own artifact.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +113,10 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": Fals
 
 
 def _parse_value(name: str, raw: str):
-    """Coerce a config-file or flag value to its field's type; ``none`` clears an optional field."""
+    """Coerce a config-file or flag value to its field's type; ``none`` clears an optional field.
+
+    A float must be finite: ``nan``, ``inf`` and values that overflow to inf are refused.
+    """
     if name not in _FIELD_TYPES:
         raise ValueError(f"unknown config key: {name}")
     raw, kind = raw.strip(), _FIELD_TYPES[name]
@@ -122,9 +126,12 @@ def _parse_value(name: str, raw: str):
     try:
         if kind == "bool":
             return _BOOL_STRINGS[raw.lower()]
-        return {"int": int, "float": float}.get(kind, str)(raw)
+        value = {"int": int, "float": float}.get(kind, str)(raw)
     except (KeyError, ValueError):
         raise ValueError(f"invalid {kind} value for {name}: {raw!r}") from None
+    if kind == "float" and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {raw!r}")
+    return value
 
 
 def load_config_file(path) -> ExperimentConfig:

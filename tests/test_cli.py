@@ -135,13 +135,61 @@ def test_bad_config_file_exits_2(text, message, tmp_path, capsys):
     assert re.search(r"^error: .*" + message, capsys.readouterr().err), message
 
 
-@pytest.mark.parametrize("command", ["momentum-sim", "train-lines"])
-def test_nan_rho_exits_2(command, tmp_path, capsys):
+FLOAT_FLAGS = [flag for flag, (_, ftype) in OLD_FLAGS.items() if ftype is float]
+NON_FINITE = ["nan", "inf", "-inf", "1e999"]
+
+
+@pytest.mark.parametrize("raw", NON_FINITE)
+@pytest.mark.parametrize("flag", FLOAT_FLAGS)
+@pytest.mark.parametrize("command", ["momentum-sim", "train-lines", "zeta-table"])
+def test_non_finite_float_flag_exits_2(command, flag, raw, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    argv = [command, "--rho", "nan", "--steps", "12", "--N", "3", "--output", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: rho must be >= 1, got nan")
+    argv = [command, flag, raw, "--steps", "12", "--N", "3", "--output", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and f"must be finite, got '{raw}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", NON_FINITE)
+def test_non_finite_float_in_config_file_exits_2(raw, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    for flag in FLOAT_FLAGS:
+        field = OLD_FLAGS[flag][0]
+        path.write_text(f"steps=12\n{field} = {raw}\n")
+        assert main(["momentum-sim", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: {field} must be finite, got '{raw}'"), err
+
+
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        ["--alpha", "-1e-3"],
+        ["--eq-p", "-4e-2"],
+        ["--u", "-1"],
+        ["--beta", "-2.5E+1"],
+        ["--C", "-.5e2", "--eq-q", "-7e0"],
+    ],
+)
+def test_negative_values_in_exponent_form(spaced):
+    pairs = list(zip(spaced[::2], spaced[1::2]))
+    joined = [f"{flag}={value}" for flag, value in pairs]
+    for command in COMMANDS:
+        cfg = cli.config_from_args(cli.parse_args([command, *spaced]))
+        assert cfg == cli.config_from_args(cli.parse_args([command, *joined]))
+        assert cfg == parse([command, *joined])
+        assert all(getattr(cfg, OLD_FLAGS[flag][0]) == float(value) for flag, value in pairs)
+
+
+def test_flags_keep_parsing_after_joins():
+    args = ["--alpha", "-1e-3", "--output", "-", "--pattern", "-1e3", "--steps", "-4"]
+    cfg = cli.config_from_args(cli.parse_args(["qlen-demo", *args]))
+    assert (cfg.learning_rate, cfg.output, cfg.pattern, cfg.steps) == (-1e-3, "-", "-1e3", -4)
+    with pytest.raises(SystemExit):  # a value flag still needs its value
+        cli.parse_args(["qlen-demo", "--alpha", "--steps", "-1e-3"])
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

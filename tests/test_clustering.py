@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -123,7 +124,7 @@ class TestKmeans:
     def test_partition_invariant_under_permutation(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 3))
-        init = _kmeans_pp_init(X, 3, np.random.default_rng(0))
+        init = _kmeans_pp_init(X, 3, np.random.default_rng(0))[0]
         base = kmeans(X, k=3, init_centroids=init)
         perm = rng.permutation(20)
         permuted = kmeans(X[perm], k=3, init_centroids=init)
@@ -318,7 +319,7 @@ def oracle_kmeans(X, k, seed=0, max_iters=100, n_init=10, init_centroids=None):
         starts = [np.array(init_centroids, dtype=float, copy=True)]
     else:
         rng = np.random.default_rng(seed)
-        starts = [_kmeans_pp_init(X, k, rng) for _ in range(max(1, n_init))]
+        starts = [choice_kmeans_pp_init(X, k, rng) for _ in range(max(1, n_init))]
     best = None
     for start in starts:
         labels, centroids, history = _oracle_lloyd(X, k, start, max_iters)
@@ -351,7 +352,8 @@ def feature_sets(f, rng):
 
 
 class TestBatchedRestarts:
-    @pytest.mark.parametrize("f", [1, 2, 3, 4])
+    # f >= 8 reaches the einsum's rounds of 8 features in the distance sum
+    @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 8, 9, 16, 17])
     @pytest.mark.parametrize("n_init", [1, 10])
     def test_matches_per_restart_loop(self, f, n_init):
         rng = np.random.default_rng(100 * f + n_init)
@@ -468,5 +470,165 @@ class TestKmeansPlusPlusDraw:
 
     def test_overflowing_distances_rejected(self):
         X = np.array([[1e200], [-1e200], [1e200]])
-        with pytest.raises(ValueError, match="overflow"):
-            kmeans(X, 2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                kmeans(X, 2, seed=0)
+
+
+def coinciding_stages(X, centroids):
+    """Stages i of one restart's seeding at which every point coincides with centroids[:i]."""
+    return [
+        i
+        for i in range(1, len(centroids))
+        if np.min(_oracle_sq_dists(X, centroids[:i]), axis=1).sum() <= 0.0
+    ]
+
+
+def assert_seeds_as_one_after_another(X, k, n_init, seed):
+    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _kmeans_pp_init(X, k, ours, n_init)
+    expected = np.stack([choice_kmeans_pp_init(X, k, oracle) for _ in range(n_init)])
+    assert got.tobytes() == expected.tobytes()
+    assert ours.bit_generator.state == oracle.bit_generator.state
+    return expected
+
+
+class TestSeedingTogether:
+    """All restarts seeded at once give the centroids and generator state of seeding in turn."""
+
+    @pytest.mark.parametrize("n_init", [1, 2, 10])
+    def test_feature_sets(self, n_init):
+        rng = np.random.default_rng(31 + n_init)
+        for trial in range(40):
+            f = int(rng.integers(1, 10))
+            for X in feature_sets(f, rng).values():
+                k = int(rng.integers(1, min(7, X.shape[0]) + 1))
+                assert_seeds_as_one_after_another(X, k, n_init, seed=trial)
+
+    def test_collapsed_rows(self):
+        for f, k in product((1, 3), (2, 3, 6)):
+            X = np.full((20, f), -2.5)
+            expected = assert_seeds_as_one_after_another(X, k, 10, seed=k)
+            assert all(coinciding_stages(X, c) == list(range(1, k)) for c in expected)
+
+    def test_some_restarts_coincide_and_others_not(self):
+        # points closer than sqrt(smallest subnormal): a squared distance of
+        # 1e-324 rounds to 0 and one of 4e-324 does not, so whether a restart's
+        # distances are all 0 depends on which points it drew
+        tiny = 1e-162
+        mixed = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            f = 1 + seed % 2
+            X = rng.integers(0, 3, size=(int(rng.integers(3, 12)), f)) * tiny
+            X[0] = tiny  # some point lies within reach of all others
+            k = int(rng.integers(2, min(5, X.shape[0]) + 1))
+            expected = assert_seeds_as_one_after_another(X, k, 10, seed=seed)
+            coinciding = [bool(coinciding_stages(X, c)) for c in expected]
+            mixed += 0 < sum(coinciding) < len(coinciding)
+        assert mixed >= 10  # plans corrected at a restart after the first
+
+    def test_draw_at_a_cdf_step_takes_the_next_point(self):
+        # searchsorted(side="right"): a draw equal to a cdf value passes it
+        class FixedDraws:
+            class bit_generator:
+                state = None
+
+            def integers(self, n):
+                return 0
+
+            def random(self):
+                return 0.5
+
+        X = np.array([[0.0], [1.0], [-1.0]])  # from X[0], cdf = [0, 0.5, 1]
+        assert _kmeans_pp_init(X, 2, FixedDraws())[0, 1, 0] == -1.0
+
+    def test_overflow_raised_exactly_when_in_turn(self):
+        # restarts drawn at 0 sum finite distances; those drawn at an outlier
+        # overflow, and kmeans raises when one is reached in turn
+        X = np.array([[0.0]] * 8 + [[1e154], [-0.5e154]])
+        outcomes = set()
+        for seed in range(40):
+            oracle = np.random.default_rng(seed)  # kmeans seeds from default_rng(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # choice's p of NaN
+                try:
+                    [choice_kmeans_pp_init(X, 3, oracle) for _ in range(4)]
+                    raises = False
+                except ValueError:
+                    raises = True
+            outcomes.add(raises)
+            if raises:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="overflow"):
+                        kmeans(X, 3, seed=seed, n_init=4)
+            else:
+                with np.errstate(over="ignore"):  # as kmeans seeds: an outlier's distance is inf
+                    assert_seeds_as_one_after_another(X, 3, 4, seed)
+        assert outcomes == {False, True}
+
+
+class TestDistances:
+    def test_sq_dists_bytes_equal_the_einsum(self):
+        rng = np.random.default_rng(41)
+        for f in range(1, 21):
+            for _ in range(20):
+                B, k = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+                scales = 10.0 ** rng.uniform(-5, 5, size=f)
+                X, C = rng.normal(size=(B, f)) * scales, rng.normal(size=(k, f)) * scales
+                got = clustering._sq_dists(X, C)
+                assert got.shape == (k, B)
+                assert got.T.tobytes() == _oracle_sq_dists(X, C).tobytes(), f
+                R = int(rng.integers(1, 4))  # leading restart axes
+                Cs = rng.normal(size=(R, k, f)) * scales
+                batched = clustering._sq_dists(X, Cs)
+                for r in range(R):
+                    assert batched[r].T.tobytes() == _oracle_sq_dists(X, Cs[r]).tobytes()
+
+    def test_seeding_computes_k_minus_1_distances(self, monkeypatch):
+        calls, at_lloyd = [], []
+        sq_dists, lloyd = clustering._sq_dists, clustering._lloyd
+
+        def counting(X, centroids):
+            calls.append(centroids.shape)
+            return sq_dists(X, centroids)
+
+        def lloyd_after_seeding(*args):
+            at_lloyd.append(len(calls))
+            return lloyd(*args)
+
+        monkeypatch.setattr(clustering, "_sq_dists", counting)
+        monkeypatch.setattr(clustering, "_lloyd", lloyd_after_seeding)
+        X = np.random.default_rng(42).normal(size=(50, 2))
+        for k in (1, 2, 3, 6):
+            calls.clear()
+            kmeans(X, k, seed=k, n_init=10)
+            assert at_lloyd[-1] == k - 1  # the per-restart seeding makes 10 * (k - 1)
+
+    def test_collapsed_rows_raise_no_warning(self):
+        rng = np.random.default_rng(43)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (1, 2):
+                sets = feature_sets(f, rng)
+                for X in (sets["collapsed"], sets["two_points"], np.zeros((30, f))):
+                    for k in (1, 2, 3, 5):
+                        kmeans(X, k, seed=k, max_iters=20)
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, k, bad):
+        X = np.random.default_rng(44).normal(size=(10, 2))
+        X[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="features must be finite"):
+                kmeans(X, k, seed=0)
+            init = np.zeros((k, 2))
+            init[-1, 0] = bad
+            with pytest.raises(ValueError, match="init_centroids must be finite"):
+                kmeans(np.nan_to_num(X), k, init_centroids=init)
