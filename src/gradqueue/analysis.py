@@ -235,26 +235,38 @@ def simulate_gq_momentum(
     boosted(g_t) and then pushes the raw g_t. The boost is the identity
     until the queue holds ``warmup`` entries (default min(3, L), the
     optimizer convention; pass warmup=L for the closed-form convention).
+    A warmup below 1 raises ``ValueError``.
+
+    The boost is evaluated once per distinct queue window. Once t > L + N,
+    the queue before step t holds g_{t-L} .. g_{t-1} and the queue before
+    step t - N holds g_{t-N-L} .. g_{t-N-1}; both are full, and the signal
+    has period N, so the two windows are equal entry by entry, as are g_t
+    and g_{t-N}. The queue gathers its window oldest first, so equal
+    windows give equal statistics and an equal boost, bit for bit. So
+    only steps 1 .. min(steps, L + N) run the queue and the boost; every
+    later step reuses b_t = b_{t-N}, and the momentum is accumulated in
+    step order as before.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if params.L < 1:
         raise ValueError("the mechanistic simulation needs L >= 1")
-    wu = min(3, params.L) if warmup is None else warmup
-    queue = GradQueue(capacity=params.L)
+    queue = GradQueue(capacity=params.L, warmup=warmup)
     cfg = BoostConfig(rho=params.rho)
-    out = np.empty(steps)
-    m = 0.0
-    for t in range(1, steps + 1):
+    N = spec.N
+    boosts = []
+    for t in range(1, min(steps, params.L + N) + 1):
         g = sparse_signal(t, spec)
         gv = np.array([g])
-        if len(queue) >= wu:
-            b = float(delta_rho(gv, queue.stats(), cfg)[0])
-        else:
-            b = g
-        m = params.beta * m + b
-        out[t - 1] = m
+        boosts.append(float(delta_rho(gv, queue.stats(), cfg)[0]) if queue.warmed_up else g)
         queue.push(gv)
+    for i in range(len(boosts), steps):  # b_t = b_{t-N}, 0-based
+        boosts.append(boosts[i - N])
+    out = np.empty(steps)
+    m = 0.0
+    for i, b in enumerate(boosts):
+        m = params.beta * m + b
+        out[i] = m
     return out
 
 

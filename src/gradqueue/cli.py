@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import experiments
@@ -49,6 +50,13 @@ _FLAG_FIELDS = {
     ("--alpha" if f == "learning_rate" else "--" + f.replace("_", "-")): f
     for f in _FLAGS
 }
+# switch flag -> (config field, argparse action, help)
+_SWITCHES = {
+    "--no-boost": ("boost_enabled", "store_false", "disable the boost in train-lines"),
+    "--adam": ("use_adam", "store_true", "use Adam instead of SGDM"),
+}
+# every long option of the parser, among which an abbreviation must be unique
+_LONG_OPTIONS = ("--help", "--config", *_FLAG_FIELDS, *_SWITCHES)
 
 
 def _field_type(name: str):
@@ -78,12 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
     for flag, name in _FLAG_FIELDS.items():
         parser.add_argument(flag, dest=name, type=_field_type(name), help=_FLAGS[name])
-    for flag, dest, action, help_text in (
-        ("--no-boost", "boost_enabled", "store_false", "disable the boost in train-lines"),
-        ("--adam", "use_adam", "store_true", "use Adam instead of SGDM"),
-    ):
+    for flag, (dest, action, help_text) in _SWITCHES.items():
         parser.add_argument(flag, dest=dest, action=action, help=help_text)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``parse_args`` uses, built once per process."""
+    return build_parser()
 
 
 def _reads_as_float(token: str) -> bool:
@@ -94,21 +105,32 @@ def _reads_as_float(token: str) -> bool:
     return True
 
 
+def _value_flag(token: str) -> bool:
+    """Whether argparse reads ``token`` as a value flag: its full name or a unique prefix."""
+    if token in _FLAG_FIELDS:
+        return True
+    matches = [o for o in _LONG_OPTIONS if o.startswith(token)] if token.startswith("--") else []
+    return len(matches) == 1 and matches[0] in _FLAG_FIELDS
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse a command line; a value flag takes a negative number in any float form.
 
     argparse reads ``-1`` and ``-1.5`` as values but ``-1e-3`` as an option,
     so a value flag followed by a token that starts with ``-`` and reads as
     a float is first joined to it: ``--alpha -1e-3`` parses as ``--alpha=-1e-3``.
+    A value flag is its full name or, as argparse allows, a prefix of exactly
+    one long option (``--alp``); an ambiguous prefix is left for argparse to
+    reject.
     """
     joined = []
     for token in sys.argv[1:] if argv is None else argv:
         negative = token.startswith("-") and _reads_as_float(token)
-        if negative and joined and joined[-1] in _FLAG_FIELDS:
+        if negative and joined and _value_flag(joined[-1]):
             joined[-1] += "=" + token
         else:
             joined.append(token)
-    return build_parser().parse_args(joined)
+    return _parser().parse_args(joined)
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -283,8 +283,14 @@ def run_lemma_check(
         f"{threshold_plain(cfg.N, cfg.beta):.6g} "
         f"(one-step-extended variant {threshold_plain_reported(cfg.N, cfg.beta):.6g})"
     )
+    rel_errs: dict[str, list[float]] = {}  # check family -> rel_err of each evaluated cell
+    for name, _, _, _, _, rel_err, status in rows:
+        if status in ("pass", "fail"):
+            rel_errs.setdefault(name, []).append(float(rel_err))
+    worst = ", ".join(f"{name} {np.max(errs):.3g}" for name, errs in rel_errs.items())
     summary = (
-        f"lemma-check: {n_pass} pass, {n_fail} fail, {n_skip} skipped\n{bound_note}"
+        f"lemma-check: {n_pass} pass, {n_fail} fail, {n_skip} skipped\n"
+        f"worst rel_err: {worst}\n{bound_note}"
     )
     result = RunResult(
         columns=["check", "params", "closed", "simulated", "abs_err", "rel_err", "status"],

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradqueue import (
     BatchCompositionCase,
+    BoostConfig,
+    GradQueue,
     LemmaParams,
     SparseSignalSpec,
     batch_error_case,
     boosted_batch_mean,
+    delta_rho,
     lemma1_closed,
     lemma2_phi,
     lemma3_closed,
@@ -21,6 +26,7 @@ from gradqueue import (
     threshold_plain_reported,
     zeta,
 )
+from gradqueue import analysis
 
 WORST_CASE = SparseSignalSpec(C=5.0, u=-1.0, N=3)
 
@@ -232,6 +238,99 @@ class TestBoostedMomentum:
             lemma3_closed(spec, LemmaParams(beta=0.9, rho=3.0, L=4))
         with pytest.raises(ValueError, match="L < N - 1"):
             simulate_lemma3_momentum(spec, LemmaParams(beta=0.9, rho=3.0, L=5), 10)
+
+
+def stepwise_gq_momentum(spec, params, steps, warmup=None):
+    """The step-by-step simulator: queue statistics and boost at every step."""
+    wu = min(3, params.L) if warmup is None else warmup
+    queue = GradQueue(capacity=params.L)
+    cfg = BoostConfig(rho=params.rho)
+    out = np.empty(steps)
+    m = 0.0
+    for t in range(1, steps + 1):
+        g = sparse_signal(t, spec)
+        gv = np.array([g])
+        if len(queue) >= wu:
+            b = float(delta_rho(gv, queue.stats(), cfg)[0])
+        else:
+            b = g
+        m = params.beta * m + b
+        out[t - 1] = m
+        queue.push(gv)
+    return out
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestMechanisticSimulator:
+    """``simulate_gq_momentum`` boosts each distinct queue window once."""
+
+    # (C, u): rare above, below and equal to the repeating value, and tiny against large
+    PAIRS = [(50.0, -1.0), (-10.0, 1.0), (2.5, 2.5), (1e-3, 7e5)]
+    MAX_STEPS = 40
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 9])
+    def test_byte_equal_to_stepwise_loop(self, N):
+        # L from 1 to beyond N - 1 (a queue that never saturates between rare
+        # steps), warmup up to L + 1 (the boost never applies), rho = 1, C = u,
+        # and step counts on both sides of L + N
+        for L in (1, 3, 4, 10):
+            for rho in (1.0, 3.0):
+                for C, u in self.PAIRS:
+                    for warmup in (None, 1, L, L + 1):
+                        spec = SparseSignalSpec(C=C, u=u, N=N)
+                        params = LemmaParams(beta=0.9, rho=rho, L=L)
+                        want = stepwise_gq_momentum(spec, params, self.MAX_STEPS, warmup)
+                        period = L + N
+                        for steps in {1, 2, period - 1, period, period + 1, period + N + 1}:
+                            steps = min(steps, self.MAX_STEPS)
+                            got = simulate_gq_momentum(spec, params, steps, warmup)
+                            assert_same_bytes(got, want[:steps])
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        N=st.integers(3, 24),
+        L=st.integers(1, 10),
+        rho=st.sampled_from([1.0, 1.5, 2.0, 3.0, 5.0]),
+        C=st.floats(-1e3, 1e3, allow_nan=False),
+        u=st.floats(-1e3, 1e3, allow_nan=False),
+        steps=st.integers(1, 120),
+        warmup=st.none() | st.integers(1, 12),
+    )
+    def test_property_byte_equal_to_stepwise_loop(self, N, L, rho, C, u, steps, warmup):
+        spec = SparseSignalSpec(C=C, u=u, N=N)
+        params = LemmaParams(beta=0.9, rho=rho, L=L)
+        got = simulate_gq_momentum(spec, params, steps, warmup)
+        assert_same_bytes(got, stepwise_gq_momentum(spec, params, steps, warmup))
+
+    @pytest.mark.parametrize(
+        "N, L, steps, warmup",
+        [(9, 3, 2000, None), (5, 5, 2000, None), (20, 4, 2000, 4), (3, 8, 7, None), (7, 2, 9, 1)],
+    )
+    def test_boosts_each_distinct_window_once(self, monkeypatch, N, L, steps, warmup):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return delta_rho(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "delta_rho", counted)
+        spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
+        params = LemmaParams(beta=0.9, rho=3.0, L=L)
+        got = simulate_gq_momentum(spec, params, steps, warmup)
+        assert 0 < len(calls) <= min(steps, L + N)
+        monkeypatch.undo()
+        assert_same_bytes(got, stepwise_gq_momentum(spec, params, steps, warmup))
+
+    @pytest.mark.parametrize("warmup", [0, -2])
+    def test_warmup_below_one_rejected(self, warmup):
+        spec = SparseSignalSpec(C=50.0, u=-1.0, N=9)
+        params = LemmaParams(beta=0.9, rho=3.0, L=3)
+        with pytest.raises(ValueError, match="warmup must be >= 1"):
+            simulate_gq_momentum(spec, params, 20, warmup=warmup)
 
 
 class TestSignLaws:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -190,6 +191,92 @@ def test_flags_keep_parsing_after_joins():
     assert (cfg.learning_rate, cfg.output, cfg.pattern, cfg.steps) == (-1e-3, "-", "-1e3", -4)
     with pytest.raises(SystemExit):  # a value flag still needs its value
         cli.parse_args(["qlen-demo", "--alpha", "--steps", "-1e-3"])
+
+
+FLOAT_FLAG_PREFIXES = [flag[:n] for flag in FLOAT_FLAGS for n in range(3, len(flag) + 1)]
+
+
+@pytest.mark.parametrize("command", ["momentum-sim", "zeta-table"])
+def test_abbreviated_flags_take_exponent_form_negatives(command):
+    # argparse takes a prefix of exactly one long option for that option
+    for prefix in FLOAT_FLAG_PREFIXES:
+        options = [o for o in cli._LONG_OPTIONS if o.startswith(prefix)]
+        if prefix not in OLD_FLAGS and len(options) > 1:
+            continue  # ambiguous: test_ambiguous_abbreviation_exits_2
+        flag = prefix if prefix in OLD_FLAGS else options[0]
+        cfg = cli.config_from_args(cli.parse_args([command, prefix, "-1e-3"]))
+        assert cfg == cli.config_from_args(cli.parse_args([command, f"{prefix}=-1e-3"])), prefix
+        assert getattr(cfg, OLD_FLAGS[flag][0]) == -1e-3, prefix
+
+
+@pytest.mark.parametrize(
+    "spaced, field, value",
+    [
+        (["--alp", "-1e-3"], "learning_rate", -1e-3),
+        (["--eq-p", "-4e-2"], "eq_p", -4e-2),
+        (["--cap", "-3"], "capacity", -3),
+        (["--noi", "-2.5E+1", "--r", "-1e0"], "noise_std", -25.0),
+    ],
+)
+def test_named_abbreviations_match_their_equals_forms(spaced, field, value):
+    joined = [f"{flag}={raw}" for flag, raw in zip(spaced[::2], spaced[1::2])]
+    cfg = cli.config_from_args(cli.parse_args(["momentum-sim", *spaced]))
+    assert cfg == cli.config_from_args(cli.parse_args(["momentum-sim", *joined]))
+    assert getattr(cfg, field) == value
+
+
+@pytest.mark.parametrize("prefix", ["--eq-", "--eq", "--c", "--n", "--m", "--b"])
+@pytest.mark.parametrize("raw", ["-1e-3", "1"])
+def test_ambiguous_abbreviation_exits_2(prefix, raw, capsys):
+    # the spaced form is left unjoined, so argparse names the prefix alone
+    for argv, named in (([prefix, raw], prefix), ([f"{prefix}={raw}"], f"{prefix}={raw}")):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(["momentum-sim", *argv])
+        assert exc.value.code == 2
+        assert f"error: ambiguous option: {named} could match" in capsys.readouterr().err, argv
+
+
+def test_long_options_are_the_parsers():
+    options = {s for a in cli.build_parser()._actions for s in a.option_strings}
+    assert set(cli._LONG_OPTIONS) == {o for o in options if o.startswith("--")}
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+# sha256 of `gradqueue --help` at 80 columns
+HELP_SHA256 = "e03e8947569bcd0b4da8bbc2c4c4f5908aa3f0fa7ac9ff3c65194b24188b5e12"
+
+
+def test_help_bytes_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):  # the second call reuses the parser
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256
+        assert out == cli.build_parser().format_help()
+
+
+def test_repeated_main_writes_the_same_bytes(tmp_path, capsys):
+    runs = [
+        ["momentum-sim", "--steps", "200", "--N", "7", "--C", "12.5", "--capacity", "4"],
+        ["lemma-check"],
+        ["zeta-table"],
+        ["qlen-demo", "--pattern", "staged", "--steps", "200"],
+    ]
+    written = []
+    for _ in range(2):
+        for argv in runs:
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main([*argv, "--output", str(out)]) == 0
+            written.append(out.read_bytes())
+    assert written[: len(runs)] == written[len(runs) :]
+    stdout = capsys.readouterr().out
+    assert stdout.count("worst rel_err: momentum_closed_form ") == 2
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

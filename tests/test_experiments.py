@@ -38,6 +38,13 @@ def read_csv(path):
     return provenance, header, rows
 
 
+def worst_rel_errs(result):
+    """The summary's "worst rel_err: <family> <value>, ..." line as a dict."""
+    line = next(x for x in result.summary.splitlines() if x.startswith("worst rel_err: "))
+    pairs = line.removeprefix("worst rel_err: ").split(", ")
+    return {name: float(value) for name, value in (p.split(" ") for p in pairs)}
+
+
 class TestSeedsAndConfig:
     def test_seed_expansion_deterministic(self):
         assert expand_seeds(7) == expand_seeds(7)
@@ -92,6 +99,18 @@ class TestLemmaCheck:
         result = run_lemma_check(ExperimentConfig(), lemma1_fn=corrupted)
         assert result.exit_code == 1
         assert result.extras["n_fail"] > 0
+        assert worst_rel_errs(result)["momentum_closed_form"] > 1e-4
+
+    def test_summary_reports_worst_rel_err_of_each_family(self):
+        result = run_lemma_check(ExperimentConfig())
+        worst = worst_rel_errs(result)
+        assert list(worst) == [
+            "momentum_closed_form", "saturated_queue_damping", "boosted_momentum_closed_form",
+        ]
+        for family, reported in worst.items():
+            errs = [float(r[5]) for r in result.rows if r[0] == family and r[5] != ""]
+            assert reported == float(f"{max(errs):.3g}")
+            assert reported <= 1e-10
 
     def test_csv_report(self, tmp_path):
         out = tmp_path / "check.csv"
