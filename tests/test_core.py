@@ -150,22 +150,6 @@ class TestGradQueue:
         with pytest.raises(ValueError):
             GradQueue(capacity=0)
 
-    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 8])
-    @pytest.mark.parametrize("warmup", [None, 1, 2, 5, 9])
-    def test_warmed_up_from_warmup_entries(self, capacity, warmup):
-        q = GradQueue(capacity=capacity, warmup=warmup)
-        threshold = min(3, capacity) if warmup is None else warmup
-        assert q.warmup == threshold
-        for count in range(1, capacity + 3):
-            assert q.warmed_up == (len(q) >= threshold)
-            q.push([float(count)])
-        assert q.warmed_up == (threshold <= capacity)
-
-    @pytest.mark.parametrize("warmup", [0, -2])
-    def test_warmup_below_one_rejected(self, warmup):
-        with pytest.raises(ValueError, match="warmup must be >= 1"):
-            GradQueue(capacity=3, warmup=warmup)
-
     def test_entries_are_copies(self):
         q = GradQueue(capacity=2)
         g = np.array([1.0])
