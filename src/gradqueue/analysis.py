@@ -117,15 +117,19 @@ def period_sum(beta: float, N: int, k: int) -> float:
 
 
 def simulate_momentum(spec: SparseSignalSpec, beta: float, steps: int) -> np.ndarray:
-    """Plain momentum trajectory m_t = beta*m_{t-1} + g_t, m_0 = 0."""
+    """Plain momentum trajectory m_t = beta*m_{t-1} + g_t, m_0 = 0.
+
+    g_t is computed inline, as ``sparse_signal`` defines it.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    out = np.empty(steps)
+    C, u, N = spec.C, spec.u, spec.N
+    out = []
     m = 0.0
     for t in range(1, steps + 1):
-        m = beta * m + sparse_signal(t, spec)
-        out[t - 1] = m
-    return out
+        m = beta * m + (C if t % N == 0 else u)
+        out.append(m)
+    return np.array(out, dtype=float)
 
 
 def lemma1_closed(spec: SparseSignalSpec, beta: float, k: int) -> float:
@@ -265,12 +269,13 @@ def simulate_gq_momentum(
         queue.push(gv)
     for i in range(len(boosts), steps):  # b_t = b_{t-N}, 0-based
         boosts.append(boosts[i - N])
-    out = np.empty(steps)
+    beta = params.beta
+    out = []
     m = 0.0
-    for i, b in enumerate(boosts):
-        m = params.beta * m + b
-        out[i] = m
-    return out
+    for b in boosts:
+        m = beta * m + b
+        out.append(m)
+    return np.array(out, dtype=float)
 
 
 def simulate_lemma3_momentum(

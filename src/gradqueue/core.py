@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -256,6 +257,10 @@ class QueueLengthController:
     strictly larger than the previous one counts as one step of sustained
     decrease; the effective length is min_length plus that count, clamped
     to [min_length, max_length].
+
+    Each window sum is ``sum`` over the window's losses, oldest first,
+    computed once by ``observe`` when the window is the newest one;
+    ``_window_sums`` keeps the newest max_length - min_length + 1 of them.
     """
 
     def __init__(self, window: int = 2, min_length: int = 3, max_length: int = 5):
@@ -272,30 +277,22 @@ class QueueLengthController:
         self.loss_history: deque[float] = deque(
             maxlen=self.window + (self.max_length - self.min_length) + 1
         )
+        # sums of the newest windows, oldest first; the last ends at the newest loss
+        self._window_sums: deque[float] = deque(maxlen=self.max_length - self.min_length + 1)
 
     def observe(self, loss: float) -> "QueueLengthController":
-        self.loss_history.append(float(loss))
+        h = self.loss_history
+        h.append(float(loss))
+        n = len(h)
+        if n >= self.window:
+            self._window_sums.append(sum(islice(h, n - self.window, n)))
         return self
 
     def effective_length(self) -> int:
-        h = list(self.loss_history)
-        n = len(h)
-        w = self.window
-        if n < w:
-            return self.min_length
-        limit = self.max_length - self.min_length
-
-        def window_sum(j):
-            return sum(h[n - w - j : n - j])
-
-        count = 0
-        prev = window_sum(0)
-        while count < limit and n - w - (count + 1) >= 0:
-            cur = window_sum(count + 1)
-            if cur > prev:
-                count += 1
-                prev = cur
-            else:
+        sums = reversed(self._window_sums)  # newest window first
+        count, prev = 0, next(sums, None)
+        for cur in sums:
+            if not cur > prev:
                 break
-        length = self.min_length + count
-        return max(self.min_length, min(length, self.max_length))
+            count, prev = count + 1, cur
+        return self.min_length + count

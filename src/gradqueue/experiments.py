@@ -165,11 +165,41 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# cell type -> its text, for a column whose cells all have exactly that type;
+# each equals _fmt on the type (np.float64 subclasses float)
+_COLUMN_FORMATS = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__}
+
+
+def _format_column(cells: tuple) -> list[str] | tuple:
+    """The text of each cell of one column, as ``_fmt`` gives it.
+
+    A column of one cell type found in ``_COLUMN_FORMATS`` is formatted
+    with that type's own ``__repr__``, and a column of ``str`` is used as
+    it is; any other column, mixed types included, goes through ``_fmt``.
+    """
+    kinds = set(map(type, cells))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        return cells
+    return list(map(_COLUMN_FORMATS.get(kind, _fmt), cells))
+
+
 def write_csv(path, result: RunResult, cfg: ExperimentConfig) -> None:
+    """Write the provenance header, the column names and the rows.
+
+    Cells are formatted a column at a time (``_format_column``). A row
+    whose width differs from ``result.columns`` raises ``ValueError``
+    before the file is opened.
+    """
+    width, rows = len(result.columns), result.rows
+    if not set(map(len, rows)) <= {width}:
+        raise ValueError(f"every row must have {width} cells, one per column")
     lines = [f"# {k}={v}" for k, v in cfg.provenance().items()]
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if width:
+        lines += map(",".join, zip(*map(_format_column, zip(*rows))))
+    else:
+        lines += [""] * len(rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -315,8 +345,10 @@ def run_momentum_sim(cfg: ExperimentConfig) -> RunResult:
     plain = simulate_momentum(spec, cfg.beta, cfg.steps)
     boosted = simulate_gq_momentum(spec, params, cfg.steps)
     rows = [
-        [t, sparse_signal(t, spec), plain[t - 1], boosted[t - 1]]
-        for t in range(1, cfg.steps + 1)
+        [t, sparse_signal(t, spec), m_plain, m_boosted]
+        for t, m_plain, m_boosted in zip(
+            range(1, cfg.steps + 1), plain.tolist(), boosted.tolist()
+        )
     ]
     last_period = cfg.steps - (cfg.steps % cfg.N) or cfg.N
     summary = (
@@ -416,6 +448,8 @@ def _train_single(
 
 def _train_setup(cfg: ExperimentConfig):
     """Seeds, dataset, initial model, batch size and batch schedule of a training run."""
+    if cfg.steps < 1:
+        raise ValueError("steps must be >= 1")
     seeds = expand_seeds(cfg.seed)
     dataset = generate_lines(
         cfg.height, cfg.width, cfg.p, cfg.q, cfg.noise_std, seeds["dataset"]
@@ -435,6 +469,8 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     """
     seeds, dataset, model, batch_size, schedule = _train_setup(cfg)
     k = cfg.k if cfg.k is not None else choose_k(batch_size, cfg.optimal_batch)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > batch_size:
         raise ValueError(f"k={k} exceeds the batch size {batch_size}")
 
@@ -504,6 +540,8 @@ def _loss_feed(cfg: ExperimentConfig) -> list[float]:
 
 def run_qlen_demo(cfg: ExperimentConfig) -> RunResult:
     """Feed a loss sequence to the queue-length controller and log its output."""
+    if cfg.steps < 1:
+        raise ValueError("steps must be >= 1")
     controller = QueueLengthController(
         window=cfg.window, min_length=cfg.min_length, max_length=cfg.max_length
     )
@@ -540,7 +578,9 @@ _DEFAULT_COMPOSITIONS = [
 
 def run_zeta_table(cfg: ExperimentConfig) -> RunResult:
     """Batch-composition error cases and the recovery boost magnitude."""
-    if cfg.eq_q is not None and cfg.eq_p is not None:
+    if (cfg.eq_q is None) != (cfg.eq_p is None):
+        raise ValueError("eq_q and eq_p must be given together")
+    if cfg.eq_q is not None:
         comps = [(cfg.batch_size, cfg.p, cfg.q, cfg.eq_q, cfg.eq_p)]
     else:
         comps = _DEFAULT_COMPOSITIONS

@@ -113,12 +113,15 @@ def generate_lines(
     """p images with one random full row lit, q with one random full column.
 
     Pixels are in [0, 1]; optional additive Gaussian noise is clipped back
-    into range. Deterministic for a fixed seed.
+    into range. A negative ``noise_std`` raises ``ValueError``.
+    Deterministic for a fixed seed.
     """
     if height < 3 or width < 3:
         raise ValueError("images must be at least 3x3")
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need non-negative counts with p + q >= 1")
+    if noise_std < 0.0:
+        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     n = p + q
     images = np.zeros((n, height, width))

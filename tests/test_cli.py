@@ -277,6 +277,43 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+SMALL_TRAIN = ["--p", "8", "--q", "2", "--batch-size", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train-lines", "--steps", "0", *SMALL_TRAIN], "steps must be >= 1"),
+        (["train-lines", "--steps", "-4", *SMALL_TRAIN], "steps must be >= 1"),
+        (["qlen-demo", "--steps", "0"], "steps must be >= 1"),
+        (["qlen-demo", "--steps", "-1", "--pattern", "flat"], "steps must be >= 1"),
+        (["qlen-demo", "--steps", "0", "--pattern", "train", *SMALL_TRAIN], "steps must be >= 1"),
+        (["train-lines", "--steps", "2", "--k", "0", *SMALL_TRAIN], "k must be >= 1, got 0"),
+        (["train-lines", "--steps", "2", "--k", "-3", *SMALL_TRAIN], "k must be >= 1, got -3"),
+        (
+            ["train-lines", "--steps", "2", "--noise-std", "-1", *SMALL_TRAIN],
+            "noise_std must be >= 0, got -1.0",
+        ),
+        (["zeta-table", "--eq-q", "1.0"], "eq_q and eq_p must be given together"),
+        (["zeta-table", "--eq-p", "-0.5"], "eq_q and eq_p must be given together"),
+        (["zeta-table", "--eq-q", "1.0", "--eq-p", "none"], "eq_q and eq_p must be given together"),
+    ],
+)
+def test_refused_settings_exit_2_before_writing(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_k_none_still_chooses_k(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["train-lines", "--steps", "2", "--k", "none", *SMALL_TRAIN, "--output", str(out)]
+    assert main(argv) == 0
+    assert "k=1," in capsys.readouterr().out  # choose_k(10, 50)
+    assert out.exists()
+
+
 def readme_commands():
     block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]

@@ -578,6 +578,56 @@ class TestQueueLengthController:
         for loss in losses:
             assert min_length <= ctrl.observe(loss).effective_length() <= max_length
 
+    @staticmethod
+    def sliced_length(losses, window, min_length, max_length):
+        """The rule re-summed from the loss list: each window sum is ``sum`` of a slice."""
+        n, limit = len(losses), max_length - min_length
+        if n < window:
+            return min_length
+
+        def window_sum(j):  # the window that ends j losses before the newest
+            return sum(losses[n - window - j : n - j])
+
+        count, prev = 0, window_sum(0)
+        while count < limit and n - window - (count + 1) >= 0:
+            cur = window_sum(count + 1)
+            if not cur > prev:
+                break
+            count, prev = count + 1, cur
+        return min_length + count
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        window=st.integers(1, 6),
+        lengths=st.tuples(st.integers(1, 8), st.integers(0, 6)),
+        losses=st.lists(
+            st.one_of(
+                st.floats(),
+                st.floats(-10.0, 10.0),
+                st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 1.0]),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_the_sliced_sum_rule(self, window, lengths, losses):
+        min_length, extra = lengths
+        max_length = max(min_length + extra, window)
+        ctrl = QueueLengthController(window, min_length, max_length)
+        for i, loss in enumerate(losses, start=1):
+            expected = self.sliced_length(losses[:i], window, min_length, max_length)
+            assert ctrl.observe(loss).effective_length() == expected
+            assert ctrl.effective_length() == expected  # asking again changes nothing
+
+    def test_window_sums_keep_summation_order(self):
+        # In step order both window sums are 0.0, so the loss did not decrease. A
+        # running sum (0.0 + 0.0 - 1.0) or a newest-first sum (-1e16 + 1e16 + 1.0)
+        # would make the older window larger and count one decrease.
+        losses = [1.0, 1e16, -1e16, 0.0]
+        ctrl = QueueLengthController(window=3, min_length=1, max_length=4)
+        for loss in losses:
+            ctrl.observe(loss)
+        assert ctrl.effective_length() == self.sliced_length(losses, 3, 1, 4) == 1
+
     def test_staged_losses_rise_then_fall(self):
         ctrl = QueueLengthController(window=2, min_length=3, max_length=5)
         lengths = []

@@ -1,15 +1,22 @@
+import enum
+import math
+
 import numpy as np
 import pytest
 
 from gradqueue import (
     BoostConfig,
     GradQueue,
+    LemmaParams,
+    SparseSignalSpec,
     aggregate,
     delta_rho,
     experiments,
     kmeans,
     lemma1_closed,
     nn,
+    simulate_gq_momentum,
+    simulate_momentum,
 )
 from gradqueue.cli import main
 from gradqueue.experiments import (
@@ -500,3 +507,106 @@ class TestCli:
         write_csv(out, result, ExperimentConfig())
         _, _, rows = read_csv(out)
         assert float(rows[0][0]) == 0.1 + 0.2  # repr round-trips exactly
+
+
+def reference_csv(path, result, cfg):
+    """The per-cell writer ``write_csv`` replaced: ``_fmt`` on each cell of each row."""
+    lines = [f"# {k}={v}" for k, v in cfg.provenance().items()]
+    lines.append(",".join(result.columns))
+    for row in result.rows:
+        lines.append(",".join(experiments._fmt(v) for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class Tag(str):
+    def __str__(self):
+        return "tag:" + self
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+ODD_CELLS = [
+    0.1 + 0.2, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 123456789.0,
+    np.float64(0.1 + 0.2), np.float64(-0.0), np.float64(math.nan), np.float64(1e16),
+    np.float32(0.1), np.float16(1.5), np.int64(-7), np.int32(3), np.bool_(True),
+    7, -12, 0, 10**20, True, False, None, "", "a b", Tag("x"), Level.LOW,
+]
+
+
+class TestWriteCsv:
+    def assert_same_bytes(self, tmp_path, columns, rows, cfg=None):
+        cfg = cfg or ExperimentConfig()
+        result = experiments.RunResult(columns=columns, rows=rows, summary="")
+        write_csv(tmp_path / "got.csv", result, cfg)
+        reference_csv(tmp_path / "want.csv", result, cfg)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        return got
+
+    @pytest.mark.parametrize("cell", ODD_CELLS, ids=repr)
+    def test_one_type_column_matches_the_cell_writer(self, cell, tmp_path):
+        # a column of one type, one beside floats and one beside ints
+        rows = [[cell, cell, cell], [cell, 2.5, 3], [cell, cell, cell]]
+        self.assert_same_bytes(tmp_path, ["a", "b", "c"], rows)
+
+    def test_mixed_columns_match_the_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        columns = [f"c{j}" for j in range(6)]
+        rows = [[ODD_CELLS[i] for i in rng.integers(len(ODD_CELLS), size=6)] for _ in range(50)]
+        self.assert_same_bytes(tmp_path, columns, rows)
+
+    def test_float_columns(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=300) * 10.0 ** rng.integers(-320, 300, size=300)
+        rows = [[float(v), v, 1.0 / 3.0] for v in values]
+        text = self.assert_same_bytes(tmp_path, ["py", "np", "third"], rows).decode()
+        body = [line.split(",") for line in text.splitlines()[-300:]]
+        assert [float(r[0]) for r in body] == values.tolist()  # repr round-trips exactly
+
+    @pytest.mark.parametrize("columns, rows", [(["a", "b"], []), ([], []), ([], [[], []])])
+    def test_no_cells(self, columns, rows, tmp_path):
+        self.assert_same_bytes(tmp_path, columns, rows)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1]], [[1, 2], []]], ids=str
+    )
+    def test_ragged_row_raises_before_opening(self, rows, tmp_path):
+        out = tmp_path / "ragged.csv"
+        result = experiments.RunResult(columns=["a", "b"], rows=rows, summary="")
+        with pytest.raises(ValueError, match="every row must have 2 cells"):
+            write_csv(out, result, ExperimentConfig())
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "run, settings",
+        [
+            (run_lemma_check, {}),
+            (run_lemma_check, {"beta": 0.5}),
+            (run_momentum_sim, {"steps": 2000, "N": 9, "C": 20.0, "capacity": 4}),
+            (run_momentum_sim, {"steps": 60, "N": 5, "rho": 1.0, "capacity": 1}),
+            (run_momentum_sim, {"steps": 37}),
+            (run_qlen_demo, {"pattern": "decreasing", "steps": 300}),
+            (run_qlen_demo, {"pattern": "flat", "steps": 50, "window": 1, "min_length": 1}),
+            (run_qlen_demo, {"pattern": "staged", "steps": 2000, "window": 3, "max_length": 7}),
+            (run_zeta_table, {}),
+            (run_zeta_table, {"eq_q": 1.0, "eq_p": -0.5}),
+            (run_zeta_table, {"eq_q": 1.0, "eq_p": 0.0}),
+            (run_train_lines, {"steps": 4, "p": 8, "q": 2, "batch_size": 10}),
+        ],
+    )
+    def test_runner_csvs_match_the_cell_writer(self, run, settings, tmp_path):
+        cfg = ExperimentConfig(**settings)
+        result = run(cfg)
+        self.assert_same_bytes(tmp_path, result.columns, result.rows, cfg)
+
+    def test_momentum_rows_are_the_trajectories(self):
+        cfg = ExperimentConfig(steps=90, N=9, C=2.0)
+        spec = SparseSignalSpec(C=cfg.C, u=cfg.u, N=cfg.N)
+        params = LemmaParams(beta=cfg.beta, rho=cfg.rho, L=cfg.capacity)
+        rows = run_momentum_sim(cfg).rows
+        assert [type(c) for c in rows[0]] == [int, float, float, float]
+        assert [r[2] for r in rows] == simulate_momentum(spec, cfg.beta, cfg.steps).tolist()
+        assert [r[3] for r in rows] == simulate_gq_momentum(spec, params, cfg.steps).tolist()

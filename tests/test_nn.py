@@ -94,6 +94,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             generate_lines(2, 8, 5, 5)
 
+    @pytest.mark.parametrize("noise_std", [-1.0, -1e-300])
+    def test_negative_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std must be >= 0"):
+            generate_lines(8, 8, 5, 5, noise_std=noise_std)
+
     def test_roundtrip(self, tmp_path):
         ds = generate_lines(8, 8, 7, 3, noise_std=0.2, seed=9)
         path = tmp_path / "lines.npz"
