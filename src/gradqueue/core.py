@@ -8,18 +8,25 @@ ones are dampened.
 
 The queue is a ring: one ``(capacity, dim)`` array allocated by the first
 push, so later pushes copy into a slot and allocate nothing. ``stats``
-reduces the ring in blocks of ``STATS_BLOCK`` columns, each gathered
-oldest entry first into a C-contiguous ``(n, c)`` array, with the sums
-and divisions ``np.mean`` would apply to the whole stacked window. numpy
-reduces such an array along axis 0 row by row when ``c >= 2`` but sums a
-single column pairwise, so the blocking keeps every byte as long as no
-block is one column wide unless the whole vector is: the last block
-takes the remainder, and a vector narrower than two blocks is one block.
+computes the sums and divisions ``np.mean`` would apply to the whole
+stacked window, oldest entry first. numpy reduces a C-contiguous
+``(n, c)`` array along axis 0 row by row when ``c >= 2``, starting from
+0.0, but sums a single column pairwise. So a vector narrower than two
+blocks of ``STATS_BLOCK`` columns is gathered into one ``(n, d)`` array
+and reduced by numpy, which keeps the single-column sum of ``d == 1``.
+A wider vector is reduced a column block at a time: its ring-row slices
+are added one row at a time into the block's slice of the result, and so
+are the squared deviations, with no gathered window. These row-by-row
+sums are what numpy computes for any block width, so the width is free
+to fit the cache. The column blocks come from ``_blocks``, which the
+boost and the optimizer updates use too.
 
 Overflow: a column whose mean or variance overflows (entries beyond about
 1e154 in magnitude) is recomputed on its entries divided by their largest
-magnitude, and the results are scaled back. Other columns keep their
-bytes, and finite entries always give a finite mean and std.
+magnitude, and the results are scaled back. The overflowing columns of
+one block are gathered and reduced by numpy, so a lone one is summed
+pairwise. Other columns keep their bytes, and finite entries always give
+a finite mean and std.
 """
 
 from __future__ import annotations
@@ -38,7 +45,19 @@ __all__ = [
     "delta_rho",
 ]
 
-STATS_BLOCK = 8192  # columns per block of the queue statistics
+STATS_BLOCK = 32768  # columns per block of the per-coordinate loops
+
+
+def _blocks(d: int) -> list[slice]:
+    """Column slices of STATS_BLOCK columns covering d; the last takes the remainder.
+
+    A vector narrower than two blocks is one block.
+    """
+    count = max(1, d // STATS_BLOCK)
+    return [
+        slice(i * STATS_BLOCK, d if i == count - 1 else (i + 1) * STATS_BLOCK)
+        for i in range(count)
+    ]
 
 
 @dataclass(frozen=True)
@@ -52,7 +71,8 @@ class QueueStats:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
         object.__setattr__(self, "std", np.atleast_1d(np.asarray(self.std, float)))
-        if np.any(self.std < 0):
+        # fmin skips NaN, so this refuses any negative coordinate
+        if np.fmin.reduce(self.std, initial=0.0) < 0:
             raise ValueError("std coordinates must be non-negative")
         self.mean.setflags(write=False)
         self.std.setflags(write=False)
@@ -167,47 +187,66 @@ class GradQueue:
             raise ValueError("statistics undefined for an empty queue")
         n = min(self._effective_length, self._count)
         slots = self._window_slots(n)
-        d = self._dim
-        blocks = max(1, d // STATS_BLOCK)
-        if blocks == 1:
+        if self._dim < 2 * STATS_BLOCK:  # one block
             mean, std = _moments(self._ring.take(slots, axis=0))
-        else:
-            mean = np.empty(d)
-            std = np.empty(d)
-            for i in range(blocks):
-                stop = d if i == blocks - 1 else (i + 1) * STATS_BLOCK
-                cols = slice(i * STATS_BLOCK, stop)
-                _moments(self._ring[:, cols].take(slots, axis=0), mean[cols], std[cols])
+            return QueueStats(mean=mean, std=std, sample_count=n)
+        blocks = _blocks(self._dim)
+        rows = [self._ring[s] for s in slots]  # oldest first
+        mean, std = np.empty(self._dim), np.empty(self._dim)
+        scratch = np.empty(blocks[-1].stop - blocks[-1].start)  # the widest block
+        for cols in blocks:
+            m, var, sq = mean[cols], std[cols], scratch[: cols.stop - cols.start]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(rows[0][cols], 0.0, out=m)  # numpy's sum starts from 0.0
+                for row in rows[1:]:
+                    np.add(m, row[cols], out=m)
+                np.divide(m, n, out=m)
+                np.subtract(rows[0][cols], m, out=var)
+                np.multiply(var, var, out=var)
+                for row in rows[1:]:
+                    np.subtract(row[cols], m, out=sq)
+                    np.multiply(sq, sq, out=sq)
+                    np.add(var, sq, out=var)
+                np.divide(var, n, out=var)
+            _finish(m, var, lambda: self._ring[:, cols].take(slots, axis=0))
         return QueueStats(mean=mean, std=std, sample_count=n)
 
 
-def _moments(window: np.ndarray, mean=None, std=None) -> tuple[np.ndarray, np.ndarray]:
+def _moments(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Population mean and std of each column of a C-contiguous (n, c) window.
 
-    They are written into ``mean`` and ``std`` when those are given. Each
-    mean is the column sum divided by n, exactly what ``np.mean`` computes,
-    without its Python wrapper. A column whose variance overflows (its
-    mean may overflow too) is recomputed on its entries divided by their
-    largest magnitude, and its mean and std are scaled back.
+    Each mean is the column sum divided by n, exactly what ``np.mean``
+    computes, without its Python wrapper.
     """
     n = window.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add.reduce(window, axis=0, out=mean)
+        mean = np.add.reduce(window, axis=0)
         mean /= n
-        var = np.add.reduce((window - mean) ** 2, axis=0, out=std)
+        var = np.add.reduce((window - mean) ** 2, axis=0)
         var /= n
+    _finish(mean, var, lambda: window)
+    return mean, var
+
+
+def _finish(mean: np.ndarray, var: np.ndarray, gather) -> None:
+    """Turn the variances into stds in place, rescaling overflowing columns.
+
+    A column whose variance overflows (its mean may overflow too) is
+    recomputed on its entries divided by their largest magnitude, and its
+    mean and std are scaled back. ``gather()`` returns the C-contiguous
+    (n, c) window of the columns; it is called only then.
+    """
     # with finite entries, a finite variance implies a finite mean
     finite = np.isfinite(var)
-    std = np.sqrt(var, out=var)
+    np.sqrt(var, out=var)
     if not finite.all():
         overflow = ~finite
-        scaled = window[:, overflow]
+        scaled = gather()[:, overflow]
         scale = np.abs(scaled).max(axis=0)
         scaled /= scale
         m = scaled.mean(axis=0)
         mean[overflow] = m * scale
-        std[overflow] = np.sqrt(np.mean((scaled - m) ** 2, axis=0)) * scale
-    return mean, std
+        var[overflow] = np.sqrt(np.mean((scaled - m) ** 2, axis=0)) * scale
 
 
 def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
@@ -222,18 +261,19 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
     from it as maximally rare (z = rho, scale rho).
 
     With no zero-variance coordinate the scale is ``clip(z, 1/rho, rho)``,
-    computed in place on one buffer that becomes the result; it equals the
-    two-sided rule, because z > 1 lies above 1/rho and z <= 1 below rho.
-    With finite statistics the result is finite wherever rho * |g_i| is;
-    a z that overflows to inf is clamped to rho without a warning.
+    computed in place a column block at a time in the result; it equals
+    the two-sided rule, because z > 1 lies above 1/rho and z <= 1 below
+    rho. With finite statistics the result is finite wherever rho * |g_i|
+    is; a z that overflows to inf is clamped to rho without a warning.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != stats.mean.shape:
         raise ValueError(
             f"dimension mismatch: gradient {g.shape} vs stats {stats.mean.shape}"
         )
-    degenerate = stats.std <= cfg.sigma_floor
-    if degenerate.any():
+    # fmin skips NaN: this is (std <= sigma_floor).any() in one reduction
+    if np.fmin.reduce(stats.std, initial=np.inf) <= cfg.sigma_floor:
+        degenerate = stats.std <= cfg.sigma_floor
         safe_std = np.where(degenerate, 1.0, stats.std)
         with np.errstate(over="ignore"):  # z = inf is clamped to rho
             dev = np.abs(g - stats.mean)
@@ -241,12 +281,16 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
         z = np.where(degenerate, np.where(dev > cfg.sigma_floor, cfg.rho, 0.0), z)
         scale = np.where(z > 1.0, np.minimum(z, cfg.rho), np.maximum(z, 1.0 / cfg.rho))
         return scale * g
-    with np.errstate(over="ignore"):  # z = inf is clamped to rho
-        z = np.subtract(g, stats.mean)
-        np.abs(z, out=z)
-        np.divide(z, stats.std, out=z)
-    np.clip(z, 1.0 / cfg.rho, cfg.rho, out=z)
-    return np.multiply(z, g, out=z)
+    out = np.empty(g.shape)
+    for cols in _blocks(g.shape[0]):
+        z, gc = out[cols], g[cols]
+        with np.errstate(over="ignore"):  # z = inf is clamped to rho
+            np.subtract(gc, stats.mean[cols], out=z)
+            np.abs(z, out=z)
+            np.divide(z, stats.std[cols], out=z)
+        np.clip(z, 1.0 / cfg.rho, cfg.rho, out=z)
+        np.multiply(z, gc, out=z)
+    return out
 
 
 class QueueLengthController:

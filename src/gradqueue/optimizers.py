@@ -12,15 +12,22 @@ then) it replaces ``delta_rho(g, stats, cfg.boost)``; ``train-lines``
 passes one that aggregates boosted cluster means. A gradient with a NaN
 or infinite coordinate, or one whose update overflows the parameters (or
 Adam's second moment), raises ``ValueError`` before any state changes.
+
+An update is computed a column block at a time (``core._blocks``) into
+fresh arrays, with ``out=`` forms in the order of the plain expressions
+written in each step's comment, so its bytes are theirs; only one scratch
+block is allocated besides the results. The state's arrays are never
+written: the step swaps in the new ones once they are known to be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoostConfig, GradQueue, delta_rho
+from .core import BoostConfig, GradQueue, _blocks, delta_rho
 
 __all__ = ["OptimizerConfig", "SgdmState", "AdamState", "sgdm_step", "adam_step"]
 
@@ -35,12 +42,15 @@ class OptimizerConfig:
     boost_enabled: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        # written so that NaN fails every check
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
+            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if not 0.0 <= self.adam_beta2 < 1.0:
-            raise ValueError("adam_beta2 must lie in [0, 1)")
+            raise ValueError(f"adam_beta2 must lie in [0, 1), got {self.adam_beta2}")
+        if not 0.0 < self.adam_epsilon < math.inf:
+            raise ValueError(f"adam_epsilon must be positive and finite, got {self.adam_epsilon}")
 
 
 @dataclass
@@ -102,7 +112,10 @@ def _check_finite(*arrays: np.ndarray) -> None:
 def _boosted(g: np.ndarray, queue: GradQueue, cfg: OptimizerConfig, boost) -> np.ndarray:
     if cfg.boost_enabled and queue.warmed_up:
         stats = queue.stats()
-        return boost(stats) if boost is not None else delta_rho(g, stats, cfg.boost)
+        if boost is None:
+            return delta_rho(g, stats, cfg.boost)
+        b = np.asarray(boost(stats), dtype=float)
+        return b if b.shape == g.shape else np.broadcast_to(b, g.shape)
     return g
 
 
@@ -113,12 +126,22 @@ def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmStat
     to it. The raw gradient is pushed onto the queue afterwards.
     """
     g = _gradient(g, state.params)
-    b = _boosted(g, state.queue, cfg, boost)
+    b = _boosted(g, state.queue, cfg, boost).ravel()
+    old_m, old_p = state.momentum.ravel(), state.params.ravel()
+    beta, lr = cfg.beta, cfg.learning_rate
+    blocks = _blocks(g.size)
+    momentum, params = np.empty(g.size), np.empty(g.size)
+    scratch = np.empty(blocks[-1].stop - blocks[-1].start)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_finite
-        momentum = cfg.beta * state.momentum + b
-        params = state.params - cfg.learning_rate * momentum
+        for c in blocks:
+            # momentum = beta * m + b; params = p - lr * momentum
+            m, p, tmp = momentum[c], params[c], scratch[: c.stop - c.start]
+            np.multiply(beta, old_m[c], out=m)
+            np.add(m, b[c], out=m)
+            np.multiply(lr, m, out=tmp)
+            np.subtract(old_p[c], tmp, out=p)
     _check_finite(params)
-    state.momentum, state.params = momentum, params
+    state.momentum, state.params = momentum.reshape(g.shape), params.reshape(g.shape)
     state.queue.push(g)
     state.step_count += 1
     return state
@@ -127,17 +150,40 @@ def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmStat
 def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamState:
     """One bias-corrected Adam step on the (possibly boosted) gradient."""
     g = _gradient(g, state.params)
-    b = _boosted(g, state.queue, cfg, boost)
+    b = _boosted(g, state.queue, cfg, boost).ravel()
+    old_m, old_v = state.first_moment.ravel(), state.second_moment.ravel()
+    old_p = state.params.ravel()
     t = state.step_count + 1
-    b1, b2 = cfg.beta, cfg.adam_beta2
+    b1, b2, lr, eps = cfg.beta, cfg.adam_beta2, cfg.learning_rate, cfg.adam_epsilon
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    blocks = _blocks(g.size)
+    first_moment, second_moment, params = np.empty(g.size), np.empty(g.size), np.empty(g.size)
+    scratch = np.empty(blocks[-1].stop - blocks[-1].start)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_finite
-        first_moment = b1 * state.first_moment + (1.0 - b1) * b
-        second_moment = b2 * state.second_moment + (1.0 - b2) * b * b
-        m_hat = first_moment / (1.0 - b1**t)
-        v_hat = second_moment / (1.0 - b2**t)
-        params = state.params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+        for c in blocks:
+            # first = b1 * m1 + (1 - b1) * b
+            # second = b2 * m2 + ((1 - b2) * b) * b
+            # params = p - (lr * (first / c1)) / (sqrt(second / c2) + eps)
+            m, v, p, tmp = first_moment[c], second_moment[c], params[c], scratch[: c.stop - c.start]
+            bc = b[c]
+            np.multiply(b1, old_m[c], out=m)
+            np.multiply(1.0 - b1, bc, out=tmp)
+            np.add(m, tmp, out=m)
+            np.multiply(b2, old_v[c], out=v)
+            np.multiply(1.0 - b2, bc, out=tmp)
+            np.multiply(tmp, bc, out=tmp)
+            np.add(v, tmp, out=v)
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.add(tmp, eps, out=tmp)
+            np.divide(m, c1, out=p)
+            np.multiply(lr, p, out=p)
+            np.divide(p, tmp, out=tmp)
+            np.subtract(old_p[c], tmp, out=p)
     _check_finite(params, second_moment)
-    state.first_moment, state.second_moment, state.params = first_moment, second_moment, params
+    state.first_moment = first_moment.reshape(g.shape)
+    state.second_moment = second_moment.reshape(g.shape)
+    state.params = params.reshape(g.shape)
     state.queue.push(g)
     state.step_count = t
     return state

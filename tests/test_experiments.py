@@ -16,6 +16,7 @@ from gradqueue import (
     lemma1_closed,
     nn,
     simulate_gq_momentum,
+    simulate_lemma3_momentum,
     simulate_momentum,
 )
 from gradqueue.cli import main
@@ -118,6 +119,29 @@ class TestLemmaCheck:
             errs = [float(r[5]) for r in result.rows if r[0] == family and r[5] != ""]
             assert reported == float(f"{max(errs):.3g}")
             assert reported <= 1e-10
+
+    def test_each_boosted_cell_simulated_once(self, monkeypatch):
+        calls = []
+        simulate = experiments.simulate_lemma3_momentum
+
+        def counting(spec, params, steps):
+            calls.append((spec.N, steps))
+            return simulate(spec, params, steps)
+
+        monkeypatch.setattr(experiments, "simulate_lemma3_momentum", counting)
+        run_lemma_check(ExperimentConfig())
+        assert len(calls) == 15  # (L, N, rho) cells with L < N - 1
+        assert all(steps == 5 * N for N, steps in calls)
+
+    @pytest.mark.parametrize("L, N", [(3, 5), (3, 9), (3, 20), (4, 9), (4, 20)])
+    @pytest.mark.parametrize("rho", [2.0, 3.0, 5.0])
+    def test_long_run_read_at_kN_is_the_short_run(self, L, N, rho):
+        # the simulator does not read k, so a run of 5N steps holds every k's value
+        spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
+        full = simulate_lemma3_momentum(spec, LemmaParams(beta=0.9, rho=rho, L=L), 5 * N)
+        for k in range(1, 6):
+            short = simulate_lemma3_momentum(spec, LemmaParams(beta=0.9, rho=rho, L=L, k=k), k * N)
+            assert short[-1].tobytes() == full[k * N - 1].tobytes()
 
     def test_csv_report(self, tmp_path):
         out = tmp_path / "check.csv"
@@ -382,6 +406,11 @@ class TestLibraryStepPipeline:
             run_train_lines(ExperimentConfig(**{field: value}, **self.SMALL))
         assert main(["train-lines", "--steps", "3", flag, str(value)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_learning_rate_refused_up_front(self, value):
+        with pytest.raises(ValueError, match="learning_rate"):
+            run_train_lines(ExperimentConfig(learning_rate=value, **self.SMALL))
 
 
 class TestQlenDemo:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,13 +7,16 @@ import pytest
 from gradqueue import (
     AdamState,
     BoostConfig,
+    GradQueue,
     OptimizerConfig,
     SgdmState,
     SparseSignalSpec,
     adam_step,
+    delta_rho,
     sgdm_step,
     sparse_signal,
 )
+from gradqueue.core import STATS_BLOCK
 
 
 def cfg(boost=False, rho=3.0, lr=0.1, beta=0.9, **kw):
@@ -175,6 +179,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(beta=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", np.nan),
+            ("learning_rate", np.inf),
+            ("learning_rate", -np.inf),
+            ("learning_rate", -0.1),
+            ("beta", np.nan),
+            ("adam_beta2", np.nan),
+            ("adam_beta2", 1.0),
+            ("adam_epsilon", np.nan),
+            ("adam_epsilon", np.inf),
+            ("adam_epsilon", -1.0),
+            ("adam_epsilon", 0.0),
+        ],
+    )
+    def test_invalid_setting_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+    def test_edge_settings_accepted(self):
+        OptimizerConfig(learning_rate=1e308, beta=0.0, adam_beta2=0.0, adam_epsilon=5e-324)
+
 
 BOTH = [(SgdmState, sgdm_step), (AdamState, adam_step)]
 
@@ -294,3 +321,142 @@ class TestOverflowingUpdates:
         state = AdamState.init(np.full(2, -1.7e308), capacity=3)
         adam_step(state, np.array([0.0, 1.0]), cfg())
         self.assert_rejected_untouched(state, adam_step, np.ones(2), cfg(lr=1e308))
+
+
+def reference_step(kind, state, g, cfg):
+    """The optimizer updates as whole-vector expressions, on the same boost rule."""
+    q = state.queue
+    b = delta_rho(g, q.stats(), cfg.boost) if cfg.boost_enabled and q.warmed_up else g
+    if kind == "sgdm":
+        state.momentum = cfg.beta * state.momentum + b
+        state.params = state.params - cfg.learning_rate * state.momentum
+    else:
+        t = state.step_count + 1
+        b1, b2 = cfg.beta, cfg.adam_beta2
+        state.first_moment = b1 * state.first_moment + (1.0 - b1) * b
+        state.second_moment = b2 * state.second_moment + (1.0 - b2) * b * b
+        m_hat = state.first_moment / (1.0 - b1**t)
+        v_hat = state.second_moment / (1.0 - b2**t)
+        state.params = state.params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    q.push(g)
+    state.step_count += 1
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+B = STATS_BLOCK
+KINDS = [("sgdm", SgdmState, sgdm_step), ("adam", AdamState, adam_step)]
+
+
+class TestBlockedUpdates:
+    """Column-blocked updates are byte-equal to the whole-vector expressions."""
+
+    @pytest.mark.parametrize("dim", [1, 23, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    @pytest.mark.parametrize("boost, beta", [(True, 0.9), (False, 0.9), (True, 0.0)])
+    def test_matches_whole_vector_expressions(self, dim, kind, state_cls, step, boost, beta):
+        rng = np.random.default_rng(dim)
+        opt = cfg(boost=boost, beta=beta, lr=0.01)
+        got = state_cls.init(rng.normal(size=dim), capacity=3)
+        want = state_cls.init(got.params, capacity=3)
+        names = [k for k in vars(got) if k not in ("queue", "step_count")]
+        for _ in range(6):  # three warm-up steps, then three boosted ones
+            g = rng.normal(size=dim) * rng.uniform(0.1, 10.0, dim)
+            step(got, g, opt)
+            reference_step(kind, want, g, opt)
+            for name in names:
+                assert same_bytes(getattr(got, name), getattr(want, name)), name
+        assert got.step_count == want.step_count == 6
+
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_old_arrays_are_not_written(self, kind, state_cls, step):
+        rng = np.random.default_rng(1)
+        state = state_cls.init(rng.normal(size=B + 1), capacity=3)
+        names = [k for k in vars(state) if k not in ("queue", "step_count")]
+        for _ in range(4):
+            held = {k: getattr(state, k) for k in names}
+            copies = {k: v.copy() for k, v in held.items()}
+            step(state, rng.normal(size=B + 1), cfg(boost=True))
+            for k in names:
+                assert getattr(state, k) is not held[k]
+                assert held[k].tobytes() == copies[k].tobytes()
+
+    @pytest.mark.parametrize("state_cls, step", BOTH)
+    @pytest.mark.parametrize("b", [0.5, [0.5]])
+    def test_hook_result_broadcasts(self, state_cls, step, b):
+        state = state_cls.init(np.zeros(3), capacity=3)
+        want = state_cls.init(np.zeros(3), capacity=3)
+        for g in random_stream(12, 4, 3):
+            step(state, g, cfg(boost=True), boost=lambda stats: b)
+            step(want, g, cfg(boost=True), boost=lambda stats: np.full(3, 0.5))
+        np.testing.assert_array_equal(state.params, want.params)
+
+
+class TestUpdateMemory:
+    """An update allocates its new state arrays, one scratch block and no other full-size array."""
+
+    DIM = 200_000
+    VECTOR = DIM * 8
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_peak_is_the_new_state(self, kind, state_cls, step):
+        rng = np.random.default_rng(0)
+        state = state_cls.init(rng.normal(size=self.DIM), capacity=3)
+        g = rng.normal(size=self.DIM)
+        step(state, g, cfg())  # the first push allocates the queue's ring
+        arrays = 2 if kind == "sgdm" else 3
+        # the new arrays, one block and the finite checks' boolean masks
+        assert self.peak(lambda: step(state, g, cfg())) < (arrays + 0.5) * self.VECTOR
+
+
+class TestBlockedOverflow:
+    """An overflowing update on a vector of several blocks raises and changes nothing."""
+
+    DIM = 3 * B + 7
+    HUGE = (3, 3 * B + 3)  # in the first and the last block
+
+    def assert_rejected_untouched(self, state, step, g, opt):
+        held = {k: v for k, v in vars(state).items() if k != "queue"}
+        copies = {k: np.copy(v) for k, v in held.items()}
+        queued, count = state.queue.as_array().copy(), len(state.queue)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                step(state, g, opt)
+        for k, v in held.items():
+            assert getattr(state, k) is v
+            assert np.asarray(v).tobytes() == copies[k].tobytes()
+        assert len(state.queue) == count
+        assert state.queue.as_array().tobytes() == queued.tobytes()
+
+    def test_sgdm_momentum_overflow(self):
+        state = SgdmState.init(np.zeros(self.DIM), capacity=3)
+        g = np.ones(self.DIM)
+        g[list(self.HUGE)] = 1.5e308
+        sgdm_step(state, g, cfg())
+        self.assert_rejected_untouched(state, sgdm_step, g, cfg())
+        assert state.step_count == 1
+
+    @pytest.mark.parametrize("boost", [False, True])
+    def test_adam_second_moment_overflow(self, boost):
+        state = AdamState.init(np.zeros(self.DIM), capacity=3)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            adam_step(state, rng.normal(size=self.DIM), cfg(boost=boost))
+        g = rng.normal(size=self.DIM)
+        g[list(self.HUGE)] = 1e200
+        self.assert_rejected_untouched(state, adam_step, g, cfg(boost=boost))
+        assert state.step_count == 3
