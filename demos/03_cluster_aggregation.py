@@ -15,7 +15,7 @@ from gradqueue import (
     GradQueue,
     aggregate,
     choose_k,
-    cluster_aggregates,
+    delta_rho,
     kmeans,
 )
 
@@ -43,9 +43,12 @@ print(f"\nk = {k} clusters, populations:",
       np.bincount(assignment.labels, minlength=k))
 
 cfg = BoostConfig(rho=3.0)
-for part in cluster_aggregates(grads, assignment, queue.stats(), cfg):
-    print(f"  cluster of {part.population:2d}: mean {np.round(part.cluster_mean_grad, 3)}"
-          f" -> boosted {np.round(part.boosted, 3)}")
+for j in range(k):
+    members = grads[assignment.labels == j]
+    if len(members):
+        mean_j = members.mean(axis=0)
+        print(f"  cluster of {len(members):2d}: mean {np.round(mean_j, 3)}"
+              f" -> boosted {np.round(delta_rho(mean_j, queue.stats(), cfg), 3)}")
 
 g_star = aggregate(grads, assignment, queue.stats(), cfg)
 print("\naggregated update g*  :", np.round(g_star, 3))

@@ -17,11 +17,9 @@ from .core import (
 )
 from .optimizers import AdamState, OptimizerConfig, SgdmState, adam_step, sgdm_step
 from .clustering import (
-    ClusterAggregate,
     ClusterAssignment,
     aggregate,
     choose_k,
-    cluster_aggregates,
     kmeans,
     kmeans_objective,
 )
@@ -70,11 +68,9 @@ __all__ = [
     "SgdmState",
     "adam_step",
     "sgdm_step",
-    "ClusterAggregate",
     "ClusterAssignment",
     "aggregate",
     "choose_k",
-    "cluster_aggregates",
     "kmeans",
     "kmeans_objective",
     "BatchCompositionCase",

@@ -341,14 +341,15 @@ def boosted_batch_mean(case: BatchCompositionCase, rho: float) -> float:
     return (case.q * rho * case.eq_q + case.p * case.eq_p / rho) / case.B
 
 
-def batch_error_case(
-    case: BatchCompositionCase, case2_rtol: float = 1e-9
-) -> tuple[float, float, int]:
+CASE2_RTOL = 1e-9  # how close |eq_q/eq_p| must be to p/q for full cancellation
+
+
+def batch_error_case(case: BatchCompositionCase) -> tuple[float, float, int]:
     """Batch mean, its deviation from the rare expectation, and the case label.
 
     Returns (E(g^b), e_k, label). E(g^b) = (q*eq_q + p*eq_p)/B and
     e_k = |eq_q - E(g^b)|. Label 2 (full cancellation) needs opposing
-    signs and |eq_q/eq_p| equal to p/q within case2_rtol; label 3 needs
+    signs and |eq_q/eq_p| equal to p/q within CASE2_RTOL; label 3 needs
     opposing signs and a ratio below p/q; everything else is label 1.
     """
     e_gb = (case.q * case.eq_q + case.p * case.eq_p) / case.B
@@ -358,7 +359,7 @@ def batch_error_case(
     ratio = abs(case.eq_q / case.eq_p)
     target = case.p / case.q
     opposing = case.eq_q * case.eq_p < 0.0
-    if opposing and math.isclose(ratio, target, rel_tol=case2_rtol):
+    if opposing and math.isclose(ratio, target, rel_tol=CASE2_RTOL):
         return e_gb, e_k, 2
     if opposing and ratio < target:
         return e_gb, e_k, 3

@@ -22,10 +22,8 @@ from .core import BoostConfig, QueueStats, delta_rho
 
 __all__ = [
     "ClusterAssignment",
-    "ClusterAggregate",
     "kmeans",
     "kmeans_objective",
-    "cluster_aggregates",
     "aggregate",
     "choose_k",
 ]
@@ -38,13 +36,6 @@ class ClusterAssignment:
     k: int
     # objective after each Lloyd update of the winning restart
     objective_history: list[float] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ClusterAggregate:
-    cluster_mean_grad: np.ndarray
-    population: int
-    boosted: np.ndarray
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -363,47 +354,29 @@ def kmeans(
     )
 
 
-def cluster_aggregates(
-    per_sample_grads, assignment: ClusterAssignment, stats: QueueStats, cfg: BoostConfig
-) -> list[ClusterAggregate]:
-    """Per-cluster mean gradient, population and boosted mean."""
-    G = np.asarray(per_sample_grads, dtype=float)
-    if G.ndim != 2:
-        raise ValueError("per-sample gradients must be a (B, d) matrix")
-    if G.shape[0] != assignment.labels.shape[0]:
-        raise ValueError("gradient count does not match the assignment")
-    out = []
-    for j in range(assignment.k):
-        members = assignment.labels == j
-        pop = int(members.sum())
-        if pop == 0:
-            continue
-        mean_j = G[members].mean(axis=0)
-        out.append(
-            ClusterAggregate(
-                cluster_mean_grad=mean_j,
-                population=pop,
-                boosted=delta_rho(mean_j, stats, cfg),
-            )
-        )
-    return out
-
-
 def aggregate(
     per_sample_grads, assignment: ClusterAssignment, stats: QueueStats, cfg: BoostConfig
 ) -> np.ndarray:
     """Population-weighted mean of the boosted cluster-mean gradients.
 
-    g* = (1/B) * sum_j population_j * boost(mean_j). With rho = 1 this
-    reconstructs the plain batch mean for any assignment.
+    g* = (1/B) * sum_j population_j * delta_rho(mean_j), over the non-empty
+    clusters in index order. With rho = 1 this reconstructs the plain batch
+    mean for any assignment. Every label must be an integer in [0, k).
     """
     G = np.asarray(per_sample_grads, dtype=float)
     if G.ndim != 2 or G.shape[0] == 0:
         raise ValueError("need a non-empty (B, d) gradient matrix")
-    parts = cluster_aggregates(G, assignment, stats, cfg)
+    labels = np.asarray(assignment.labels)
+    if labels.shape != G.shape[:1]:
+        raise ValueError("gradient count does not match the assignment")
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= assignment.k:
+        raise ValueError(f"cluster labels must be integers in [0, {assignment.k})")
     total = np.zeros(G.shape[1])
-    for part in parts:
-        total += part.population * part.boosted
+    for j in range(assignment.k):
+        members = labels == j
+        pop = int(members.sum())
+        if pop:
+            total += pop * delta_rho(G[members].mean(axis=0), stats, cfg)
     return total / G.shape[0]
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -71,6 +70,8 @@ class QueueStats:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
         object.__setattr__(self, "std", np.atleast_1d(np.asarray(self.std, float)))
+        if self.mean.shape != self.std.shape:
+            raise ValueError(f"mean {self.mean.shape} and std {self.std.shape} differ in shape")
         # fmin skips NaN, so this refuses any negative coordinate
         if np.fmin.reduce(self.std, initial=0.0) < 0:
             raise ValueError("std coordinates must be non-negative")
@@ -104,8 +105,8 @@ class GradQueue:
 
     The oldest entry is evicted when the queue is full. All entries share
     one dimension, fixed by the first push, and are finite (a NaN or inf
-    is rejected). ``effective_length`` controls how many of the most
-    recent entries feed the statistics.
+    is rejected). ``effective_length``, ``capacity`` until set, controls
+    how many of the most recent entries feed the statistics.
 
     Storage is a ring, one ``(capacity, dim)`` float64 array; a push into
     a full queue overwrites the oldest slot. ``stats`` reduces it in
@@ -113,7 +114,7 @@ class GradQueue:
     docstring for why the blocks keep every byte).
     """
 
-    def __init__(self, capacity: int, effective_length: int | None = None):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be a positive integer")
         self.capacity = int(capacity)
@@ -124,8 +125,6 @@ class GradQueue:
         # ring slots in push order from any start: _slots[start : start + n]
         self._slots = np.arange(2 * self.capacity) % self.capacity
         self._effective_length = self.capacity
-        if effective_length is not None:
-            self.effective_length = effective_length
 
     def __len__(self) -> int:
         return self._count
@@ -302,9 +301,10 @@ class QueueLengthController:
     decrease; the effective length is min_length plus that count, clamped
     to [min_length, max_length].
 
-    Each window sum is ``sum`` over the window's losses, oldest first,
-    computed once by ``observe`` when the window is the newest one;
-    ``_window_sums`` keeps the newest max_length - min_length + 1 of them.
+    ``loss_history`` keeps the newest ``window`` losses. Once it is full,
+    each ``observe`` appends its ``sum``, oldest loss first, to
+    ``_window_sums``, which keeps the newest max_length - min_length + 1
+    window sums.
     """
 
     def __init__(self, window: int = 2, min_length: int = 3, max_length: int = 5):
@@ -317,19 +317,14 @@ class QueueLengthController:
         self.window = int(window)
         self.min_length = int(min_length)
         self.max_length = int(max_length)
-        # enough history to certify max_length - min_length increases
-        self.loss_history: deque[float] = deque(
-            maxlen=self.window + (self.max_length - self.min_length) + 1
-        )
+        self.loss_history: deque[float] = deque(maxlen=self.window)
         # sums of the newest windows, oldest first; the last ends at the newest loss
         self._window_sums: deque[float] = deque(maxlen=self.max_length - self.min_length + 1)
 
     def observe(self, loss: float) -> "QueueLengthController":
-        h = self.loss_history
-        h.append(float(loss))
-        n = len(h)
-        if n >= self.window:
-            self._window_sums.append(sum(islice(h, n - self.window, n)))
+        self.loss_history.append(float(loss))
+        if len(self.loss_history) == self.window:
+            self._window_sums.append(sum(self.loss_history))
         return self
 
     def effective_length(self) -> int:

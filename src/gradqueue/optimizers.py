@@ -13,11 +13,16 @@ passes one that aggregates boosted cluster means. A gradient with a NaN
 or infinite coordinate, or one whose update overflows the parameters (or
 Adam's second moment), raises ``ValueError`` before any state changes.
 
+Parameters and gradients are flat 1-D vectors, the one shape
+``GradQueue`` holds; any other shape raises ``ValueError`` likewise.
+
 An update is computed a column block at a time (``core._blocks``) into
 fresh arrays, with ``out=`` forms in the order of the plain expressions
-written in each step's comment, so its bytes are theirs; only one scratch
-block is allocated besides the results. The state's arrays are never
-written: the step swaps in the new ones once they are known to be finite.
+written in each step's comment, so its bytes are theirs. SGDM needs no
+scratch: it writes lr * momentum into the new parameters' block and
+subtracts it there. Adam allocates one scratch block besides the results.
+The state's arrays are never written: the step swaps in the new ones once
+they are known to be finite.
 """
 
 from __future__ import annotations
@@ -95,6 +100,8 @@ class AdamState:
 
 def _gradient(g, params: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
+    if g.ndim != 1 or params.ndim != 1:
+        raise ValueError(f"gradient {g.shape} and params {params.shape} must be 1-D vectors")
     if g.shape != params.shape:
         raise ValueError(
             f"dimension mismatch: gradient {g.shape} vs params {params.shape}"
@@ -126,22 +133,19 @@ def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmStat
     to it. The raw gradient is pushed onto the queue afterwards.
     """
     g = _gradient(g, state.params)
-    b = _boosted(g, state.queue, cfg, boost).ravel()
-    old_m, old_p = state.momentum.ravel(), state.params.ravel()
+    b = _boosted(g, state.queue, cfg, boost)
     beta, lr = cfg.beta, cfg.learning_rate
-    blocks = _blocks(g.size)
     momentum, params = np.empty(g.size), np.empty(g.size)
-    scratch = np.empty(blocks[-1].stop - blocks[-1].start)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_finite
-        for c in blocks:
+        for c in _blocks(g.size):
             # momentum = beta * m + b; params = p - lr * momentum
-            m, p, tmp = momentum[c], params[c], scratch[: c.stop - c.start]
-            np.multiply(beta, old_m[c], out=m)
+            m, p = momentum[c], params[c]
+            np.multiply(beta, state.momentum[c], out=m)
             np.add(m, b[c], out=m)
-            np.multiply(lr, m, out=tmp)
-            np.subtract(old_p[c], tmp, out=p)
+            np.multiply(lr, m, out=p)
+            np.subtract(state.params[c], p, out=p)
     _check_finite(params)
-    state.momentum, state.params = momentum.reshape(g.shape), params.reshape(g.shape)
+    state.momentum, state.params = momentum, params
     state.queue.push(g)
     state.step_count += 1
     return state
@@ -150,9 +154,7 @@ def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmStat
 def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamState:
     """One bias-corrected Adam step on the (possibly boosted) gradient."""
     g = _gradient(g, state.params)
-    b = _boosted(g, state.queue, cfg, boost).ravel()
-    old_m, old_v = state.first_moment.ravel(), state.second_moment.ravel()
-    old_p = state.params.ravel()
+    b = _boosted(g, state.queue, cfg, boost)
     t = state.step_count + 1
     b1, b2, lr, eps = cfg.beta, cfg.adam_beta2, cfg.learning_rate, cfg.adam_epsilon
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
@@ -166,10 +168,10 @@ def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamStat
             # params = p - (lr * (first / c1)) / (sqrt(second / c2) + eps)
             m, v, p, tmp = first_moment[c], second_moment[c], params[c], scratch[: c.stop - c.start]
             bc = b[c]
-            np.multiply(b1, old_m[c], out=m)
+            np.multiply(b1, state.first_moment[c], out=m)
             np.multiply(1.0 - b1, bc, out=tmp)
             np.add(m, tmp, out=m)
-            np.multiply(b2, old_v[c], out=v)
+            np.multiply(b2, state.second_moment[c], out=v)
             np.multiply(1.0 - b2, bc, out=tmp)
             np.multiply(tmp, bc, out=tmp)
             np.add(v, tmp, out=v)
@@ -179,11 +181,9 @@ def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamStat
             np.divide(m, c1, out=p)
             np.multiply(lr, p, out=p)
             np.divide(p, tmp, out=tmp)
-            np.subtract(old_p[c], tmp, out=p)
+            np.subtract(state.params[c], tmp, out=p)
     _check_finite(params, second_moment)
-    state.first_moment = first_moment.reshape(g.shape)
-    state.second_moment = second_moment.reshape(g.shape)
-    state.params = params.reshape(g.shape)
+    state.first_moment, state.second_moment, state.params = first_moment, second_moment, params
     state.queue.push(g)
     state.step_count = t
     return state

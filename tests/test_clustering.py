@@ -13,7 +13,6 @@ from gradqueue import (
     QueueStats,
     aggregate,
     choose_k,
-    cluster_aggregates,
     kmeans,
     kmeans_objective,
 )
@@ -225,16 +224,33 @@ class TestAggregate:
             )
             assert out[0] == pytest.approx(ref, rel=1e-12)
 
-    def test_cluster_populations_sum_to_batch(self):
-        rng = np.random.default_rng(13)
-        grads = rng.normal(size=(15, 3))
-        labels = rng.integers(0, 4, size=15)
-        labels[:4] = np.arange(4)
-        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((4, 3)), k=4)
-        parts = cluster_aggregates(
-            grads, assignment, self.stats(0.0, 1.0, 3), BoostConfig()
-        )
-        assert sum(p.population for p in parts) == 15
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            ([0, 0, 2], "integers in"),  # would drop the sample yet divide by B
+            ([0, 0, -1], "integers in"),
+            ([0, 0.5, 1], "integers in"),
+            ([True, False, True], "integers in"),
+            ([0, 1], "does not match"),
+            ([[0, 1, 1]], "does not match"),
+        ],
+    )
+    def test_labels_outside_the_clusters_refused(self, labels, match):
+        grads = np.array([[1.0], [2.0], [30.0]])
+        st, cfg = self.stats(0.0, 1.0, 1), BoostConfig(rho=1.0)
+        assignment = ClusterAssignment(labels=np.array([0, 0, 1]), centroids=np.zeros((2, 1)), k=2)
+        assert aggregate(grads, assignment, st, cfg)[0] == pytest.approx(11.0)
+        assignment.labels = np.array(labels)
+        with pytest.raises(ValueError, match=match):
+            aggregate(grads, assignment, st, cfg)
+
+    def test_clusters_add_in_index_order(self):
+        # at rho = 1 each singleton cluster adds its gradient: 1.0 + 1e17 - 1e17 is 0.0
+        # in index order, and any other order gives 1.0 or 1e17
+        grads = np.array([[1.0], [1e17], [-1e17]])
+        assignment = ClusterAssignment(labels=np.arange(3), centroids=np.zeros((3, 1)), k=3)
+        out = aggregate(grads, assignment, self.stats(0.0, 1.0, 1), BoostConfig(rho=1.0))
+        assert out[0] == 0.0
 
     def test_aggregate_permutation_invariant(self):
         rng = np.random.default_rng(14)

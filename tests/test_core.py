@@ -561,6 +561,13 @@ class TestBlockedHostileInputs:
         with pytest.raises(ValueError, match="non-negative"):
             QueueStats(np.zeros(len(std)), np.array(std), 2)
 
+    @pytest.mark.parametrize(
+        "mean, std", [(np.zeros(3), np.ones(1)), (np.zeros(3), np.ones(2)), (0.0, np.ones(2))]
+    )
+    def test_mean_and_std_of_different_shapes_refused(self, mean, std):
+        with pytest.raises(ValueError, match="differ in shape"):
+            QueueStats(mean, std, 2)
+
     @pytest.mark.parametrize("std", [[np.nan, 0.0], [-0.0, 1.0], [np.inf]])
     def test_nan_zero_and_inf_std_accepted(self, std):
         stats = QueueStats(np.zeros(len(std)), np.array(std), 2)

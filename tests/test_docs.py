@@ -31,14 +31,13 @@ def test_readme_library_example_runs():
     assert out.getvalue().startswith("[")
 
 
-def run_demo(demo, cwd, *args, **env):
+def run_demo(demo, cwd, **env):
     env = dict(os.environ, PYTHONPATH=str(Path(gradqueue.__file__).parents[1]), **env)
     done = subprocess.run(
-        [sys.executable, str(demo), *args], cwd=cwd, env=env, capture_output=True, text=True
+        [sys.executable, str(demo)], cwd=cwd, env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
-    return done.stdout
 
 
 def test_demos_found():
@@ -52,13 +51,3 @@ def test_demo_writes_nothing_into_the_working_directory(demo, tmp_path):
     tmp.mkdir()
     run_demo(demo, cwd, TMPDIR=str(tmp))
     assert list(cwd.iterdir()) == []
-    if demo.name == "04_line_detection.py":  # its CSV goes to a fresh temporary directory
-        assert len(list(tmp.glob("*/line_detection.csv"))) == 1
-
-
-def test_line_detection_demo_writes_the_given_path(tmp_path):
-    out = tmp_path / "lines.csv"
-    stdout = run_demo(ROOT / "demos" / "04_line_detection.py", tmp_path, str(out))
-    assert f"written to {out}" in stdout
-    assert out.read_text().startswith("# learning_rate=")
-    assert list(tmp_path.iterdir()) == [out]

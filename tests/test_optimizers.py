@@ -206,6 +206,23 @@ class TestConfigValidation:
 BOTH = [(SgdmState, sgdm_step), (AdamState, adam_step)]
 
 
+def assert_rejected_untouched(state, step, g, opt, match="overflow"):
+    """The step raises one ValueError and leaves the state's objects, bytes and queue as they were."""
+    held = {k: v for k, v in vars(state).items() if k != "queue"}
+    copies = {k: np.copy(v) for k, v in held.items()}
+    count = len(state.queue)
+    queued = state.queue.as_array().tobytes() if count else b""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the fault is reported once, as ValueError
+        with pytest.raises(ValueError, match=match):
+            step(state, g, opt)
+    for k, v in held.items():
+        assert getattr(state, k) is v
+        assert np.asarray(v).tobytes() == copies[k].tobytes()
+    assert len(state.queue) == count
+    assert (state.queue.as_array().tobytes() if count else b"") == queued
+
+
 class TestBoostHook:
     @pytest.mark.parametrize("state_cls, step", BOTH)
     @pytest.mark.parametrize("capacity", [2, 3, 5])
@@ -274,38 +291,33 @@ class TestNonFiniteGradients:
         state = state_cls.init(np.ones(3), capacity=3)
         for g in random_stream(11, 4, 3):
             step(state, g, cfg(boost=True))
-        before = {k: np.copy(v) for k, v in vars(state).items() if k != "queue"}
-        queued = state.queue.as_array().copy()
-        with pytest.raises(ValueError, match="non-finite"):
-            step(state, np.array([bad, 1.0, 1.0]), cfg(boost=True))
-        for key, value in before.items():
-            np.testing.assert_array_equal(getattr(state, key), value)
-        np.testing.assert_array_equal(state.queue.as_array(), queued)
+        assert_rejected_untouched(
+            state, step, np.array([bad, 1.0, 1.0]), cfg(boost=True), match="non-finite"
+        )
         # the state still takes finite gradients
         step(state, np.ones(3), cfg(boost=True))
         assert state.step_count == 5
         assert np.isfinite(state.params).all()
 
 
+class TestFlatVectors:
+    """Parameters and gradients are flat 1-D vectors; other shapes change nothing."""
+
+    @pytest.mark.parametrize("state_cls, step", BOTH)
+    @pytest.mark.parametrize("boost", [False, True])
+    @pytest.mark.parametrize("shape, g_shape", [((2, 3), (2, 3)), ((), ()), ((6,), (2, 3))])
+    def test_other_shapes_refused_on_the_first_step(self, state_cls, step, boost, shape, g_shape):
+        state = state_cls.init(np.zeros(shape), capacity=3)
+        assert_rejected_untouched(state, step, np.ones(g_shape), cfg(boost=boost), match="1-D")
+
+
 class TestOverflowingUpdates:
     """A finite gradient whose update overflows is rejected and changes nothing."""
-
-    @staticmethod
-    def assert_rejected_untouched(state, step, g, opt):
-        before = {k: np.copy(v) for k, v in vars(state).items() if k != "queue"}
-        queued = state.queue.as_array().copy()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the overflow is reported once, as ValueError
-            with pytest.raises(ValueError, match="overflow"):
-                step(state, g, opt)
-        for key, value in before.items():
-            np.testing.assert_array_equal(getattr(state, key), value)
-        np.testing.assert_array_equal(state.queue.as_array(), queued)
 
     def test_sgdm_momentum_overflow(self):
         state = SgdmState.init(np.zeros(1), capacity=3)
         sgdm_step(state, np.array([1.5e308]), cfg())
-        self.assert_rejected_untouched(state, sgdm_step, np.array([1.5e308]), cfg())
+        assert_rejected_untouched(state, sgdm_step, np.array([1.5e308]), cfg())
         assert state.step_count == 1
         sgdm_step(state, np.array([-1.5e308]), cfg())  # still takes a step that fits
         assert np.isfinite(state.params).all() and state.step_count == 2
@@ -314,13 +326,13 @@ class TestOverflowingUpdates:
         # b*b overflows; unchecked, the parameters would stay where they are for good
         state = AdamState.init(np.zeros(1), capacity=3)
         adam_step(state, np.array([1.0]), cfg())
-        self.assert_rejected_untouched(state, adam_step, np.array([1e200]), cfg())
+        assert_rejected_untouched(state, adam_step, np.array([1e200]), cfg())
         assert state.step_count == 1
 
     def test_adam_parameter_overflow(self):
         state = AdamState.init(np.full(2, -1.7e308), capacity=3)
         adam_step(state, np.array([0.0, 1.0]), cfg())
-        self.assert_rejected_untouched(state, adam_step, np.ones(2), cfg(lr=1e308))
+        assert_rejected_untouched(state, adam_step, np.ones(2), cfg(lr=1e308))
 
 
 def reference_step(kind, state, g, cfg):
@@ -395,7 +407,7 @@ class TestBlockedUpdates:
 
 
 class TestUpdateMemory:
-    """An update allocates its new state arrays, one scratch block and no other full-size array."""
+    """An update allocates its new state arrays, at most one scratch block, no other full vector."""
 
     DIM = 200_000
     VECTOR = DIM * 8
@@ -428,26 +440,12 @@ class TestBlockedOverflow:
     DIM = 3 * B + 7
     HUGE = (3, 3 * B + 3)  # in the first and the last block
 
-    def assert_rejected_untouched(self, state, step, g, opt):
-        held = {k: v for k, v in vars(state).items() if k != "queue"}
-        copies = {k: np.copy(v) for k, v in held.items()}
-        queued, count = state.queue.as_array().copy(), len(state.queue)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflow"):
-                step(state, g, opt)
-        for k, v in held.items():
-            assert getattr(state, k) is v
-            assert np.asarray(v).tobytes() == copies[k].tobytes()
-        assert len(state.queue) == count
-        assert state.queue.as_array().tobytes() == queued.tobytes()
-
     def test_sgdm_momentum_overflow(self):
         state = SgdmState.init(np.zeros(self.DIM), capacity=3)
         g = np.ones(self.DIM)
         g[list(self.HUGE)] = 1.5e308
         sgdm_step(state, g, cfg())
-        self.assert_rejected_untouched(state, sgdm_step, g, cfg())
+        assert_rejected_untouched(state, sgdm_step, g, cfg())
         assert state.step_count == 1
 
     @pytest.mark.parametrize("boost", [False, True])
@@ -458,5 +456,5 @@ class TestBlockedOverflow:
             adam_step(state, rng.normal(size=self.DIM), cfg(boost=boost))
         g = rng.normal(size=self.DIM)
         g[list(self.HUGE)] = 1e200
-        self.assert_rejected_untouched(state, adam_step, g, cfg(boost=boost))
+        assert_rejected_untouched(state, adam_step, g, cfg(boost=boost))
         assert state.step_count == 3
