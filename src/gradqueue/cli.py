@@ -18,45 +18,13 @@ _RUNNERS = {
     "zeta-table": experiments.run_zeta_table,
 }
 
-# config field -> help of its flag
-_FLAGS = {
-    "learning_rate": "learning rate",
-    "beta": "momentum coefficient",
-    "rho": "boost clamp constant",
-    "capacity": "gradient queue length",
-    "k": "cluster count (default: batch_size/optimal_batch)",
-    "u": "repeating signal value",
-    "C": "rare signal value",
-    "N": "sparse period",
-    "steps": "number of steps",
-    "height": "image height",
-    "width": "image width",
-    "p": "horizontal-line sample count",
-    "q": "vertical-line sample count",
-    "noise_std": "pixel noise standard deviation",
-    "seed": "master seed",
-    "batch_size": "mini-batch size B",
-    "optimal_batch": "reference batch size for choose_k",
-    "window": "loss window size",
-    "min_length": "minimum effective queue length",
-    "max_length": "maximum effective queue length",
-    "pattern": "qlen-demo loss feed: decreasing|flat|staged|train",
-    "eq_q": "rare-group expected gradient (zeta-table)",
-    "eq_p": "frequent-group expected gradient (zeta-table)",
-    "output": "CSV output path",
-}
-# value flag -> config field: --<field with "-" for "_">, but --alpha for learning_rate
-_FLAG_FIELDS = {
-    ("--alpha" if f == "learning_rate" else "--" + f.replace("_", "-")): f
-    for f in _FLAGS
-}
-# switch flag -> (config field, argparse action, help)
-_SWITCHES = {
-    "--no-boost": ("boost_enabled", "store_false", "disable the boost in train-lines"),
-    "--adam": ("use_adam", "store_true", "use Adam instead of SGDM"),
-}
+_FIELDS = dataclasses.fields(ExperimentConfig)
+# config field -> its flag: --<field> with "-" for "_", unless the field names its own
+_OPTIONS = {f.name: f.metadata["flag"] or "--" + f.name.replace("_", "-") for f in _FIELDS}
+# value flag -> config field; a bool field is a switch and takes no value
+_FLAG_FIELDS = {_OPTIONS[f.name]: f.name for f in _FIELDS if f.type != "bool"}
 # every long option of the parser, among which an abbreviation must be unique
-_LONG_OPTIONS = ("--help", "--config", *_FLAG_FIELDS, *_SWITCHES)
+_LONG_OPTIONS = ("--help", "--config", *_OPTIONS.values())
 
 
 def _field_type(name: str):
@@ -84,10 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_RUNNERS, metavar="command", help="listed below")
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    for flag, name in _FLAG_FIELDS.items():
-        parser.add_argument(flag, dest=name, type=_field_type(name), help=_FLAGS[name])
-    for flag, (dest, action, help_text) in _SWITCHES.items():
-        parser.add_argument(flag, dest=dest, action=action, help=help_text)
+    for f in _FIELDS:
+        if f.type == "bool":  # a switch away from the default
+            kind = {"action": "store_false" if f.default else "store_true"}
+        else:
+            kind = {"type": _field_type(f.name)}
+        parser.add_argument(_OPTIONS[f.name], dest=f.name, help=f.metadata["help"], **kind)
     return parser
 
 

@@ -161,25 +161,22 @@ def _seed_under_plan(X, plan, draws):
 
 
 def _repair_empty(X, labels, centroids, k):
-    """Reseed each empty centroid at the point farthest from its assigned centroid."""
+    """Reseed each empty centroid at the point farthest from its assigned centroid.
+
+    No cluster gives up its last member, so no reseed point is taken twice, and
+    one is always found: while one of k <= B clusters is empty, some has two.
+    """
     repaired = False
-    used = set()
     for j in range(k):
         if np.any(labels == j):
             continue
         diff = X - centroids[labels]
         dist = np.einsum("bf,bf->b", diff, diff)
-        # never steal a cluster's last member or reuse a reseed point
         counts = np.bincount(labels, minlength=k)
         dist[counts[labels] <= 1] = -1.0
-        for idx in used:
-            dist[idx] = -1.0
         far = int(np.argmax(dist))
-        if dist[far] < 0.0:
-            continue
         centroids[j] = X[far]
         labels[far] = j
-        used.add(far)
         repaired = True
     return labels, centroids, repaired
 

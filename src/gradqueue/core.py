@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 STATS_BLOCK = 32768  # columns per block of the per-coordinate loops
+SIGMA_FLOOR = 1e-12  # a std at or below this is zero variance to the boost
 
 
 def _blocks(d: int) -> list[slice]:
@@ -85,19 +86,16 @@ class BoostConfig:
 
     rho is the clamp constant: per-coordinate scale factors are restricted
     to [1/rho, rho]. rho = 1 collapses the operator to the identity and is
-    allowed so boosted and plain runs can be compared exactly.
-    sigma_floor guards the z-score against zero standard deviation.
+    allowed so boosted and plain runs can be compared exactly. The
+    zero-variance floor is the module constant ``SIGMA_FLOOR``.
     """
 
     rho: float = 3.0
-    sigma_floor: float = 1e-12
 
     def __post_init__(self):
-        # written so that NaN fails both checks
+        # written so that NaN fails the check
         if not self.rho >= 1.0:
             raise ValueError(f"rho must be >= 1, got {self.rho}")
-        if not self.sigma_floor > 0.0:
-            raise ValueError(f"sigma_floor must be positive, got {self.sigma_floor}")
 
 
 class GradQueue:
@@ -242,10 +240,10 @@ def _finish(mean: np.ndarray, var: np.ndarray, gather) -> None:
         overflow = ~finite
         scaled = gather()[:, overflow]
         scale = np.abs(scaled).max(axis=0)
-        scaled /= scale
-        m = scaled.mean(axis=0)
+        scaled /= scale  # entries in [-1, 1]: their moments cannot overflow
+        m, std = _moments(scaled)
         mean[overflow] = m * scale
-        var[overflow] = np.sqrt(np.mean((scaled - m) ** 2, axis=0)) * scale
+        var[overflow] = std * scale
 
 
 def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
@@ -255,9 +253,10 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
     min(z, rho); the rest by max(z, 1/rho). Signs are preserved and every
     scale lies in [1/rho, rho].
 
-    Zero-variance coordinates: a coordinate sitting on the (degenerate)
-    mean is treated as maximally repetitive (z = 0, scale 1/rho); one far
-    from it as maximally rare (z = rho, scale rho).
+    Zero-variance coordinates (std <= ``SIGMA_FLOOR``): a coordinate within
+    ``SIGMA_FLOOR`` of the (degenerate) mean is treated as maximally
+    repetitive (z = 0, scale 1/rho); one farther from it as maximally rare
+    (z = rho, scale rho).
 
     With no zero-variance coordinate the scale is ``clip(z, 1/rho, rho)``,
     computed in place a column block at a time in the result; it equals
@@ -270,14 +269,14 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: gradient {g.shape} vs stats {stats.mean.shape}"
         )
-    # fmin skips NaN: this is (std <= sigma_floor).any() in one reduction
-    if np.fmin.reduce(stats.std, initial=np.inf) <= cfg.sigma_floor:
-        degenerate = stats.std <= cfg.sigma_floor
+    # fmin skips NaN: this is (std <= SIGMA_FLOOR).any() in one reduction
+    if np.fmin.reduce(stats.std, initial=np.inf) <= SIGMA_FLOOR:
+        degenerate = stats.std <= SIGMA_FLOOR
         safe_std = np.where(degenerate, 1.0, stats.std)
         with np.errstate(over="ignore"):  # z = inf is clamped to rho
             dev = np.abs(g - stats.mean)
             z = dev / safe_std
-        z = np.where(degenerate, np.where(dev > cfg.sigma_floor, cfg.rho, 0.0), z)
+        z = np.where(degenerate, np.where(dev > SIGMA_FLOOR, cfg.rho, 0.0), z)
         scale = np.where(z > 1.0, np.minimum(z, cfg.rho), np.maximum(z, 1.0 / cfg.rho))
         return scale * g
     out = np.empty(g.shape)

@@ -61,39 +61,46 @@ __all__ = [
 LEMMA_TOL = 1e-10
 
 
+def _option(default, help_text: str, flag: str | None = None):
+    """A config field that is also a CLI option: its help, and its flag if not --<field>."""
+    return field(default=default, metadata={"help": help_text, "flag": flag})
+
+
 @dataclass
 class ExperimentConfig:
+    """Every setting of a run; each field is the CLI option ``cli`` builds from it."""
+
     # optimizer
-    learning_rate: float = 0.05
-    beta: float = 0.9
-    rho: float = 3.0
-    capacity: int = 3
-    boost_enabled: bool = True
-    use_adam: bool = False
-    k: int | None = None  # cluster count; None derives it via choose_k
+    learning_rate: float = _option(0.05, "learning rate", flag="--alpha")
+    beta: float = _option(0.9, "momentum coefficient")
+    rho: float = _option(3.0, "boost clamp constant")
+    capacity: int = _option(3, "gradient queue length")
+    boost_enabled: bool = _option(True, "disable the boost in train-lines", flag="--no-boost")
+    use_adam: bool = _option(False, "use Adam instead of SGDM", flag="--adam")
+    k: int | None = _option(None, "cluster count (default: batch_size/optimal_batch)")
     # periodic test signal
-    u: float = -1.0
-    C: float = 5.0
-    N: int = 9
-    steps: int = 200
+    u: float = _option(-1.0, "repeating signal value")
+    C: float = _option(5.0, "rare signal value")
+    N: int = _option(9, "sparse period")
+    steps: int = _option(200, "number of steps")
     # synthetic dataset
-    height: int = 8
-    width: int = 8
-    p: int = 95
-    q: int = 5
-    noise_std: float = 0.0
-    seed: int = 0
-    batch_size: int = 100
-    optimal_batch: int = 50
+    height: int = _option(8, "image height")
+    width: int = _option(8, "image width")
+    p: int = _option(95, "horizontal-line sample count")
+    q: int = _option(5, "vertical-line sample count")
+    noise_std: float = _option(0.0, "pixel noise standard deviation")
+    seed: int = _option(0, "master seed")
+    batch_size: int = _option(100, "mini-batch size B")
+    optimal_batch: int = _option(50, "reference batch size for choose_k")
     # queue-length controller
-    window: int = 2
-    min_length: int = 3
-    max_length: int = 5
-    pattern: str = "staged"
+    window: int = _option(2, "loss window size")
+    min_length: int = _option(3, "minimum effective queue length")
+    max_length: int = _option(5, "maximum effective queue length")
+    pattern: str = _option("staged", "qlen-demo loss feed: decreasing|flat|staged|train")
     # custom batch composition for the zeta table
-    eq_q: float | None = None
-    eq_p: float | None = None
-    output: str | None = None
+    eq_q: float | None = _option(None, "rare-group expected gradient (zeta-table)")
+    eq_p: float | None = _option(None, "frequent-group expected gradient (zeta-table)")
+    output: str | None = _option(None, "CSV output path")
 
     def provenance(self) -> dict:
         return dataclasses.asdict(self)
@@ -224,17 +231,14 @@ def _check_row(name, params, closed, simulated, tol, rel_errs: dict):
     return [name, params, _fmt(closed), _fmt(simulated), _fmt(abs_err), _fmt(rel_err), status]
 
 
-def run_lemma_check(
-    cfg: ExperimentConfig,
-    lemma1_fn=lemma1_closed,
-    lemma3_fn=lemma3_closed,
-) -> RunResult:
+def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
     """Verify every closed form against its independent simulator.
 
     Grid cells outside a closed form's validity regime are reported as
     skipped, not failed. The exit code is nonzero when any cell fails.
-    ``lemma1_fn``/``lemma3_fn`` exist so tests can inject corrupted
-    closed forms and watch the harness catch them.
+    The closed forms are looked up in this module at call time, so a test
+    that replaces ``lemma1_closed`` or ``lemma3_closed`` here sees the
+    harness catch the corrupted form.
     """
     rows = []
     rel_errs: dict[str, list[float]] = {}  # check family -> rel_err of each evaluated cell
@@ -250,7 +254,7 @@ def run_lemma_check(
                         _check_row(
                             "momentum_closed_form",
                             f"beta={beta} N={N} k={k} u={u} C={C}",
-                            lemma1_fn(spec, beta, k),
+                            lemma1_closed(spec, beta, k),
                             sim[k * N - 1],
                             LEMMA_TOL,
                             rel_errs,
@@ -306,7 +310,7 @@ def run_lemma_check(
                         _check_row(
                             "boosted_momentum_closed_form",
                             f"{params_nk} k={k}",
-                            lemma3_fn(spec, LemmaParams(beta=cfg.beta, rho=rho, L=L, k=k)),
+                            lemma3_closed(spec, LemmaParams(beta=cfg.beta, rho=rho, L=L, k=k)),
                             sim[k * N - 1],
                             LEMMA_TOL,
                             rel_errs,

@@ -201,7 +201,7 @@ def _conv(images: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 
 def batch_forward(model: LineDetectorModel, images: np.ndarray):
-    """Logits, pooled features, and argmax patches for a batch of images.
+    """Logits, pooled features, and argmax patches for a (B, H, W) stack of images.
 
     Returns (logits (B,), features (B, 2), patches (B, 2, 3, 3)) where
     patches are the image windows at each filter's max response, used for
@@ -221,8 +221,8 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
     may differ from it in the last bits. tests/test_nn.py checks both.
     """
     images = np.asarray(images, dtype=float)
-    if images.ndim == 2:
-        images = images[None]
+    if images.ndim != 3:
+        raise ValueError(f"images must be a (B, H, W) stack, got shape {images.shape}")
     B, H, W = images.shape
     if H < 3 or W < 3:
         raise ValueError("images must be at least 3x3")
@@ -245,12 +245,11 @@ def forward(model: LineDetectorModel, image) -> tuple[float, np.ndarray]:
 def per_sample_grads(model: LineDetectorModel, images, labels):
     """Loss, exact loss gradient (23 parameters) and features per sample.
 
-    Returns (losses (B,), grads (B, 23), features (B, 2)).
+    ``images`` is a non-empty (B, H, W) stack. Returns (losses (B,),
+    grads (B, 23), features (B, 2)).
     """
     images = np.asarray(images, dtype=float)
-    if images.ndim == 2:
-        images = images[None]
-    if images.shape[0] == 0:
+    if images.ndim == 3 and images.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     return grads_from_forward(model, batch_forward(model, images), labels)
 

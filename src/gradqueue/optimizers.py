@@ -36,13 +36,16 @@ from .core import BoostConfig, GradQueue, _blocks, delta_rho
 
 __all__ = ["OptimizerConfig", "SgdmState", "AdamState", "sgdm_step", "adam_step"]
 
+ADAM_BETA2 = 0.999  # Adam's second-moment decay
+ADAM_EPSILON = 1e-8  # added to Adam's root second moment before dividing
+
 
 @dataclass
 class OptimizerConfig:
+    """Step settings. ``beta`` is SGDM's momentum and Adam's first-moment decay."""
+
     learning_rate: float = 0.1
     beta: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     boost: BoostConfig = field(default_factory=BoostConfig)
     boost_enabled: bool = True
 
@@ -52,10 +55,6 @@ class OptimizerConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if not 0.0 <= self.adam_beta2 < 1.0:
-            raise ValueError(f"adam_beta2 must lie in [0, 1), got {self.adam_beta2}")
-        if not 0.0 < self.adam_epsilon < math.inf:
-            raise ValueError(f"adam_epsilon must be positive and finite, got {self.adam_epsilon}")
 
 
 @dataclass
@@ -156,7 +155,7 @@ def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamStat
     g = _gradient(g, state.params)
     b = _boosted(g, state.queue, cfg, boost)
     t = state.step_count + 1
-    b1, b2, lr, eps = cfg.beta, cfg.adam_beta2, cfg.learning_rate, cfg.adam_epsilon
+    b1, b2, lr, eps = cfg.beta, ADAM_BETA2, cfg.learning_rate, ADAM_EPSILON
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     blocks = _blocks(g.size)
     first_moment, second_moment, params = np.empty(g.size), np.empty(g.size), np.empty(g.size)

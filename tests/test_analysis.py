@@ -461,3 +461,45 @@ class TestBatchErrorCases:
             BatchCompositionCase(B=10, p=4, q=5, eq_q=1.0, eq_p=1.0)
         with pytest.raises(ValueError):
             BatchCompositionCase(B=10, p=10, q=0, eq_q=1.0, eq_p=1.0)
+
+
+SPEC = SparseSignalSpec(C=5.0, u=-1.0, N=5)
+PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LemmaParams(beta=1.0, rho=3.0, L=2), "beta must lie in (0, 1)"),
+        (lambda: LemmaParams(beta=0.9, rho=0.5, L=2), "rho must be >= 1"),
+        (lambda: LemmaParams(beta=0.9, rho=3.0, L=-1), "queue length L must be non-negative"),
+        (lambda: LemmaParams(beta=0.9, rho=3.0, L=2, k=0), "period index k must be >= 1"),
+        (lambda: simulate_momentum(SPEC, 0.9, 0), "steps must be >= 1"),
+        (lambda: simulate_gq_momentum(SPEC, PARAMS, 0), "steps must be >= 1"),
+        (lambda: simulate_lemma3_momentum(SPEC, PARAMS, 0), "steps must be >= 1"),
+        (
+            lambda: simulate_gq_momentum(SPEC, LemmaParams(beta=0.9, rho=3.0, L=0), 5),
+            "the mechanistic simulation needs L >= 1",
+        ),
+        (lambda: lemma1_closed(SPEC, 0.9, 0), "k must be >= 1"),
+        (lambda: threshold_plain(2, 0.9), "N must be >= 3"),
+        (lambda: threshold_plain_reported(2, 0.9), "N must be >= 3"),
+    ],
+    ids=[
+        "lemma-params-beta",
+        "lemma-params-rho",
+        "lemma-params-L",
+        "lemma-params-k",
+        "simulate-momentum-steps",
+        "simulate-gq-momentum-steps",
+        "simulate-lemma3-steps",
+        "simulate-gq-momentum-L",
+        "lemma1-k",
+        "threshold-plain-N",
+        "threshold-plain-reported-N",
+    ],
+)
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -648,3 +648,17 @@ class TestNonFiniteFeatures:
             init[-1, 0] = bad
             with pytest.raises(ValueError, match="init_centroids must be finite"):
                 kmeans(np.nan_to_num(X), k, init_centroids=init)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kmeans(np.zeros(4), 2), "features must be a (B, f) matrix"),
+        (lambda: kmeans(np.zeros((2, 3, 1)), 2), "features must be a (B, f) matrix"),
+    ],
+    ids=["features-1d", "features-3d"],
+)
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

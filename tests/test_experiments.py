@@ -100,11 +100,12 @@ class TestLemmaCheck:
         assert skips, "expected out-of-regime cells to be reported as skipped"
         assert all("regime" in r[-1] for r in skips)
 
-    def test_corrupted_closed_form_fails(self):
+    def test_corrupted_closed_form_fails(self, monkeypatch):
         def corrupted(spec, beta, k):
             return lemma1_closed(spec, beta, k) + 0.01
 
-        result = run_lemma_check(ExperimentConfig(), lemma1_fn=corrupted)
+        monkeypatch.setattr(experiments, "lemma1_closed", corrupted)
+        result = run_lemma_check(ExperimentConfig())
         assert result.exit_code == 1
         assert result.extras["n_fail"] > 0
         assert worst_rel_errs(result)["momentum_closed_form"] > 1e-4
@@ -411,6 +412,12 @@ class TestLibraryStepPipeline:
     def test_non_finite_learning_rate_refused_up_front(self, value):
         with pytest.raises(ValueError, match="learning_rate"):
             run_train_lines(ExperimentConfig(learning_rate=value, **self.SMALL))
+
+    def test_k_above_the_batch_size_refused(self):
+        # SMALL has 25 samples; k < 1 and steps < 1 are pinned through the CLI in test_cli.py
+        with pytest.raises(ValueError) as exc:
+            run_train_lines(ExperimentConfig(k=26, batch_size=25, **self.SMALL))
+        assert str(exc.value) == "k=26 exceeds the batch size 25"
 
 
 class TestQlenDemo:

@@ -405,3 +405,41 @@ class TestTemplateAlignment:
             align = template_alignment(LineDetectorModel.init_random(seed))
             strong += int(np.any(np.abs(align) >= 0.9))
         assert strong <= 5
+
+
+MODEL = LineDetectorModel.init_random(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: LineDetectorModel.from_vector(np.zeros(N_PARAMS - 1)),
+            f"expected a vector of {N_PARAMS} parameters",
+        ),
+        (lambda: generate_lines(8, 8, 0, 0), "need non-negative counts with p + q >= 1"),
+        (
+            lambda: batch_forward(MODEL, np.zeros((8, 8))),
+            "images must be a (B, H, W) stack, got shape (8, 8)",
+        ),
+        (
+            lambda: per_sample_grads(MODEL, np.zeros((8, 8)), [0]),
+            "images must be a (B, H, W) stack, got shape (8, 8)",
+        ),
+        (
+            lambda: per_sample_grads(MODEL, np.zeros((1, 1, 8, 8)), [0]),
+            "images must be a (B, H, W) stack, got shape (1, 1, 8, 8)",
+        ),
+    ],
+    ids=[
+        "from-vector-length",
+        "generate-lines-empty",
+        "batch-forward-one-image",
+        "per-sample-grads-one-image",
+        "per-sample-grads-4d",
+    ],
+)
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

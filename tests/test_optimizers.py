@@ -17,6 +17,7 @@ from gradqueue import (
     sparse_signal,
 )
 from gradqueue.core import STATS_BLOCK
+from gradqueue.optimizers import ADAM_BETA2, ADAM_EPSILON
 
 
 def cfg(boost=False, rho=3.0, lr=0.1, beta=0.9, **kw):
@@ -187,12 +188,6 @@ class TestConfigValidation:
             ("learning_rate", -np.inf),
             ("learning_rate", -0.1),
             ("beta", np.nan),
-            ("adam_beta2", np.nan),
-            ("adam_beta2", 1.0),
-            ("adam_epsilon", np.nan),
-            ("adam_epsilon", np.inf),
-            ("adam_epsilon", -1.0),
-            ("adam_epsilon", 0.0),
         ],
     )
     def test_invalid_setting_named(self, field, value):
@@ -200,7 +195,7 @@ class TestConfigValidation:
             OptimizerConfig(**{field: value})
 
     def test_edge_settings_accepted(self):
-        OptimizerConfig(learning_rate=1e308, beta=0.0, adam_beta2=0.0, adam_epsilon=5e-324)
+        OptimizerConfig(learning_rate=1e308, beta=0.0)
 
 
 BOTH = [(SgdmState, sgdm_step), (AdamState, adam_step)]
@@ -344,12 +339,12 @@ def reference_step(kind, state, g, cfg):
         state.params = state.params - cfg.learning_rate * state.momentum
     else:
         t = state.step_count + 1
-        b1, b2 = cfg.beta, cfg.adam_beta2
+        b1, b2 = cfg.beta, ADAM_BETA2
         state.first_moment = b1 * state.first_moment + (1.0 - b1) * b
         state.second_moment = b2 * state.second_moment + (1.0 - b2) * b * b
         m_hat = state.first_moment / (1.0 - b1**t)
         v_hat = state.second_moment / (1.0 - b2**t)
-        state.params = state.params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+        state.params = state.params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     q.push(g)
     state.step_count += 1
 
