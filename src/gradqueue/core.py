@@ -14,12 +14,13 @@ stacked window, oldest entry first. numpy reduces a C-contiguous
 0.0, but sums a single column pairwise. So a vector narrower than two
 blocks of ``STATS_BLOCK`` columns is gathered into one ``(n, d)`` array
 and reduced by numpy, which keeps the single-column sum of ``d == 1``.
-A wider vector is reduced a column block at a time: its ring-row slices
-are added one row at a time into the block's slice of the result, and so
-are the squared deviations, with no gathered window. These row-by-row
-sums are what numpy computes for any block width, so the width is free
-to fit the cache. The column blocks come from ``_blocks``, which the
-boost and the optimizer updates use too.
+A wider vector is reduced a column block (``_blocks``) at a time by the
+moment kernel, ``GradQueue._block_moments``, which adds the ring-row
+slices, and then the squared deviations, one row at a time. These sums
+are what numpy computes for any block width, so the width is free to fit
+the cache. ``stats`` and ``delta_rho`` run the moment kernel and the
+boost kernel, ``_boost_block``, over every block into full-size arrays;
+``GradQueue._boosted_blocks`` runs both a block at a time into scratch.
 
 Overflow: a column whose mean or variance overflows (entries beyond about
 1e154 in magnitude) is recomputed on its entries divided by their largest
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,16 +50,19 @@ STATS_BLOCK = 32768  # columns per block of the per-coordinate loops
 SIGMA_FLOOR = 1e-12  # a std at or below this is zero variance to the boost
 
 
-def _blocks(d: int) -> list[slice]:
+@lru_cache(maxsize=256)
+def _blocks(d: int) -> tuple[slice, ...]:
     """Column slices of STATS_BLOCK columns covering d; the last takes the remainder.
 
-    A vector narrower than two blocks is one block.
+    A vector narrower than two blocks is one block. The result is cached per d.
     """
-    count = max(1, d // STATS_BLOCK)
-    return [
-        slice(i * STATS_BLOCK, d if i == count - 1 else (i + 1) * STATS_BLOCK)
-        for i in range(count)
-    ]
+    edges = [i * STATS_BLOCK for i in range(max(1, d // STATS_BLOCK))] + [d]
+    return tuple(map(slice, edges[:-1], edges[1:]))
+
+
+def _widest(d: int) -> int:
+    """Width of d's widest column block, the last."""
+    return d - _blocks(d)[-1].start
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,9 @@ class QueueStats:
     sample_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
-        object.__setattr__(self, "std", np.atleast_1d(np.asarray(self.std, float)))
+        # read-only views: the caller's arrays stay writable, and nothing is copied
+        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)).view())
+        object.__setattr__(self, "std", np.atleast_1d(np.asarray(self.std, float)).view())
         if self.mean.shape != self.std.shape:
             raise ValueError(f"mean {self.mean.shape} and std {self.std.shape} differ in shape")
         # fmin skips NaN, so this refuses any negative coordinate
@@ -154,14 +160,18 @@ class GradQueue:
             raise ValueError("gradients must be flattened to one dimension")
         if not np.isfinite(g).all():
             raise ValueError("gradient has a non-finite coordinate")
-        if self._dim is None:
-            self._dim = g.shape[0]
-            self._ring = np.empty((self.capacity, self._dim))
-        elif g.shape[0] != self._dim:
+        if self._dim is not None and g.shape[0] != self._dim:
             raise ValueError(
                 f"dimension mismatch: queue holds vectors of size {self._dim}, "
                 f"got {g.shape[0]}"
             )
+        return self._store(g)
+
+    def _store(self, g: np.ndarray) -> "GradQueue":
+        """Store a 1-D float64 vector that ``push``'s checks would accept, unchecked."""
+        if self._ring is None:
+            self._dim = g.shape[0]
+            self._ring = np.empty((self.capacity, self._dim))
         self._ring[self._next] = g
         self._next = (self._next + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
@@ -172,6 +182,12 @@ class GradQueue:
         start = (self._next - n) % self.capacity
         return self._slots[start : start + n]
 
+    def _stats_slots(self) -> np.ndarray:
+        """Ring slots of the effective window, oldest first."""
+        if not self._count:
+            raise ValueError("statistics undefined for an empty queue")
+        return self._window_slots(min(self._effective_length, self._count))
+
     def as_array(self) -> np.ndarray:
         """Entries as an (n, d) array, oldest first."""
         if not self._count:
@@ -180,33 +196,49 @@ class GradQueue:
 
     def stats(self) -> QueueStats:
         """Population mean/std per coordinate over the effective window."""
-        if not self._count:
-            raise ValueError("statistics undefined for an empty queue")
-        n = min(self._effective_length, self._count)
-        slots = self._window_slots(n)
+        slots = self._stats_slots()
         if self._dim < 2 * STATS_BLOCK:  # one block
             mean, std = _moments(self._ring.take(slots, axis=0))
-            return QueueStats(mean=mean, std=std, sample_count=n)
-        blocks = _blocks(self._dim)
-        rows = [self._ring[s] for s in slots]  # oldest first
-        mean, std = np.empty(self._dim), np.empty(self._dim)
-        scratch = np.empty(blocks[-1].stop - blocks[-1].start)  # the widest block
-        for cols in blocks:
-            m, var, sq = mean[cols], std[cols], scratch[: cols.stop - cols.start]
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add(rows[0][cols], 0.0, out=m)  # numpy's sum starts from 0.0
-                for row in rows[1:]:
-                    np.add(m, row[cols], out=m)
-                np.divide(m, n, out=m)
-                np.subtract(rows[0][cols], m, out=var)
-                np.multiply(var, var, out=var)
-                for row in rows[1:]:
-                    np.subtract(row[cols], m, out=sq)
-                    np.multiply(sq, sq, out=sq)
-                    np.add(var, sq, out=var)
-                np.divide(var, n, out=var)
-            _finish(m, var, lambda: self._ring[:, cols].take(slots, axis=0))
-        return QueueStats(mean=mean, std=std, sample_count=n)
+        else:
+            mean, std, sq = np.empty(self._dim), np.empty(self._dim), np.empty(_widest(self._dim))
+            for cols in _blocks(self._dim):
+                self._block_moments(slots, cols, mean[cols], std[cols], sq)
+        return QueueStats(mean=mean, std=std, sample_count=slots.size)
+
+    def _boosted_blocks(self, g: np.ndarray, cfg: BoostConfig):
+        """Yield ``(cols, delta_rho(g, self.stats(), cfg)[cols])`` for each column block.
+
+        For a queue two or more blocks wide; ``g`` must be a finite float64
+        vector of its dimension. Moments and boost go into block scratch.
+        """
+        slots = self._stats_slots()
+        mean, std, out = (np.empty(_widest(self._dim)) for _ in range(3))
+        for cols in _blocks(self._dim):
+            m, s, b = (a[: cols.stop - cols.start] for a in (mean, std, out))
+            self._block_moments(slots, cols, m, s, b)
+            # yield outside the kernels' np.errstate blocks, which would leak to the caller
+            yield cols, _boost_block(g[cols], m, s, cfg.rho, b)
+
+    def _block_moments(self, slots, cols, mean, std, sq) -> None:
+        """The moment kernel: the window's mean and std of columns ``cols``, into block views.
+
+        ``slots`` are the window's ring slots, oldest first; ``sq`` is
+        scratch at least as wide as the block.
+        """
+        rows, n, sq = [self._ring[s, cols] for s in slots], slots.size, sq[: mean.size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(rows[0], 0.0, out=mean)  # numpy's sum starts from 0.0
+            for row in rows[1:]:
+                np.add(mean, row, out=mean)
+            np.divide(mean, n, out=mean)
+            np.subtract(rows[0], mean, out=std)
+            np.multiply(std, std, out=std)
+            for row in rows[1:]:
+                np.subtract(row, mean, out=sq)
+                np.multiply(sq, sq, out=sq)
+                np.add(std, sq, out=std)
+            np.divide(std, n, out=std)
+        _finish(mean, std, lambda: self._ring[:, cols].take(slots, axis=0))
 
 
 def _moments(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,37 +290,38 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
     repetitive (z = 0, scale 1/rho); one farther from it as maximally rare
     (z = rho, scale rho).
 
-    With no zero-variance coordinate the scale is ``clip(z, 1/rho, rho)``,
-    computed in place a column block at a time in the result; it equals
-    the two-sided rule, because z > 1 lies above 1/rho and z <= 1 below
-    rho. With finite statistics the result is finite wherever rho * |g_i|
-    is; a z that overflows to inf is clamped to rho without a warning.
+    The scale is ``clip(z, 1/rho, rho)``, computed a column block at a time
+    by ``_boost_block``; it equals the two-sided rule, because z > 1 lies
+    above 1/rho and z <= 1 below rho. With finite statistics the result is
+    finite wherever rho * |g_i| is; a z that overflows to inf is clamped to
+    rho without a warning.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != stats.mean.shape:
         raise ValueError(
             f"dimension mismatch: gradient {g.shape} vs stats {stats.mean.shape}"
         )
-    # fmin skips NaN: this is (std <= SIGMA_FLOOR).any() in one reduction
-    if np.fmin.reduce(stats.std, initial=np.inf) <= SIGMA_FLOOR:
-        degenerate = stats.std <= SIGMA_FLOOR
-        safe_std = np.where(degenerate, 1.0, stats.std)
-        with np.errstate(over="ignore"):  # z = inf is clamped to rho
-            dev = np.abs(g - stats.mean)
-            z = dev / safe_std
-        z = np.where(degenerate, np.where(dev > SIGMA_FLOOR, cfg.rho, 0.0), z)
-        scale = np.where(z > 1.0, np.minimum(z, cfg.rho), np.maximum(z, 1.0 / cfg.rho))
-        return scale * g
     out = np.empty(g.shape)
     for cols in _blocks(g.shape[0]):
-        z, gc = out[cols], g[cols]
-        with np.errstate(over="ignore"):  # z = inf is clamped to rho
-            np.subtract(gc, stats.mean[cols], out=z)
-            np.abs(z, out=z)
-            np.divide(z, stats.std[cols], out=z)
-        np.clip(z, 1.0 / cfg.rho, cfg.rho, out=z)
-        np.multiply(z, gc, out=z)
+        _boost_block(g[cols], stats.mean[cols], stats.std[cols], cfg.rho, out[cols])
     return out
+
+
+def _boost_block(g, mean, std, rho: float, out: np.ndarray) -> np.ndarray:
+    """The boost kernel: ``delta_rho`` of one column block, written into ``out``."""
+    with np.errstate(over="ignore"):  # z = inf is clamped to rho
+        np.subtract(g, mean, out=out)
+        np.abs(out, out=out)
+        # fmin skips NaN: this is (std <= SIGMA_FLOOR).any() in one reduction
+        if np.fmin.reduce(std, initial=np.inf) <= SIGMA_FLOOR:
+            degenerate = std <= SIGMA_FLOOR
+            np.divide(out, np.where(degenerate, 1.0, std), out=out)
+            # z is rho off the degenerate mean and 0 on it; the clip maps them to rho and 1/rho
+            out[degenerate] = np.where(out[degenerate] > SIGMA_FLOOR, rho, 0.0)
+        else:
+            np.divide(out, std, out=out)
+    np.clip(out, 1.0 / rho, rho, out=out)
+    return np.multiply(out, g, out=out)
 
 
 class QueueLengthController:

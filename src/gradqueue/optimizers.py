@@ -16,13 +16,16 @@ Adam's second moment), raises ``ValueError`` before any state changes.
 Parameters and gradients are flat 1-D vectors, the one shape
 ``GradQueue`` holds; any other shape raises ``ValueError`` likewise.
 
-An update is computed a column block at a time (``core._blocks``) into
-fresh arrays, with ``out=`` forms in the order of the plain expressions
-written in each step's comment, so its bytes are theirs. SGDM needs no
-scratch: it writes lr * momentum into the new parameters' block and
-subtracts it there. Adam allocates one scratch block besides the results.
-The state's arrays are never written: the step swaps in the new ones once
-they are known to be finite.
+An update runs a column block at a time (``core._blocks``) over the
+``(cols, b[cols])`` pairs of ``_b_blocks``; a boosted step with no hook over
+two or more blocks takes them from ``GradQueue._boosted_blocks``, which
+computes each block's queue moments and boost just before its update. The
+update writes fresh state arrays with ``out=`` forms in the order of each
+step's commented expressions, so its bytes are theirs, and checks each
+block for finiteness in cache. SGDM needs no scratch, Adam one block. The
+state's arrays are never written: the new ones are swapped in once every
+block is finite, and only then is the raw gradient (checked once, on
+entry) stored in the queue.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoostConfig, GradQueue, _blocks, delta_rho
+from .core import BoostConfig, GradQueue, _blocks, _widest, delta_rho
 
 __all__ = ["OptimizerConfig", "SgdmState", "AdamState", "sgdm_step", "adam_step"]
 
@@ -97,14 +100,17 @@ class AdamState:
         )
 
 
-def _gradient(g, params: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
+def _gradient(g, state) -> np.ndarray:
+    """g as a float64 vector: the step's one check of its shape and finiteness."""
+    g, params, dim = np.asarray(g, dtype=float), state.params, state.queue.dim
     if g.ndim != 1 or params.ndim != 1:
         raise ValueError(f"gradient {g.shape} and params {params.shape} must be 1-D vectors")
     if g.shape != params.shape:
         raise ValueError(
             f"dimension mismatch: gradient {g.shape} vs params {params.shape}"
         )
+    if dim is not None and dim != g.size:
+        raise ValueError(f"dimension mismatch: queue holds vectors of size {dim}, got {g.size}")
     if not np.isfinite(g).all():
         raise ValueError("gradient has a non-finite coordinate")
     return g
@@ -115,14 +121,16 @@ def _check_finite(*arrays: np.ndarray) -> None:
         raise ValueError("update overflows: the step would leave a non-finite parameter or moment")
 
 
-def _boosted(g: np.ndarray, queue: GradQueue, cfg: OptimizerConfig, boost) -> np.ndarray:
+def _b_blocks(g: np.ndarray, queue: GradQueue, cfg: OptimizerConfig, boost):
+    """``(cols, b[cols])`` for each column block, b the gradient the step applies."""
+    blocks = _blocks(g.size)
     if cfg.boost_enabled and queue.warmed_up:
+        if boost is None and len(blocks) > 1:
+            return queue._boosted_blocks(g, cfg.boost)
         stats = queue.stats()
-        if boost is None:
-            return delta_rho(g, stats, cfg.boost)
-        b = np.asarray(boost(stats), dtype=float)
-        return b if b.shape == g.shape else np.broadcast_to(b, g.shape)
-    return g
+        b = np.asarray(delta_rho(g, stats, cfg.boost) if boost is None else boost(stats), float)
+        g = b if b.shape == g.shape else np.broadcast_to(b, g.shape)
+    return ((c, g[c]) for c in blocks)
 
 
 def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmState:
@@ -131,42 +139,38 @@ def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmStat
     b is the (possibly boosted) gradient; no (1 - beta) damping is applied
     to it. The raw gradient is pushed onto the queue afterwards.
     """
-    g = _gradient(g, state.params)
-    b = _boosted(g, state.queue, cfg, boost)
+    g = _gradient(g, state)
     beta, lr = cfg.beta, cfg.learning_rate
     momentum, params = np.empty(g.size), np.empty(g.size)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_finite
-        for c in _blocks(g.size):
+        for c, b in _b_blocks(g, state.queue, cfg, boost):
             # momentum = beta * m + b; params = p - lr * momentum
             m, p = momentum[c], params[c]
             np.multiply(beta, state.momentum[c], out=m)
-            np.add(m, b[c], out=m)
+            np.add(m, b, out=m)
             np.multiply(lr, m, out=p)
             np.subtract(state.params[c], p, out=p)
-    _check_finite(params)
+            _check_finite(p)
     state.momentum, state.params = momentum, params
-    state.queue.push(g)
+    state.queue._store(g)
     state.step_count += 1
     return state
 
 
 def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamState:
     """One bias-corrected Adam step on the (possibly boosted) gradient."""
-    g = _gradient(g, state.params)
-    b = _boosted(g, state.queue, cfg, boost)
+    g = _gradient(g, state)
     t = state.step_count + 1
     b1, b2, lr, eps = cfg.beta, ADAM_BETA2, cfg.learning_rate, ADAM_EPSILON
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    blocks = _blocks(g.size)
     first_moment, second_moment, params = np.empty(g.size), np.empty(g.size), np.empty(g.size)
-    scratch = np.empty(blocks[-1].stop - blocks[-1].start)
+    scratch = np.empty(_widest(g.size))
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_finite
-        for c in blocks:
+        for c, bc in _b_blocks(g, state.queue, cfg, boost):
             # first = b1 * m1 + (1 - b1) * b
             # second = b2 * m2 + ((1 - b2) * b) * b
             # params = p - (lr * (first / c1)) / (sqrt(second / c2) + eps)
             m, v, p, tmp = first_moment[c], second_moment[c], params[c], scratch[: c.stop - c.start]
-            bc = b[c]
             np.multiply(b1, state.first_moment[c], out=m)
             np.multiply(1.0 - b1, bc, out=tmp)
             np.add(m, tmp, out=m)
@@ -181,8 +185,8 @@ def adam_step(state: AdamState, g, cfg: OptimizerConfig, boost=None) -> AdamStat
             np.multiply(lr, p, out=p)
             np.divide(p, tmp, out=tmp)
             np.subtract(state.params[c], tmp, out=p)
-    _check_finite(params, second_moment)
+            _check_finite(p, v)
     state.first_moment, state.second_moment, state.params = first_moment, second_moment, params
-    state.queue.push(g)
+    state.queue._store(g)
     state.step_count = t
     return state

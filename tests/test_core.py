@@ -17,7 +17,7 @@ from gradqueue import (
     QueueStats,
     delta_rho,
 )
-from gradqueue.core import SIGMA_FLOOR, STATS_BLOCK
+from gradqueue.core import SIGMA_FLOOR, STATS_BLOCK, _blocks
 
 # deterministic example streams, no example database written to disk
 examples = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -569,6 +569,21 @@ class TestBlockedHostileInputs:
     def test_nan_zero_and_inf_std_accepted(self, std):
         stats = QueueStats(np.zeros(len(std)), np.array(std), 2)
         assert stats.std.tobytes() == np.array(std).tobytes()
+
+    def test_caller_arrays_stay_writable(self):
+        mean, std = np.zeros(3), np.ones(3)
+        stats = QueueStats(mean, std, 1)
+        mean[0], std[0] = 1.0, 2.0  # the caller's arrays are not frozen
+        assert (stats.mean[0], stats.std[0]) == (1.0, 2.0)  # views, not copies
+        assert not stats.mean.flags.writeable and not stats.std.flags.writeable
+
+    @pytest.mark.parametrize("dim", [0, 1, 2 * STATS_BLOCK - 1, 2 * STATS_BLOCK, 3 * STATS_BLOCK + 7])
+    def test_blocks_cover_the_vector_once_per_dimension(self, dim):
+        blocks = _blocks(dim)
+        assert isinstance(blocks, tuple) and _blocks(dim) is blocks
+        assert blocks[0].start == 0 and blocks[-1].stop == dim
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == max(1, dim // STATS_BLOCK)
 
 
 class TestDeltaRhoProperties:

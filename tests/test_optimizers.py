@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -453,3 +454,156 @@ class TestBlockedOverflow:
         g[list(self.HUGE)] = 1e200
         assert_rejected_untouched(state, adam_step, g, cfg(boost=boost))
         assert state.step_count == 3
+
+
+class TestFusedBoostedStep:
+    """The one-pass boosted step equals stats -> delta_rho -> update, byte for byte."""
+
+    DIM = 3 * B + 7
+
+    @staticmethod
+    def run_pair(kind, state_cls, step, dim, opt, grads, capacity=3, effective_length=None, queued=()):
+        """Step a state and its reference through grads; every state array stays byte-equal."""
+        rng = np.random.default_rng(dim)
+        got = state_cls.init(rng.normal(size=dim), capacity=capacity)
+        want = state_cls.init(got.params, capacity=capacity)
+        for state in (got, want):
+            for entry in queued:
+                state.queue.push(entry)
+            if effective_length is not None:
+                state.queue.effective_length = effective_length
+        names = [k for k in vars(got) if k not in ("queue", "step_count")]
+        for g in grads:
+            step(got, g, opt)
+            reference_step(kind, want, g, opt)
+            for name in names:
+                assert same_bytes(getattr(got, name), getattr(want, name)), name
+            assert got.queue.as_array().tobytes() == want.queue.as_array().tobytes()
+        return got
+
+    @staticmethod
+    def grads(dim, count, seed=0):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=dim) * rng.uniform(0.1, 10.0, dim) for _ in range(count)]
+
+    @pytest.mark.parametrize("dim", [2 * B - 1, 2 * B, 2 * B + 1])
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_two_block_edges(self, dim, kind, state_cls, step):
+        opt = cfg(boost=True, lr=0.01)
+        self.run_pair(kind, state_cls, step, dim, opt, self.grads(dim, 6, dim))
+
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_short_window_on_a_wrapped_ring(self, kind, state_cls, step):
+        opt = cfg(boost=True, lr=0.01)
+        state = self.run_pair(
+            kind, state_cls, step, self.DIM, opt, self.grads(self.DIM, 9), capacity=5, effective_length=3
+        )
+        assert state.queue.stats().sample_count == 3
+
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_rho_one_is_the_plain_step(self, kind, state_cls, step):
+        grads = self.grads(self.DIM, 6)
+        boosted = self.run_pair(kind, state_cls, step, self.DIM, cfg(boost=True, rho=1.0, lr=0.01), grads)
+        plain = self.run_pair(kind, state_cls, step, self.DIM, cfg(boost=False, lr=0.01), grads)
+        for name in vars(plain):
+            if name not in ("queue", "step_count"):
+                assert same_bytes(getattr(boosted, name), getattr(plain, name)), name
+
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    @pytest.mark.parametrize("column", [B + 17, 3 * B + 5])  # a middle block; the last block
+    def test_zero_variance_column_in_one_block(self, kind, state_cls, step, column):
+        grads = self.grads(self.DIM, 6)
+        for g in grads[:-1]:
+            g[column] = 0.75  # constant: on the degenerate mean
+        grads[-1][column] = 2.0  # off it, on the last step
+        self.run_pair(kind, state_cls, step, self.DIM, cfg(boost=True, lr=0.01), grads)
+
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_overflowing_queue_column_in_one_block(self, kind, state_cls, step):
+        queued = self.grads(self.DIM, 5, seed=1)
+        for sign, entry in zip([1, -1, 1, 1, -1], queued):
+            entry[B + 9] = sign * 3e200  # its moments overflow and are rescaled
+        state = self.run_pair(
+            kind, state_cls, step, self.DIM, cfg(boost=True, lr=0.01), self.grads(self.DIM, 2),
+            capacity=5, queued=queued,
+        )
+        assert np.isfinite(state.queue.stats().std[B + 9])  # the window still holds the huge entries
+
+
+# sha256 of the state arrays and the queue after 3 warm-up and 7 boosted steps;
+# taken before the boosted step became one blocked pass
+STATE_GOLDEN = {
+    ("sgdm", 2 * B - 1): "44f7cd71a89d105ff215d1f08a79db0eceda8d0dd17137b3424d7efde4b54e0b",
+    ("adam", 2 * B - 1): "d9604924864083d45ad3f12902f9b0bd9da9f98b666dc16232e140cc57e4d5da",
+    ("sgdm", 2 * B + 1): "1bf85b63c4c7d7d3cc30a0af1cd6198f52f24b7411bfd2da54c9fb15e9e0d45f",
+    ("adam", 2 * B + 1): "03188a2fa36f4f6bd9a7d0b14ba6ca7d30c4a8b5b2441c32583147ae20e1dcd7",
+    ("sgdm", 3 * B + 7): "5bb7dd7b41da3f4a09c6161538133123d7641e16f792d9ecd4d8e6c76db6726e",
+    ("adam", 3 * B + 7): "36980b4ccc708e577b3cc68db9c98f294444b311ebfd41bbf2ab04864a3593f1",
+}
+
+
+@pytest.mark.parametrize("dim", [2 * B - 1, 2 * B + 1, 3 * B + 7])
+@pytest.mark.parametrize("kind, state_cls, step", KINDS)
+def test_state_bytes_are_golden(dim, kind, state_cls, step):
+    rng = np.random.default_rng(dim)
+    state = state_cls.init(rng.normal(size=dim), capacity=5)
+    opt = cfg(boost=True, lr=0.01)
+    for _ in range(10):
+        step(state, rng.normal(size=dim) * rng.uniform(0.1, 10.0, dim), opt)
+    digest = hashlib.sha256()
+    for name, value in vars(state).items():
+        if name not in ("queue", "step_count"):
+            digest.update(value.tobytes())
+    digest.update(state.queue.as_array().tobytes())
+    assert digest.hexdigest() == STATE_GOLDEN[kind, dim]
+
+
+class TestFusedAtomicity:
+    """A boosted step that overflows in any block raises and changes nothing."""
+
+    DIM = 3 * B + 7
+
+    @classmethod
+    def warmed(cls, state_cls):
+        state = state_cls.init(np.zeros(cls.DIM), capacity=3)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            state.queue.push(rng.normal(size=cls.DIM))
+        return state, rng
+
+    @pytest.mark.parametrize("huge", [(3, 3 * B + 3), (3 * B + 3,)])  # first and last block; last only
+    def test_sgdm_boosted_momentum_overflow(self, huge):
+        state, rng = self.warmed(SgdmState)
+        g = rng.normal(size=self.DIM)
+        g[list(huge)] = 1.5e308
+        assert_rejected_untouched(state, sgdm_step, g, cfg(boost=True))
+
+    def test_adam_boosted_overflow_in_the_last_block_only(self):
+        state, rng = self.warmed(AdamState)
+        g = rng.normal(size=self.DIM)
+        g[3 * B + 3] = 1e200
+        assert_rejected_untouched(state, adam_step, g, cfg(boost=True))
+
+    @pytest.mark.parametrize("state_cls, step", BOTH)
+    def test_queue_of_another_dimension_refused(self, state_cls, step):
+        state = state_cls.init(np.zeros(3), capacity=3)
+        state.queue.push(np.ones(4))
+        assert_rejected_untouched(state, step, np.ones(3), cfg(boost=True), match="dimension")
+
+
+class TestFusedMemory:
+    """A boosted step over many blocks allocates its new state and block scratch only."""
+
+    DIM = 16 * B
+    VECTOR = DIM * 8
+
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_peak_is_the_new_state(self, kind, state_cls, step):
+        rng = np.random.default_rng(0)
+        state = state_cls.init(rng.normal(size=self.DIM), capacity=5)
+        for _ in range(5):
+            state.queue.push(rng.normal(size=self.DIM))
+        g = rng.normal(size=self.DIM)
+        arrays = 2 if kind == "sgdm" else 3
+        # no full-size mean, std or boosted gradient
+        assert TestUpdateMemory.peak(lambda: step(state, g, cfg(boost=True))) < (arrays + 0.75) * self.VECTOR
