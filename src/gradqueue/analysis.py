@@ -47,7 +47,7 @@ class SparseSignalSpec:
     N: int
 
     def __post_init__(self):
-        if self.N < 3:
+        if not self.N >= 3:  # written so that NaN fails the check
             raise ValueError(f"sparse period N must be >= 3, got {self.N}")
 
 
@@ -65,13 +65,14 @@ class LemmaParams:
     k: int = 1
 
     def __post_init__(self):
+        # written so that NaN fails every check
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.rho < 1.0:
+        if not self.rho >= 1.0:
             raise ValueError("rho must be >= 1")
-        if self.L < 0:
+        if not self.L >= 0:
             raise ValueError("queue length L must be non-negative")
-        if self.k < 1:
+        if not self.k >= 1:
             raise ValueError("period index k must be >= 1")
 
 

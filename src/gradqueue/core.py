@@ -7,20 +7,20 @@ clamped to [1/rho, rho]. Rare (high z) components are amplified, repeating
 ones are dampened.
 
 The queue is a ring: one ``(capacity, dim)`` array allocated by the first
-push, so later pushes copy into a slot and allocate nothing. ``stats``
-computes the sums and divisions ``np.mean`` would apply to the whole
-stacked window, oldest entry first. numpy reduces a C-contiguous
-``(n, c)`` array along axis 0 row by row when ``c >= 2``, starting from
-0.0, but sums a single column pairwise. So a vector narrower than two
-blocks of ``STATS_BLOCK`` columns is gathered into one ``(n, d)`` array
-and reduced by numpy, which keeps the single-column sum of ``d == 1``.
-A wider vector is reduced a column block (``_blocks``) at a time by the
-moment kernel, ``GradQueue._block_moments``, which adds the ring-row
-slices, and then the squared deviations, one row at a time. These sums
-are what numpy computes for any block width, so the width is free to fit
-the cache. ``stats`` and ``delta_rho`` run the moment kernel and the
-boost kernel, ``_boost_block``, over every block into full-size arrays;
-``GradQueue._boosted_blocks`` runs both a block at a time into scratch.
+push, so later pushes copy into a slot and allocate nothing. The moment
+kernel, ``GradQueue._block_moments``, computes the window's mean and std
+a column block (``_blocks``) at a time, with the sums and divisions
+``np.mean`` applies to the stacked window, oldest entry first; it is the
+one place that chooses how. numpy reduces a C-contiguous ``(n, c)`` array
+along axis 0 row by row when ``c >= 2``, starting from 0.0, but sums a
+single column pairwise. So a vector narrower than two blocks of
+``STATS_BLOCK`` columns is gathered and reduced by numpy, which keeps the
+pairwise sum of ``d == 1``; a wider one adds ring-row slices, then squared
+deviations, one row at a time: numpy's sums at any block width, so the
+width is free to fit the cache. The boost kernel, ``_boost_block``,
+follows it block by block: ``GradQueue._boosted_blocks`` runs both into
+block scratch for the optimizers' unhooked boosted step, and ``stats``
+and ``delta_rho`` into full-size arrays for a boost hook and library callers.
 
 Overflow: a column whose mean or variance overflows (entries beyond about
 1e154 in magnitude) is recomputed on its entries divided by their largest
@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -63,6 +64,14 @@ def _blocks(d: int) -> tuple[slice, ...]:
 def _widest(d: int) -> int:
     """Width of d's widest column block, the last."""
     return d - _blocks(d)[-1].start
+
+
+def _integer(name: str, value) -> int:
+    """value as an int (numpy integers included), or a ValueError naming the setting."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -119,9 +128,9 @@ class GradQueue:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
+        self.capacity = _integer("capacity", capacity)
+        if self.capacity < 1:
             raise ValueError("capacity must be a positive integer")
-        self.capacity = int(capacity)
         self._ring: np.ndarray | None = None
         self._dim: int | None = None
         self._next = 0  # the slot the next push writes
@@ -143,11 +152,10 @@ class GradQueue:
 
     @effective_length.setter
     def effective_length(self, value: int):
+        value = _integer("effective_length", value)
         if not 1 <= value <= self.capacity:
-            raise ValueError(
-                f"effective_length must be in [1, {self.capacity}], got {value}"
-            )
-        self._effective_length = int(value)
+            raise ValueError(f"effective_length must be in [1, {self.capacity}], got {value}")
+        self._effective_length = value
 
     @property
     def warmed_up(self) -> bool:
@@ -155,20 +163,23 @@ class GradQueue:
         return self._count >= min(3, self.capacity)
 
     def push(self, g) -> "GradQueue":
+        return self._store(self._checked(g))
+
+    def _checked(self, g) -> np.ndarray:
+        """The one gradient check: g as a finite 1-D float64 vector of the queue's dimension."""
         g = np.atleast_1d(np.asarray(g, dtype=float))
         if g.ndim != 1:
             raise ValueError("gradients must be flattened to one dimension")
+        if self._dim is not None and g.size != self._dim:
+            raise ValueError(
+                f"dimension mismatch: queue holds vectors of size {self._dim}, got {g.size}"
+            )
         if not np.isfinite(g).all():
             raise ValueError("gradient has a non-finite coordinate")
-        if self._dim is not None and g.shape[0] != self._dim:
-            raise ValueError(
-                f"dimension mismatch: queue holds vectors of size {self._dim}, "
-                f"got {g.shape[0]}"
-            )
-        return self._store(g)
+        return g
 
     def _store(self, g: np.ndarray) -> "GradQueue":
-        """Store a 1-D float64 vector that ``push``'s checks would accept, unchecked."""
+        """Store a vector ``_checked`` returned, unchecked."""
         if self._ring is None:
             self._dim = g.shape[0]
             self._ring = np.empty((self.capacity, self._dim))
@@ -197,19 +208,16 @@ class GradQueue:
     def stats(self) -> QueueStats:
         """Population mean/std per coordinate over the effective window."""
         slots = self._stats_slots()
-        if self._dim < 2 * STATS_BLOCK:  # one block
-            mean, std = _moments(self._ring.take(slots, axis=0))
-        else:
-            mean, std, sq = np.empty(self._dim), np.empty(self._dim), np.empty(_widest(self._dim))
-            for cols in _blocks(self._dim):
-                self._block_moments(slots, cols, mean[cols], std[cols], sq)
+        mean, std, sq = np.empty(self._dim), np.empty(self._dim), np.empty(_widest(self._dim))
+        for cols in _blocks(self._dim):
+            self._block_moments(slots, cols, mean[cols], std[cols], sq)
         return QueueStats(mean=mean, std=std, sample_count=slots.size)
 
     def _boosted_blocks(self, g: np.ndarray, cfg: BoostConfig):
         """Yield ``(cols, delta_rho(g, self.stats(), cfg)[cols])`` for each column block.
 
-        For a queue two or more blocks wide; ``g`` must be a finite float64
-        vector of its dimension. Moments and boost go into block scratch.
+        ``g`` must be a vector ``_checked`` returned. Each block's moments
+        and boost go into block scratch, so no full-size statistics exist.
         """
         slots = self._stats_slots()
         mean, std, out = (np.empty(_widest(self._dim)) for _ in range(3))
@@ -223,8 +231,11 @@ class GradQueue:
         """The moment kernel: the window's mean and std of columns ``cols``, into block views.
 
         ``slots`` are the window's ring slots, oldest first; ``sq`` is
-        scratch at least as wide as the block.
+        scratch at least as wide as the block. A vector narrower than two
+        blocks is gathered and reduced by numpy; a wider one by ring rows.
         """
+        if self._dim < 2 * STATS_BLOCK:  # one block: numpy sums a lone column pairwise
+            return _moments(self._ring.take(slots, axis=0), mean, std)
         rows, n, sq = [self._ring[s, cols] for s in slots], slots.size, sq[: mean.size]
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(rows[0], 0.0, out=mean)  # numpy's sum starts from 0.0
@@ -241,20 +252,19 @@ class GradQueue:
         _finish(mean, std, lambda: self._ring[:, cols].take(slots, axis=0))
 
 
-def _moments(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Population mean and std of each column of a C-contiguous (n, c) window.
+def _moments(window: np.ndarray, mean: np.ndarray, std: np.ndarray) -> None:
+    """Population mean and std of each column of a C-contiguous (n, c) window, into mean and std.
 
     Each mean is the column sum divided by n, exactly what ``np.mean``
     computes, without its Python wrapper.
     """
     n = window.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add.reduce(window, axis=0)
+        np.add.reduce(window, axis=0, out=mean)
         mean /= n
-        var = np.add.reduce((window - mean) ** 2, axis=0)
-        var /= n
-    _finish(mean, var, lambda: window)
-    return mean, var
+        np.add.reduce((window - mean) ** 2, axis=0, out=std)
+        std /= n
+    _finish(mean, std, lambda: window)
 
 
 def _finish(mean: np.ndarray, var: np.ndarray, gather) -> None:
@@ -273,7 +283,8 @@ def _finish(mean: np.ndarray, var: np.ndarray, gather) -> None:
         scaled = gather()[:, overflow]
         scale = np.abs(scaled).max(axis=0)
         scaled /= scale  # entries in [-1, 1]: their moments cannot overflow
-        m, std = _moments(scaled)
+        m, std = np.empty((2, scale.size))
+        _moments(scaled, m, std)
         mean[overflow] = m * scale
         var[overflow] = std * scale
 
@@ -298,9 +309,7 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     if g.shape != stats.mean.shape:
-        raise ValueError(
-            f"dimension mismatch: gradient {g.shape} vs stats {stats.mean.shape}"
-        )
+        raise ValueError(f"dimension mismatch: gradient {g.shape} vs stats {stats.mean.shape}")
     out = np.empty(g.shape)
     for cols in _blocks(g.shape[0]):
         _boost_block(g[cols], stats.mean[cols], stats.std[cols], cfg.rho, out[cols])
@@ -340,15 +349,15 @@ class QueueLengthController:
     """
 
     def __init__(self, window: int = 2, min_length: int = 3, max_length: int = 5):
-        if window < 1:
+        self.window = _integer("window", window)
+        self.min_length = _integer("min_length", min_length)
+        self.max_length = _integer("max_length", max_length)
+        if self.window < 1:
             raise ValueError("window must be a positive integer")
-        if not 1 <= min_length <= max_length:
+        if not 1 <= self.min_length <= self.max_length:
             raise ValueError("need 1 <= min_length <= max_length")
-        if window > max_length:
+        if self.window > self.max_length:
             raise ValueError("window must not exceed max_length")
-        self.window = int(window)
-        self.min_length = int(min_length)
-        self.max_length = int(max_length)
         self.loss_history: deque[float] = deque(maxlen=self.window)
         # sums of the newest windows, oldest first; the last ends at the newest loss
         self._window_sums: deque[float] = deque(maxlen=self.max_length - self.min_length + 1)

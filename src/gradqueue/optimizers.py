@@ -17,15 +17,15 @@ Parameters and gradients are flat 1-D vectors, the one shape
 ``GradQueue`` holds; any other shape raises ``ValueError`` likewise.
 
 An update runs a column block at a time (``core._blocks``) over the
-``(cols, b[cols])`` pairs of ``_b_blocks``; a boosted step with no hook over
-two or more blocks takes them from ``GradQueue._boosted_blocks``, which
-computes each block's queue moments and boost just before its update. The
-update writes fresh state arrays with ``out=`` forms in the order of each
-step's commented expressions, so its bytes are theirs, and checks each
-block for finiteness in cache. SGDM needs no scratch, Adam one block. The
-state's arrays are never written: the new ones are swapped in once every
-block is finite, and only then is the raw gradient (checked once, on
-entry) stored in the queue.
+``(cols, b[cols])`` pairs of ``_b_blocks``. An unhooked boosted step, at any
+width, takes them from ``GradQueue._boosted_blocks``, which computes each
+block's queue moments and boost just before its update. The update writes
+fresh state arrays with ``out=`` forms in the order of each step's
+commented expressions, so its bytes are theirs, and checks each block for
+finiteness in cache. SGDM needs no scratch, Adam one block. The state's
+arrays are never written: the new ones are swapped in once every block is
+finite, and only then is the raw gradient (checked once, on entry, by
+``GradQueue._checked``) stored in the queue.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoostConfig, GradQueue, _blocks, _widest, delta_rho
+# delta_rho is not called here; it stays importable because perfbench's tracer wraps it by module
+from .core import BoostConfig, GradQueue, _blocks, _widest, delta_rho  # noqa: F401
 
 __all__ = ["OptimizerConfig", "SgdmState", "AdamState", "sgdm_step", "adam_step"]
 
@@ -72,11 +73,7 @@ class SgdmState:
     @classmethod
     def init(cls, params, capacity: int = 5) -> "SgdmState":
         params = np.asarray(params, dtype=float).copy()
-        return cls(
-            params=params,
-            momentum=np.zeros_like(params),
-            queue=GradQueue(capacity=capacity),
-        )
+        return cls(params, np.zeros_like(params), GradQueue(capacity))
 
 
 @dataclass
@@ -92,28 +89,17 @@ class AdamState:
     @classmethod
     def init(cls, params, capacity: int = 5) -> "AdamState":
         params = np.asarray(params, dtype=float).copy()
-        return cls(
-            params=params,
-            first_moment=np.zeros_like(params),
-            second_moment=np.zeros_like(params),
-            queue=GradQueue(capacity=capacity),
-        )
+        return cls(params, np.zeros_like(params), np.zeros_like(params), GradQueue(capacity))
 
 
 def _gradient(g, state) -> np.ndarray:
-    """g as a float64 vector: the step's one check of its shape and finiteness."""
-    g, params, dim = np.asarray(g, dtype=float), state.params, state.queue.dim
+    """g as a float64 vector: its checks against the params, then the queue's."""
+    g, params = np.asarray(g, dtype=float), state.params
     if g.ndim != 1 or params.ndim != 1:
         raise ValueError(f"gradient {g.shape} and params {params.shape} must be 1-D vectors")
     if g.shape != params.shape:
-        raise ValueError(
-            f"dimension mismatch: gradient {g.shape} vs params {params.shape}"
-        )
-    if dim is not None and dim != g.size:
-        raise ValueError(f"dimension mismatch: queue holds vectors of size {dim}, got {g.size}")
-    if not np.isfinite(g).all():
-        raise ValueError("gradient has a non-finite coordinate")
-    return g
+        raise ValueError(f"dimension mismatch: gradient {g.shape} vs params {params.shape}")
+    return state.queue._checked(g)
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -123,14 +109,12 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 def _b_blocks(g: np.ndarray, queue: GradQueue, cfg: OptimizerConfig, boost):
     """``(cols, b[cols])`` for each column block, b the gradient the step applies."""
-    blocks = _blocks(g.size)
     if cfg.boost_enabled and queue.warmed_up:
-        if boost is None and len(blocks) > 1:
+        if boost is None:
             return queue._boosted_blocks(g, cfg.boost)
-        stats = queue.stats()
-        b = np.asarray(delta_rho(g, stats, cfg.boost) if boost is None else boost(stats), float)
+        b = np.asarray(boost(queue.stats()), float)
         g = b if b.shape == g.shape else np.broadcast_to(b, g.shape)
-    return ((c, g[c]) for c in blocks)
+    return ((c, g[c]) for c in _blocks(g.size))
 
 
 def sgdm_step(state: SgdmState, g, cfg: OptimizerConfig, boost=None) -> SgdmState:

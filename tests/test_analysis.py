@@ -484,6 +484,12 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         (lambda: lemma1_closed(SPEC, 0.9, 0), "k must be >= 1"),
         (lambda: threshold_plain(2, 0.9), "N must be >= 3"),
         (lambda: threshold_plain_reported(2, 0.9), "N must be >= 3"),
+        # NaN compares False both ways, so each check is written to fail on it
+        (lambda: LemmaParams(beta=0.9, rho=math.nan, L=2), "rho must be >= 1"),
+        (lambda: threshold_boosted(9, LemmaParams(0.9, math.nan, 3)), "rho must be >= 1"),
+        (lambda: LemmaParams(beta=0.9, rho=3.0, L=math.nan), "queue length L must be non-negative"),
+        (lambda: LemmaParams(beta=0.9, rho=3.0, L=2, k=math.nan), "period index k must be >= 1"),
+        (lambda: SparseSignalSpec(C=5.0, u=-1.0, N=math.nan), "sparse period N must be >= 3, got nan"),
     ],
     ids=[
         "lemma-params-beta",
@@ -497,6 +503,11 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         "lemma1-k",
         "threshold-plain-N",
         "threshold-plain-reported-N",
+        "lemma-params-rho-nan",
+        "threshold-boosted-rho-nan",
+        "lemma-params-L-nan",
+        "lemma-params-k-nan",
+        "sparse-signal-N-nan",
     ],
 )
 def test_refusal_messages(call, message):

@@ -776,10 +776,43 @@ class TestQueueLengthController:
     [
         (lambda: GradQueue(3).push(np.zeros((2, 2))), "gradients must be flattened to one dimension"),
         (lambda: GradQueue(3).as_array(), "queue is empty"),
+        # a size that is not an integer is refused, not truncated
+        (lambda: GradQueue(2.9), "capacity must be an integer, got 2.9"),
+        (lambda: GradQueue(3.0), "capacity must be an integer, got 3.0"),
+        (
+            lambda: setattr(GradQueue(3), "effective_length", 2.7),
+            "effective_length must be an integer, got 2.7",
+        ),
+        (lambda: QueueLengthController(window=2.5), "window must be an integer, got 2.5"),
+        (lambda: QueueLengthController(min_length=3.5), "min_length must be an integer, got 3.5"),
+        (lambda: QueueLengthController(max_length=5.5), "max_length must be an integer, got 5.5"),
     ],
-    ids=["push-2d", "as-array-empty"],
+    ids=[
+        "push-2d",
+        "as-array-empty",
+        "capacity-fraction",
+        "capacity-float",
+        "effective-length-fraction",
+        "controller-window",
+        "controller-min-length",
+        "controller-max-length",
+    ],
 )
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("three", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_numpy_integer_sizes_accepted(three):
+    q = GradQueue(three)
+    assert q.capacity == 3 and type(q.capacity) is int
+    q.effective_length = three - 1
+    assert q.effective_length == 2 and type(q.effective_length) is int
+    with pytest.raises(ValueError, match="an integer"):
+        q.effective_length = 2.5
+    assert q.effective_length == 2  # a refused value changes nothing
+    ctrl = QueueLengthController(window=three - 1, min_length=three, max_length=three + 2)
+    assert (ctrl.window, ctrl.min_length, ctrl.max_length) == (2, 3, 5)
+    assert all(type(v) is int for v in (ctrl.window, ctrl.min_length, ctrl.max_length))

@@ -10,6 +10,7 @@ from gradqueue import (
     BoostConfig,
     GradQueue,
     OptimizerConfig,
+    QueueStats,
     SgdmState,
     SparseSignalSpec,
     adam_step,
@@ -288,7 +289,8 @@ class TestNonFiniteGradients:
         for g in random_stream(11, 4, 3):
             step(state, g, cfg(boost=True))
         assert_rejected_untouched(
-            state, step, np.array([bad, 1.0, 1.0]), cfg(boost=True), match="non-finite"
+            state, step, np.array([bad, 1.0, 1.0]), cfg(boost=True),
+            match="gradient has a non-finite coordinate",
         )
         # the state still takes finite gradients
         step(state, np.ones(3), cfg(boost=True))
@@ -331,10 +333,10 @@ class TestOverflowingUpdates:
         assert_rejected_untouched(state, adam_step, np.ones(2), cfg(lr=1e308))
 
 
-def reference_step(kind, state, g, cfg):
+def reference_step(kind, state, g, cfg, stats=GradQueue.stats):
     """The optimizer updates as whole-vector expressions, on the same boost rule."""
     q = state.queue
-    b = delta_rho(g, q.stats(), cfg.boost) if cfg.boost_enabled and q.warmed_up else g
+    b = delta_rho(g, stats(q), cfg.boost) if cfg.boost_enabled and q.warmed_up else g
     if kind == "sgdm":
         state.momentum = cfg.beta * state.momentum + b
         state.params = state.params - cfg.learning_rate * state.momentum
@@ -348,6 +350,13 @@ def reference_step(kind, state, g, cfg):
         state.params = state.params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     q.push(g)
     state.step_count += 1
+
+
+def stacked_stats(queue):
+    """The window's moments as ``np.mean`` reduces the stacked window, without the moment kernel."""
+    window = queue.as_array()[-min(queue.effective_length, len(queue)) :]
+    mean = window.mean(axis=0)
+    return QueueStats(mean, np.sqrt(np.mean((window - mean) ** 2, axis=0)), len(window))
 
 
 def same_bytes(a, b):
@@ -462,7 +471,10 @@ class TestFusedBoostedStep:
     DIM = 3 * B + 7
 
     @staticmethod
-    def run_pair(kind, state_cls, step, dim, opt, grads, capacity=3, effective_length=None, queued=()):
+    def run_pair(
+        kind, state_cls, step, dim, opt, grads, capacity=3, effective_length=None, queued=(),
+        stats=GradQueue.stats,
+    ):
         """Step a state and its reference through grads; every state array stays byte-equal."""
         rng = np.random.default_rng(dim)
         got = state_cls.init(rng.normal(size=dim), capacity=capacity)
@@ -475,7 +487,7 @@ class TestFusedBoostedStep:
         names = [k for k in vars(got) if k not in ("queue", "step_count")]
         for g in grads:
             step(got, g, opt)
-            reference_step(kind, want, g, opt)
+            reference_step(kind, want, g, opt, stats)
             for name in names:
                 assert same_bytes(getattr(got, name), getattr(want, name)), name
             assert got.queue.as_array().tobytes() == want.queue.as_array().tobytes()
@@ -529,9 +541,46 @@ class TestFusedBoostedStep:
         )
         assert np.isfinite(state.queue.stats().std[B + 9])  # the window still holds the huge entries
 
+    # vectors of one block take the same path; their moments are gathered and reduced by numpy
 
-# sha256 of the state arrays and the queue after 3 warm-up and 7 boosted steps;
-# taken before the boosted step became one blocked pass
+    @pytest.mark.parametrize("dim", [1, 2, 23])
+    @pytest.mark.parametrize("capacity", [3, 9, 17])
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_one_block_short_window(self, dim, capacity, kind, state_cls, step):
+        # at d = 1 numpy sums a window of 8 or more entries pairwise, which a row-by-row sum does not
+        opt = cfg(boost=True, lr=0.01)
+        grads = self.grads(dim, 2 * capacity + 3, seed=dim + capacity)
+        state = self.run_pair(
+            kind, state_cls, step, dim, opt, grads, capacity=capacity, effective_length=capacity - 1,
+            stats=stacked_stats,
+        )
+        assert state.queue.stats().sample_count == capacity - 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 23])
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_one_block_zero_variance_column(self, dim, kind, state_cls, step):
+        grads = self.grads(dim, 6)
+        for g in grads[:-1]:
+            g[dim - 1] = 0.75  # constant: steps 4 and 5 boost on the degenerate mean
+        grads[-1][dim - 1] = 2.0  # off it, on the last step
+        self.run_pair(kind, state_cls, step, dim, cfg(boost=True, lr=0.01), grads, stats=stacked_stats)
+
+    @pytest.mark.parametrize("dim", [1, 2, 23])
+    @pytest.mark.parametrize("kind, state_cls, step", KINDS)
+    def test_one_block_overflowing_queue_column(self, dim, kind, state_cls, step):
+        queued = self.grads(dim, 5, seed=1)
+        for sign, entry in zip([1, -1, 1, 1, -1], queued):
+            entry[dim // 2] = sign * 3e200
+        state = self.run_pair(
+            kind, state_cls, step, dim, cfg(boost=True, lr=0.01), self.grads(dim, 2),
+            capacity=5, queued=queued,
+        )
+        assert np.isfinite(state.queue.stats().std[dim // 2])
+
+
+# sha256 of the state arrays and the queue after 3 warm-up and 7 boosted steps; taken
+# before the boosted step became one blocked pass (d >= 2B - 1) and before vectors of one
+# block took that pass too (d = 1, 23)
 STATE_GOLDEN = {
     ("sgdm", 2 * B - 1): "44f7cd71a89d105ff215d1f08a79db0eceda8d0dd17137b3424d7efde4b54e0b",
     ("adam", 2 * B - 1): "d9604924864083d45ad3f12902f9b0bd9da9f98b666dc16232e140cc57e4d5da",
@@ -539,14 +588,19 @@ STATE_GOLDEN = {
     ("adam", 2 * B + 1): "03188a2fa36f4f6bd9a7d0b14ba6ca7d30c4a8b5b2441c32583147ae20e1dcd7",
     ("sgdm", 3 * B + 7): "5bb7dd7b41da3f4a09c6161538133123d7641e16f792d9ecd4d8e6c76db6726e",
     ("adam", 3 * B + 7): "36980b4ccc708e577b3cc68db9c98f294444b311ebfd41bbf2ab04864a3593f1",
+    ("sgdm", 1): "891e99373d7f0758c0da12e214f4a4ea4948493c42cc2840efa653dee0f4bade",
+    ("adam", 1): "d9fd85928b5304c207a086d55c3e9d7167280a4c832ef0e17ac16fc9c88819dc",
+    ("sgdm", 23): "7a203bee27c8847c594d73ef5282dd64aeb4d1f3e0c50c6962fdcfbc37d176b6",
+    ("adam", 23): "c829981a56341d541b7021b7151629beec99cdf7d8c59c20d03afc05ef5fc986",
 }
+GOLDEN_CASES = [(2 * B - 1, 5), (2 * B + 1, 5), (3 * B + 7, 5), (1, 9), (23, 9)]  # (dim, capacity)
 
 
-@pytest.mark.parametrize("dim", [2 * B - 1, 2 * B + 1, 3 * B + 7])
+@pytest.mark.parametrize("dim, capacity", GOLDEN_CASES, ids=[str(dim) for dim, _ in GOLDEN_CASES])
 @pytest.mark.parametrize("kind, state_cls, step", KINDS)
-def test_state_bytes_are_golden(dim, kind, state_cls, step):
+def test_state_bytes_are_golden(dim, capacity, kind, state_cls, step):
     rng = np.random.default_rng(dim)
-    state = state_cls.init(rng.normal(size=dim), capacity=5)
+    state = state_cls.init(rng.normal(size=dim), capacity=capacity)
     opt = cfg(boost=True, lr=0.01)
     for _ in range(10):
         step(state, rng.normal(size=dim) * rng.uniform(0.1, 10.0, dim), opt)
@@ -607,3 +661,10 @@ class TestFusedMemory:
         arrays = 2 if kind == "sgdm" else 3
         # no full-size mean, std or boosted gradient
         assert TestUpdateMemory.peak(lambda: step(state, g, cfg(boost=True))) < (arrays + 0.75) * self.VECTOR
+
+
+def test_delta_rho_stays_importable_from_optimizers():
+    # perfbench's tracer wraps delta_rho in this module by name
+    from gradqueue import core, optimizers
+
+    assert optimizers.delta_rho is core.delta_rho
