@@ -33,7 +33,8 @@ from .analysis import (
 from . import nn, optimizers
 from .clustering import aggregate, choose_k, kmeans
 from .core import BoostConfig, GradQueue, QueueLengthController, delta_rho
-# batch_loss stays bound here although unused: perfbench/tracing.py wraps it by name
+# batch_loss and per_sample_grads stay bound here although unused:
+# perfbench/tracing.py wraps them by name
 from .nn import (  # noqa: F401
     LineDetectorModel,
     batch_loss,
@@ -41,6 +42,7 @@ from .nn import (  # noqa: F401
     grads_from_forward,
     loss_from_forward,
     per_sample_grads,
+    take_rows,
     template_alignment,
 )
 from .optimizers import AdamState, OptimizerConfig, SgdmState
@@ -389,14 +391,10 @@ def _batch_schedule(n: int, batch_size: int, steps: int, rng: np.random.Generato
     return schedule
 
 
-def _whole_dataset(idx: np.ndarray, n: int) -> bool:
-    """Whether a step's batch is all n samples in their dataset order."""
-    return idx.size == n and np.array_equal(idx, np.arange(n))
-
-
 def _train_single(
     model: LineDetectorModel,
     dataset,
+    groups,
     schedule,
     cfg: ExperimentConfig,
     boost: bool,
@@ -410,12 +408,15 @@ def _train_single(
     ``boost`` hook: a step that boosts clusters the batch by its features
     (``kmeans``) and aggregates the boosted cluster means (``aggregate``).
 
-    The loss after each step comes from a forward of the whole dataset
-    under the updated parameters. When the next step's batch is the whole
-    dataset in order (batch_size >= dataset size), that forward is the
-    next step's training forward, so the step takes its gradients from it
-    instead of running the forward again; the outputs are the same bytes.
-    Every forward goes through ``nn.batch_forward``.
+    ``groups`` is ``(distinct, inverse)`` from ``_train_setup``: the index
+    of one image of each distinct image's group, and each image's group.
+    The loop runs one ``nn.batch_forward`` of the distinct images at the
+    initial parameters, then one per step at the parameters the step
+    produced. Every consumer takes its rows from the latest forward with
+    ``nn.take_rows``: the step's full-dataset eval loss takes rows
+    ``inverse``, and the next step's gradients rows ``inverse[idx]``,
+    whatever the batch size. The outputs are the bytes of a fresh forward
+    of each batch and of the whole dataset.
     """
     opt_cfg = OptimizerConfig(
         cfg.learning_rate, cfg.beta, boost=BoostConfig(rho=cfg.rho), boost_enabled=boost
@@ -423,16 +424,14 @@ def _train_single(
     state_cls = AdamState if cfg.use_adam else SgdmState
     state = state_cls.init(model.to_vector(), cfg.capacity)
     step_name = "adam_step" if cfg.use_adam else "sgdm_step"
-    n = len(dataset)
-    last_eval = None  # forward of the current parameters on the whole dataset
+    distinct, inverse = groups
+    images = dataset.images[distinct]
+    m = LineDetectorModel.from_vector(state.params)
+    forward_out = nn.batch_forward(m, images)
     history = []
     for step, idx in enumerate(schedule):
-        images, labels = dataset.images[idx], dataset.labels[idx]
-        m = LineDetectorModel.from_vector(state.params)
-        if last_eval is not None and _whole_dataset(idx, n):
-            _, grads, feats = grads_from_forward(m, last_eval, labels)
-        else:
-            _, grads, feats = per_sample_grads(m, images, labels)
+        batch = take_rows(m, forward_out, inverse[idx])
+        _, grads, feats = grads_from_forward(m, batch, dataset.labels[idx])
 
         def cluster_boost(stats):  # called, if at all, within this step
             assignment = kmeans(feats, k, seed=cluster_seed + step)
@@ -442,8 +441,8 @@ def _train_single(
         getattr(optimizers, step_name)(state, grads.mean(axis=0), opt_cfg, boost=hook)
 
         m = LineDetectorModel.from_vector(state.params)
-        last_eval = nn.batch_forward(m, dataset.images)
-        loss = loss_from_forward(last_eval, dataset.labels)
+        forward_out = nn.batch_forward(m, images)
+        loss = loss_from_forward(take_rows(m, forward_out, inverse), dataset.labels)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"divergence: non-finite loss at step {step + 1} "
@@ -455,18 +454,29 @@ def _train_single(
 
 
 def _train_setup(cfg: ExperimentConfig):
-    """Seeds, dataset, initial model, batch size and batch schedule of a training run."""
+    """Seeds, dataset, image groups, initial model, batch size and batch schedule of a run.
+
+    The groups are ``(distinct, inverse)``: images are grouped by their
+    bytes, ``distinct`` holds the index of each group's first image and
+    ``inverse`` each image's group. Grouping by bytes keeps an image with
+    a ``-0.0`` pixel apart from one with ``0.0`` there.
+    """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     seeds = expand_seeds(cfg.seed)
     dataset = generate_lines(
         cfg.height, cfg.width, cfg.p, cfg.q, cfg.noise_std, seeds["dataset"]
     )
+    flat = dataset.images.reshape(len(dataset), -1)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
+    _, distinct, inverse = np.unique(keys, return_index=True, return_inverse=True)
     model = LineDetectorModel.init_random(seeds["init"])
     batch_size = min(cfg.batch_size, len(dataset))
     schedule_rng = np.random.default_rng(seeds["dataset"] + 1)
     schedule = _batch_schedule(len(dataset), batch_size, cfg.steps, schedule_rng)
-    return seeds, dataset, model, batch_size, schedule
+    return seeds, dataset, (distinct, inverse), model, batch_size, schedule
 
 
 def run_train_lines(cfg: ExperimentConfig) -> RunResult:
@@ -475,7 +485,7 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     Dataset, initial weights and batch order are shared; only the boost
     differs. Emits per-step loss and filter-template alignment for both.
     """
-    seeds, dataset, model, batch_size, schedule = _train_setup(cfg)
+    seeds, dataset, groups, model, batch_size, schedule = _train_setup(cfg)
     k = cfg.k if cfg.k is not None else choose_k(batch_size, cfg.optimal_batch)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -483,11 +493,12 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
         raise ValueError(f"k={k} exceeds the batch size {batch_size}")
 
     plain = _train_single(
-        model.copy(), dataset, schedule, cfg, boost=False, k=1, cluster_seed=0
+        model.copy(), dataset, groups, schedule, cfg, boost=False, k=1, cluster_seed=0
     )
     boosted = _train_single(
         model.copy(),
         dataset,
+        groups,
         schedule,
         cfg,
         boost=cfg.boost_enabled,
@@ -538,9 +549,9 @@ def _loss_feed(cfg: ExperimentConfig) -> list[float]:
         floor = down[-1] if down else 5.0
         return down + [floor] * (n - half)
     if cfg.pattern == "train":
-        _, dataset, model, _, schedule = _train_setup(cfg)
+        _, dataset, groups, model, _, schedule = _train_setup(cfg)
         history = _train_single(
-            model, dataset, schedule, cfg, boost=False, k=1, cluster_seed=0
+            model, dataset, groups, schedule, cfg, boost=False, k=1, cluster_seed=0
         )
         return [h[0] for h in history]
     raise ValueError(f"unknown pattern {cfg.pattern!r}")

@@ -9,6 +9,11 @@ The convolution is nine scalar multiply-adds over shifted pixel slices,
 one per filter tap, summed in the order numpy's einsum contraction uses,
 so its responses keep the einsum's bytes (see ``batch_forward``). The
 window view is taken only to gather each filter's argmax patch.
+
+An image's pooled features and argmax patches depend on that image alone,
+so ``take_rows`` gathers them for any batch from one forward of a larger
+stack; the dense head (``_head``) is recomputed on the gathered rows, as
+its matrix product need not round a row the same way at every batch size.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "forward",
     "batch_forward",
     "per_sample_grads",
+    "take_rows",
     "grads_from_forward",
     "batch_loss",
     "loss_from_forward",
@@ -232,8 +238,26 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
     i_star, j_star = np.unravel_index(arg.T, (H - 2, W - 2))
     windows = sliding_window_view(images, (3, 3), axis=(1, 2))  # (B, H-2, W-2, 3, 3)
     patches = windows[np.arange(B)[:, None], i_star, j_star]  # (B, 2, 3, 3)
-    logits = features @ model.dense_weights + model.dense_bias
-    return logits, features, patches
+    return _head(model, features), features, patches
+
+
+def _head(model: LineDetectorModel, features: np.ndarray) -> np.ndarray:
+    """Logits (B,) of the dense head on pooled (B, 2) features."""
+    return features @ model.dense_weights + model.dense_bias
+
+
+def take_rows(model: LineDetectorModel, forward_out, rows):
+    """The ``batch_forward`` result of ``model`` on ``images[rows]``, from its result on ``images``.
+
+    ``rows`` may repeat. Features and patches are gathered; the logits are
+    recomputed by ``_head``, because OpenBLAS rounds a one-row product
+    ``f0*w0 + f1*w1`` (one fused multiply-add) unlike a product of two or
+    more rows, so gathered logits would change bytes where one of the two
+    stacks has a single row.
+    """
+    _, features, patches = forward_out
+    features = features[rows]
+    return _head(model, features), features, patches[rows]
 
 
 def forward(model: LineDetectorModel, image) -> tuple[float, np.ndarray]:

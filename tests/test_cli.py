@@ -294,6 +294,14 @@ SMALL_TRAIN = ["--p", "8", "--q", "2", "--batch-size", "10"]
             ["train-lines", "--steps", "2", "--noise-std", "-1", *SMALL_TRAIN],
             "noise_std must be >= 0, got -1.0",
         ),
+        *(
+            ([*command, "--steps", "2", *SMALL_TRAIN, "--batch-size", size], message)
+            for command in (["qlen-demo", "--pattern", "train"], ["train-lines", "--k", "1"])
+            for size, message in (
+                ("0", "batch_size must be >= 1, got 0"),
+                ("-4", "batch_size must be >= 1, got -4"),
+            )
+        ),
         (["zeta-table", "--eq-q", "1.0"], "eq_q and eq_p must be given together"),
         (["zeta-table", "--eq-p", "-0.5"], "eq_q and eq_p must be given together"),
         (["zeta-table", "--eq-q", "1.0", "--eq-p", "none"], "eq_q and eq_p must be given together"),

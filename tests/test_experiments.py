@@ -249,10 +249,12 @@ class TestTrainLines:
 
 
 class TestEvalReuse:
-    """A whole-dataset batch takes its forward from the previous step's eval."""
+    """One forward of the distinct images per step serves its eval and the next step's batch."""
 
     # criterion-8 configuration (batch = dataset = 100, k = 2), fewer steps
     B100 = dict(steps=50, p=95, q=5, batch_size=100, optimal_batch=50)
+    # paired-train-minibatch shape (12x12, n = 200, B = 20, k = 1), fewer steps
+    MINIBATCH = dict(steps=30, height=12, width=12, p=190, q=10, batch_size=20, k=1)
 
     def count_forwards(self, monkeypatch):
         calls = []
@@ -265,37 +267,45 @@ class TestEvalReuse:
         monkeypatch.setattr(nn, "batch_forward", counting)
         return calls
 
-    def test_same_rows_as_a_fresh_forward(self, monkeypatch):
-        cfg = ExperimentConfig(seed=0, **self.B100)
-        reused = run_train_lines(cfg)
-        monkeypatch.setattr(experiments, "_whole_dataset", lambda idx, n: False)
-        fresh = run_train_lines(cfg)
-        assert repr(reused.rows) == repr(fresh.rows)
-
-    def test_one_forward_per_step_on_the_whole_dataset(self, monkeypatch):
+    @pytest.mark.parametrize("shape", ["B100", "MINIBATCH"])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    def test_one_forward_per_step_over_the_distinct_images(self, monkeypatch, shape, noise_std):
+        cfg = ExperimentConfig(seed=3, noise_std=noise_std, **getattr(self, shape))
         calls = self.count_forwards(monkeypatch)
-        run_train_lines(ExperimentConfig(seed=3, **self.B100))
-        # per run: the first step's forward, then one eval forward per step
-        assert len(calls) == 2 * (1 + 50)
-        assert set(calls) == {100}
+        run_train_lines(cfg)
+        # per arm: one forward at the initial parameters, then one per step
+        assert len(calls) == 2 * (1 + cfg.steps)
+        distinct = len({image.tobytes() for image in experiments._train_setup(cfg)[1].images})
+        assert set(calls) == {distinct}
+        n = cfg.p + cfg.q
+        assert distinct == n if noise_std else distinct < n
 
-    def test_minibatches_keep_their_own_forward(self, monkeypatch):
-        calls = self.count_forwards(monkeypatch)
-        run_train_lines(ExperimentConfig(seed=3, steps=50, p=95, q=5, batch_size=50, k=1))
-        assert len(calls) == 2 * (50 + 50)
-        assert sorted(set(calls)) == [50, 100]
+    def test_groups_are_the_distinct_bytes(self):
+        cfg = ExperimentConfig(seed=1, **self.MINIBATCH)
+        _, dataset, (distinct, inverse), *_ = experiments._train_setup(cfg)
+        images = dataset.images
+        assert images[distinct][inverse].tobytes() == images.tobytes()
+        assert len({images[i].tobytes() for i in distinct}) == len(distinct)
 
-    def test_whole_dataset_rule(self):
-        assert experiments._whole_dataset(np.arange(5), 5)
-        assert not experiments._whole_dataset(np.array([0, 1, 2, 4, 3]), 5)
-        assert not experiments._whole_dataset(np.arange(4), 5)
+    def test_signed_zeros_are_kept_apart(self, monkeypatch):
+        # equal under ==, different bytes: a forward may treat the two differently
+        images = np.zeros((4, 5, 5))
+        images[1, 2, 2] = images[3, 2, 2] = -0.0
+        dataset = nn.LineDataset(images=images, labels=np.array([0, 0, 1, 1]))
+        monkeypatch.setattr(experiments, "generate_lines", lambda *args: dataset)
+        cfg = ExperimentConfig(steps=1, height=5, width=5, p=2, q=2, batch_size=4)
+        _, _, (distinct, inverse), *_ = experiments._train_setup(cfg)
+        assert len(distinct) == 2
+        assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
 
 
-def oracle_train_single(model, dataset, schedule, cfg, boost, k, cluster_seed):
+def oracle_train_single(model, dataset, groups, schedule, cfg, boost, k, cluster_seed):
     """The training loop with its own inline SGDM/Adam update and boost branch.
 
     This is how ``_train_single`` ran before it called the library
-    optimizers; the library path must give the same bytes.
+    optimizers, with a fresh forward of each batch and of the whole
+    dataset; it ignores ``groups``. The library path must give the same
+    bytes.
     """
     theta = model.to_vector()
     momentum = np.zeros_like(theta)
@@ -303,16 +313,11 @@ def oracle_train_single(model, dataset, schedule, cfg, boost, k, cluster_seed):
     adam_beta2, adam_eps = 0.999, 1e-8
     queue = GradQueue(capacity=cfg.capacity)
     boost_cfg = BoostConfig(rho=cfg.rho)
-    n = len(dataset)
-    last_eval = None
     history = []
     for step, idx in enumerate(schedule):
         images, labels = dataset.images[idx], dataset.labels[idx]
         m = nn.LineDetectorModel.from_vector(theta)
-        if last_eval is not None and experiments._whole_dataset(idx, n):
-            _, grads, feats = nn.grads_from_forward(m, last_eval, labels)
-        else:
-            _, grads, feats = nn.per_sample_grads(m, images, labels)
+        _, grads, feats = nn.per_sample_grads(m, images, labels)
         raw = grads.mean(axis=0)
         if boost and queue.warmed_up:
             stats = queue.stats()
@@ -336,8 +341,7 @@ def oracle_train_single(model, dataset, schedule, cfg, boost, k, cluster_seed):
         queue.push(raw)
 
         m = nn.LineDetectorModel.from_vector(theta)
-        last_eval = nn.batch_forward(m, dataset.images)
-        loss = nn.loss_from_forward(last_eval, dataset.labels)
+        loss = nn.loss_from_forward(nn.batch_forward(m, dataset.images), dataset.labels)
         align = nn.template_alignment(m)
         history.append((loss, align[0], align[1]))
     return history
@@ -348,16 +352,18 @@ class TestLibraryStepPipeline:
 
     SMALL = dict(steps=25, p=20, q=5, noise_std=0.1)
 
+    @pytest.mark.parametrize("noise_std", [0.1, 0.0])  # every image distinct; duplicates
     @pytest.mark.parametrize("use_adam", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("batch_size", [25, 10])  # whole dataset, minibatch
     @pytest.mark.parametrize("boost", [True, False])
     def test_rows_match_the_inline_oracle(
-        self, monkeypatch, use_adam, k, batch_size, boost
+        self, monkeypatch, noise_std, use_adam, k, batch_size, boost
     ):
         cfg = ExperimentConfig(
             seed=k + batch_size, k=k, batch_size=batch_size, boost_enabled=boost,
-            use_adam=use_adam, learning_rate=0.02 if use_adam else 0.05, **self.SMALL,
+            use_adam=use_adam, learning_rate=0.02 if use_adam else 0.05,
+            **dict(self.SMALL, noise_std=noise_std),
         )
         library = run_train_lines(cfg)
         monkeypatch.setattr(experiments, "_train_single", oracle_train_single)

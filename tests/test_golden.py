@@ -21,6 +21,13 @@ GOLDEN = {
     "train-lines --adam --steps 60 --k 3 --batch-size 40 --seed 2": (
         "83d09d31a42c60f519c033169cf4c9b998037583eb756bee8a16f90e6d8a7ec1"
     ),
+    # one image per batch, and a dataset of one distinct image (two 3x3 images, one lit row)
+    "train-lines --batch-size 1 --k 1": (
+        "62c8931144041cd74df36e2d365da91fbf5613b8a4b142d10edd3b6605daeca0"
+    ),
+    "train-lines --p 2 --q 0 --height 3 --width 3 --batch-size 2 --k 1": (
+        "c41bc489ba288110e94d8254c3c18ee69f64dcd89ca91756d047659d526e402b"
+    ),
     "lemma-check": "b70ec962e6167fbef01cc0462733c25e377853a3ae7df1fc699345b65e822193",
     "momentum-sim --steps 500 --N 7 --C 9 --capacity 4": (
         "3389040e9b900ec92ff9a558f449f1a37a0bb35aaf7e08e201fa4d94428dbd4b"

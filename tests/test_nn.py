@@ -18,6 +18,7 @@ from gradqueue import (
     save_dataset,
     template_alignment,
 )
+from gradqueue import nn
 from gradqueue.nn import (
     N_PARAMS,
     _conv,
@@ -26,6 +27,7 @@ from gradqueue.nn import (
     batch_loss,
     grads_from_forward,
     loss_from_forward,
+    take_rows,
 )
 
 
@@ -347,6 +349,37 @@ class TestGradients:
             )
             assert all(loss >= 0.0 for loss in losses)
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+class TestTakeRows:
+    """Rows gathered from one forward of a stack are a fresh forward of those rows, byte for byte."""
+
+    @staticmethod
+    def check_subsets(model, images, rng):
+        n = len(images)
+        out = batch_forward(model, images)
+        subsets = [rng.integers(0, n, size) for size in (1, 2, 2, n)]  # with repeats
+        subsets += [np.array([n - 1]), np.full(2, rng.integers(n)), rng.permutation(n)]
+        for rows in subsets:
+            assert_bytes_equal(take_rows(model, out, rows), batch_forward(model, images[rows]))
+
+    @pytest.mark.parametrize("width", range(3, 14))
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_small_blocks(self, monkeypatch, width, noise):
+        rng = np.random.default_rng(width + int(10 * noise))
+        height = int(rng.integers(3, 14))
+        ds = generate_lines(height, width, 20, 10, noise_std=noise, seed=width)
+        # four images per convolution block: the whole stack spans several blocks
+        monkeypatch.setattr(nn, "CONV_BLOCK", 4 * height * width)
+        for model in (LineDetectorModel.init_random(width), signed_zero_model(rng)):
+            self.check_subsets(model, ds.images, rng)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_default_block(self, noise):
+        rng = np.random.default_rng(7)
+        ds = generate_lines(13, 13, 110, 10, noise_std=noise, seed=8)
+        assert len(ds) * 13 * 13 > 2 * nn.CONV_BLOCK
+        self.check_subsets(signed_zero_model(rng), ds.images, rng)
 
 
 class TestModel:
