@@ -48,6 +48,6 @@ print("plain carries the sign of u, boosted the sign of C.")
 # closed forms reproduce the simulated period-end values exactly
 k = 3
 c1 = lemma1_closed(spec, beta, k)
-c3 = lemma3_closed(spec, LemmaParams(beta=beta, rho=rho, L=L, k=k))
+c3 = lemma3_closed(spec, params, k)
 print(f"\nclosed forms at k={k}: plain {c1:+.6f} (sim {plain[k * N - 1]:+.6f}),"
       f" boosted {c3:+.6f} (sim {boosted[k * N - 1]:+.6f})")

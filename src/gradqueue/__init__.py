@@ -47,11 +47,8 @@ from .nn import (
     LineDataset,
     LineDetectorModel,
     batch_loss,
-    forward,
     generate_lines,
-    load_dataset,
     per_sample_grads,
-    save_dataset,
     template_alignment,
 )
 
@@ -94,10 +91,7 @@ __all__ = [
     "LineDataset",
     "LineDetectorModel",
     "batch_loss",
-    "forward",
     "generate_lines",
-    "load_dataset",
     "per_sample_grads",
-    "save_dataset",
     "template_alignment",
 ]

@@ -55,14 +55,13 @@ class SparseSignalSpec:
 class LemmaParams:
     """Momentum/boost parameters for the closed-form analysis.
 
-    beta is the momentum coefficient, rho the boost clamp, L the queue
-    length and k the index of the sparse period being evaluated.
+    beta is the momentum coefficient, rho the boost clamp and L the queue
+    length.
     """
 
     beta: float
     rho: float
     L: int
-    k: int = 1
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -72,8 +71,6 @@ class LemmaParams:
             raise ValueError("rho must be >= 1")
         if not self.L >= 0:
             raise ValueError("queue length L must be non-negative")
-        if not self.k >= 1:
-            raise ValueError("period index k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def lemma1_closed(spec: SparseSignalSpec, beta: float, k: int) -> float:
     m_{kN} = (sum_j beta^{jN}) * (u*beta*beta_{N-1} + C); matches
     ``simulate_momentum`` at t = k*N.
     """
-    if k < 1:
+    if not k >= 1:  # written so that NaN fails the check
         raise ValueError("k must be >= 1")
     cycle = spec.u * beta * geometric_sum(beta, spec.N - 1) + spec.C
     return period_sum(beta, spec.N, k) * cycle
@@ -189,7 +186,7 @@ def _gamma_head_tail(N: int, params: LemmaParams) -> tuple[float, float]:
     return head, tail
 
 
-def lemma3_closed(spec: SparseSignalSpec, params: LemmaParams) -> float:
+def lemma3_closed(spec: SparseSignalSpec, params: LemmaParams, k: int) -> float:
     """Closed form for the boosted momentum at the end of the k-th period.
 
     Valid when the queue saturates between rare events (L < N - 1). The
@@ -198,6 +195,8 @@ def lemma3_closed(spec: SparseSignalSpec, params: LemmaParams) -> float:
     rare value is still in the queue and by 1/rho afterwards (gamma
     term); each rare step contributes rho*C.
     """
+    if not k >= 1:  # written so that NaN fails the check
+        raise ValueError("period index k must be >= 1")
     N = spec.N
     if params.L >= N - 1:
         raise ValueError(
@@ -207,7 +206,7 @@ def lemma3_closed(spec: SparseSignalSpec, params: LemmaParams) -> float:
     head, tail = _gamma_head_tail(N, params)
     gamma0 = head + tail
     gamma = phi * head + tail
-    beta, rho, k = params.beta, params.rho, params.k
+    beta, rho = params.beta, params.rho
     first = beta ** (N * (k - 1)) * (spec.u * beta * gamma0 + rho * spec.C)
     rest = period_sum(beta, N, k - 1) * (spec.u * beta * gamma + rho * spec.C)
     return first + rest

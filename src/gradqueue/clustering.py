@@ -33,9 +33,12 @@ __all__ = [
 class ClusterAssignment:
     labels: np.ndarray  # (B,) ints in [0, k)
     centroids: np.ndarray  # (k, f)
-    k: int
     # objective after each Lloyd update of the winning restart
     objective_history: list[float] = field(default_factory=list)
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -346,7 +349,6 @@ def kmeans(
     return ClusterAssignment(
         labels=labels[best],
         centroids=centroids[best],
-        k=k,
         objective_history=history[best, : lengths[best]].tolist(),
     )
 

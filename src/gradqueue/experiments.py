@@ -303,16 +303,15 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
                         )
                     continue
                 spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
-                # the simulator does not read k: one run serves every k, read at t = kN
-                sim = simulate_lemma3_momentum(
-                    spec, LemmaParams(beta=cfg.beta, rho=rho, L=L), steps=5 * N
-                )
+                params = LemmaParams(beta=cfg.beta, rho=rho, L=L)
+                # one run serves every k, read at t = kN
+                sim = simulate_lemma3_momentum(spec, params, steps=5 * N)
                 for k in range(1, 6):
                     rows.append(
                         _check_row(
                             "boosted_momentum_closed_form",
                             f"{params_nk} k={k}",
-                            lemma3_closed(spec, LemmaParams(beta=cfg.beta, rho=rho, L=L, k=k)),
+                            lemma3_closed(spec, params, k),
                             sim[k * N - 1],
                             LEMMA_TOL,
                             rel_errs,
@@ -492,11 +491,9 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     if k > batch_size:
         raise ValueError(f"k={k} exceeds the batch size {batch_size}")
 
-    plain = _train_single(
-        model.copy(), dataset, groups, schedule, cfg, boost=False, k=1, cluster_seed=0
-    )
+    plain = _train_single(model, dataset, groups, schedule, cfg, boost=False, k=1, cluster_seed=0)
     boosted = _train_single(
-        model.copy(),
+        model,
         dataset,
         groups,
         schedule,

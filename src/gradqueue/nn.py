@@ -30,9 +30,6 @@ __all__ = [
     "LineDetectorModel",
     "LineDataset",
     "generate_lines",
-    "save_dataset",
-    "load_dataset",
-    "forward",
     "batch_forward",
     "per_sample_grads",
     "take_rows",
@@ -91,18 +88,11 @@ class LineDetectorModel:
             model.dense_weights = model.dense_weights[::-1].copy()
         return model
 
-    def copy(self) -> "LineDetectorModel":
-        return LineDetectorModel.from_vector(self.to_vector())
-
 
 @dataclass
 class LineDataset:
     images: np.ndarray  # (n, H, W) in [0, 1]
     labels: np.ndarray  # (n,) 0 = horizontal, 1 = vertical
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -119,7 +109,7 @@ def generate_lines(
     """p images with one random full row lit, q with one random full column.
 
     Pixels are in [0, 1]; optional additive Gaussian noise is clipped back
-    into range. A negative ``noise_std`` raises ``ValueError``.
+    into range. A negative or non-finite ``noise_std`` raises ``ValueError``.
     Deterministic for a fixed seed.
     """
     if height < 3 or width < 3:
@@ -128,6 +118,8 @@ def generate_lines(
         raise ValueError("need non-negative counts with p + q >= 1")
     if noise_std < 0.0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    if not np.isfinite(noise_std):
+        raise ValueError(f"noise_std must be finite, got {noise_std}")
     rng = np.random.default_rng(seed)
     n = p + q
     images = np.zeros((n, height, width))
@@ -141,15 +133,6 @@ def generate_lines(
     if noise_std > 0.0:
         images = np.clip(images + rng.normal(0.0, noise_std, images.shape), 0.0, 1.0)
     return LineDataset(images=images, labels=labels)
-
-
-def save_dataset(dataset: LineDataset, path) -> None:
-    np.savez(path, images=dataset.images, labels=dataset.labels)
-
-
-def load_dataset(path) -> LineDataset:
-    with np.load(path) as data:
-        return LineDataset(images=data["images"].copy(), labels=data["labels"].copy())
 
 
 def _sigmoid(x):
@@ -258,12 +241,6 @@ def take_rows(model: LineDetectorModel, forward_out, rows):
     _, features, patches = forward_out
     features = features[rows]
     return _head(model, features), features, patches[rows]
-
-
-def forward(model: LineDetectorModel, image) -> tuple[float, np.ndarray]:
-    """Logit and pooled 2-vector of features for a single image."""
-    logits, features, _ = batch_forward(model, np.asarray(image, dtype=float)[None])
-    return float(logits[0]), features[0]
 
 
 def per_sample_grads(model: LineDetectorModel, images, labels):

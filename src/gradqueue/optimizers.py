@@ -7,10 +7,11 @@ moment) accumulators; the raw gradient is pushed onto the queue after
 every step.
 
 Both steps take an optional ``boost`` hook, a callable from the queue
-statistics to the boosted gradient. On a step that boosts (and only
-then) it replaces ``delta_rho(g, stats, cfg.boost)``; ``train-lines``
-passes one that aggregates boosted cluster means. A gradient with a NaN
-or infinite coordinate, or one whose update overflows the parameters (or
+statistics to the boosted gradient, a vector of the gradient's shape. On
+a step that boosts (and only then) it replaces ``delta_rho(g, stats,
+cfg.boost)``; ``train-lines`` passes one that aggregates boosted cluster
+means. A hook result of any other shape, a gradient with a NaN or
+infinite coordinate, or one whose update overflows the parameters (or
 Adam's second moment), raises ``ValueError`` before any state changes.
 
 Parameters and gradients are flat 1-D vectors, the one shape
@@ -59,6 +60,8 @@ class OptimizerConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+        if not isinstance(self.boost, BoostConfig):
+            raise ValueError(f"boost must be a BoostConfig, got {self.boost!r}")
 
 
 @dataclass
@@ -113,7 +116,9 @@ def _b_blocks(g: np.ndarray, queue: GradQueue, cfg: OptimizerConfig, boost):
         if boost is None:
             return queue._boosted_blocks(g, cfg.boost)
         b = np.asarray(boost(queue.stats()), float)
-        g = b if b.shape == g.shape else np.broadcast_to(b, g.shape)
+        if b.shape != g.shape:
+            raise ValueError(f"boost hook returned shape {b.shape}, not the gradient's {g.shape}")
+        g = b
     return ((c, g[c]) for c in _blocks(g.size))
 
 

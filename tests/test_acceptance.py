@@ -122,9 +122,9 @@ def test_criterion_03_boosted_momentum_closed_form():
             skipped += 1
             continue
         spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
-        params = LemmaParams(beta=0.9, rho=rho, L=L, k=k)
+        params = LemmaParams(beta=0.9, rho=rho, L=L)
         sim = simulate_lemma3_momentum(spec, params, steps=k * N)
-        worst = max(worst, rel_err(lemma3_closed(spec, params), sim[-1]))
+        worst = max(worst, rel_err(lemma3_closed(spec, params, k), sim[-1]))
         checked += 1
     report(
         3,
@@ -221,7 +221,7 @@ def test_criterion_06_degeneracy_at_rho_one():
         grads = rng.normal(size=(14, 4))
         labels = rng.integers(0, k, size=14)
         labels[:k] = np.arange(k)
-        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 4)), k=k)
+        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 4)))
         out = aggregate(grads, assignment, st, BoostConfig(rho=1.0))
         mean = grads.mean(axis=0)
         worst_aggregate = max(

@@ -169,28 +169,28 @@ class TestBoostedMomentum:
     def test_first_period_closed_form(self):
         # k=1 reduces to u*beta*gamma0 + rho*C
         spec = SparseSignalSpec(C=50.0, u=-1.0, N=9)
-        params = LemmaParams(beta=0.9, rho=3.0, L=3, k=1)
+        params = LemmaParams(beta=0.9, rho=3.0, L=3)
         beta = 0.9
         beta_3 = (beta**3 - 1) / (beta - 1)
         beta_5 = (beta**5 - 1) / (beta - 1)
         gamma0 = beta**5 * beta_3 + beta_5 / 3.0
         expected = -1.0 * beta * gamma0 + 3.0 * 50.0
-        assert lemma3_closed(spec, params) == pytest.approx(expected, rel=1e-12)
+        assert lemma3_closed(spec, params, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_closed_form_matches_convention_simulator(self):
         for L, N, rho, k in self.GRID:
             spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
-            params = LemmaParams(beta=0.9, rho=rho, L=L, k=k)
+            params = LemmaParams(beta=0.9, rho=rho, L=L)
             sim = simulate_lemma3_momentum(spec, params, steps=k * N)
-            assert rel_err(lemma3_closed(spec, params), sim[-1]) <= 1e-10
+            assert rel_err(lemma3_closed(spec, params, k), sim[-1]) <= 1e-10
 
     def test_closed_form_matches_mechanistic_with_filled_warmup(self):
         # real queue + real boost operator, warm-up set to "queue filled"
         for L, N, rho, k in self.GRID:
             spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
-            params = LemmaParams(beta=0.9, rho=rho, L=L, k=k)
+            params = LemmaParams(beta=0.9, rho=rho, L=L)
             sim = simulate_gq_momentum(spec, params, steps=k * N, warmup=L)
-            assert rel_err(lemma3_closed(spec, params), sim[-1]) <= 1e-10
+            assert rel_err(lemma3_closed(spec, params, k), sim[-1]) <= 1e-10
 
     def test_default_warmup_deviation_is_exactly_one_step(self):
         # the optimizer warm-up ends at min(3, L) entries, the closed form
@@ -235,7 +235,7 @@ class TestBoostedMomentum:
     def test_regime_validation(self):
         spec = SparseSignalSpec(C=5.0, u=-1.0, N=5)
         with pytest.raises(ValueError, match="L < N - 1"):
-            lemma3_closed(spec, LemmaParams(beta=0.9, rho=3.0, L=4))
+            lemma3_closed(spec, LemmaParams(beta=0.9, rho=3.0, L=4), 1)
         with pytest.raises(ValueError, match="L < N - 1"):
             simulate_lemma3_momentum(spec, LemmaParams(beta=0.9, rho=3.0, L=5), 10)
 
@@ -473,7 +473,7 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         (lambda: LemmaParams(beta=1.0, rho=3.0, L=2), "beta must lie in (0, 1)"),
         (lambda: LemmaParams(beta=0.9, rho=0.5, L=2), "rho must be >= 1"),
         (lambda: LemmaParams(beta=0.9, rho=3.0, L=-1), "queue length L must be non-negative"),
-        (lambda: LemmaParams(beta=0.9, rho=3.0, L=2, k=0), "period index k must be >= 1"),
+        (lambda: lemma3_closed(SPEC, PARAMS, 0), "period index k must be >= 1"),
         (lambda: simulate_momentum(SPEC, 0.9, 0), "steps must be >= 1"),
         (lambda: simulate_gq_momentum(SPEC, PARAMS, 0), "steps must be >= 1"),
         (lambda: simulate_lemma3_momentum(SPEC, PARAMS, 0), "steps must be >= 1"),
@@ -488,14 +488,15 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         (lambda: LemmaParams(beta=0.9, rho=math.nan, L=2), "rho must be >= 1"),
         (lambda: threshold_boosted(9, LemmaParams(0.9, math.nan, 3)), "rho must be >= 1"),
         (lambda: LemmaParams(beta=0.9, rho=3.0, L=math.nan), "queue length L must be non-negative"),
-        (lambda: LemmaParams(beta=0.9, rho=3.0, L=2, k=math.nan), "period index k must be >= 1"),
+        (lambda: lemma3_closed(SPEC, PARAMS, math.nan), "period index k must be >= 1"),
+        (lambda: lemma1_closed(SPEC, 0.9, math.nan), "k must be >= 1"),
         (lambda: SparseSignalSpec(C=5.0, u=-1.0, N=math.nan), "sparse period N must be >= 3, got nan"),
     ],
     ids=[
         "lemma-params-beta",
         "lemma-params-rho",
         "lemma-params-L",
-        "lemma-params-k",
+        "lemma3-k",
         "simulate-momentum-steps",
         "simulate-gq-momentum-steps",
         "simulate-lemma3-steps",
@@ -506,7 +507,8 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         "lemma-params-rho-nan",
         "threshold-boosted-rho-nan",
         "lemma-params-L-nan",
-        "lemma-params-k-nan",
+        "lemma3-k-nan",
+        "lemma1-k-nan",
         "sparse-signal-N-nan",
     ],
 )

@@ -148,7 +148,7 @@ class TestAggregate:
             labels = rng.integers(0, k, size=12)
             labels[:k] = np.arange(k)  # every cluster non-empty
             centroids = np.stack([grads[labels == j, :2].mean(axis=0) for j in range(k)])
-            assignment = ClusterAssignment(labels=labels, centroids=centroids, k=k)
+            assignment = ClusterAssignment(labels=labels, centroids=centroids)
             st = self.stats(rng.normal(), rng.uniform(0.5, 2.0), 6)
             out = aggregate(grads, assignment, st, BoostConfig(rho=1.0))
             np.testing.assert_allclose(out, grads.mean(axis=0), rtol=1e-12, atol=1e-14)
@@ -163,7 +163,7 @@ class TestAggregate:
         B, d, k = shape  # labels drawn freely, so clusters may be empty
         G = data.draw(hnp.arrays(np.float64, (B, d), elements=st.floats(-1.0, 1.0))) * scale
         labels = data.draw(hnp.arrays(np.int64, B, elements=st.integers(0, k - 1)))
-        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 1)), k=k)
+        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 1)))
         stats = QueueStats(
             data.draw(hnp.arrays(np.float64, d, elements=st.floats(-1e300, 1e300))),
             data.draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 1e300))),
@@ -179,7 +179,7 @@ class TestAggregate:
         rng = np.random.default_rng(11)
         grads = rng.normal(size=(8, 4))
         assignment = ClusterAssignment(
-            labels=np.zeros(8, dtype=int), centroids=grads.mean(axis=0)[None], k=1
+            labels=np.zeros(8, dtype=int), centroids=grads.mean(axis=0)[None]
         )
         st = self.stats(0.0, 1.0, 4)
         cfg = BoostConfig(rho=3.0)
@@ -194,7 +194,7 @@ class TestAggregate:
         grads = np.array([[-1.0], [-1.0], [-1.0], [9.0]])
         labels = np.array([0, 0, 0, 1])
         assignment = ClusterAssignment(
-            labels=labels, centroids=np.array([[-1.0], [9.0]]), k=2
+            labels=labels, centroids=np.array([[-1.0], [9.0]])
         )
         out = aggregate(grads, assignment, self.stats(0.0, 1.0, 1), BoostConfig(rho=3.0))
         assert out[0] == pytest.approx(6.0, rel=1e-12)
@@ -214,7 +214,7 @@ class TestAggregate:
             mu, sigma = float(rng.normal()), float(rng.uniform(0.3, 2.0))
             rho = float(rng.uniform(1.0, 5.0))
             assignment = ClusterAssignment(
-                labels=labels, centroids=np.zeros((k, 1)), k=k
+                labels=labels, centroids=np.zeros((k, 1))
             )
             out = aggregate(
                 grads, assignment, self.stats(mu, sigma, 1), BoostConfig(rho=rho)
@@ -238,7 +238,7 @@ class TestAggregate:
     def test_labels_outside_the_clusters_refused(self, labels, match):
         grads = np.array([[1.0], [2.0], [30.0]])
         st, cfg = self.stats(0.0, 1.0, 1), BoostConfig(rho=1.0)
-        assignment = ClusterAssignment(labels=np.array([0, 0, 1]), centroids=np.zeros((2, 1)), k=2)
+        assignment = ClusterAssignment(labels=np.array([0, 0, 1]), centroids=np.zeros((2, 1)))
         assert aggregate(grads, assignment, st, cfg)[0] == pytest.approx(11.0)
         assignment.labels = np.array(labels)
         with pytest.raises(ValueError, match=match):
@@ -248,7 +248,7 @@ class TestAggregate:
         # at rho = 1 each singleton cluster adds its gradient: 1.0 + 1e17 - 1e17 is 0.0
         # in index order, and any other order gives 1.0 or 1e17
         grads = np.array([[1.0], [1e17], [-1e17]])
-        assignment = ClusterAssignment(labels=np.arange(3), centroids=np.zeros((3, 1)), k=3)
+        assignment = ClusterAssignment(labels=np.arange(3), centroids=np.zeros((3, 1)))
         out = aggregate(grads, assignment, self.stats(0.0, 1.0, 1), BoostConfig(rho=1.0))
         assert out[0] == 0.0
 
@@ -259,18 +259,18 @@ class TestAggregate:
         labels[:3] = np.arange(3)
         st = self.stats(0.0, 1.0, 2)
         cfg = BoostConfig(rho=2.0)
-        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((3, 2)), k=3)
+        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((3, 2)))
         base = aggregate(grads, assignment, st, cfg)
         perm = rng.permutation(10)
         assignment_p = ClusterAssignment(
-            labels=labels[perm], centroids=np.zeros((3, 2)), k=3
+            labels=labels[perm], centroids=np.zeros((3, 2))
         )
         out = aggregate(grads[perm], assignment_p, st, cfg)
         np.testing.assert_allclose(out, base, rtol=1e-12)
 
     def test_empty_gradient_set_rejected(self):
         assignment = ClusterAssignment(
-            labels=np.zeros(0, dtype=int), centroids=np.zeros((1, 2)), k=1
+            labels=np.zeros(0, dtype=int), centroids=np.zeros((1, 2))
         )
         with pytest.raises(ValueError):
             aggregate(np.zeros((0, 2)), assignment, self.stats(0, 1, 2), BoostConfig())

@@ -137,11 +137,11 @@ class TestLemmaCheck:
     @pytest.mark.parametrize("L, N", [(3, 5), (3, 9), (3, 20), (4, 9), (4, 20)])
     @pytest.mark.parametrize("rho", [2.0, 3.0, 5.0])
     def test_long_run_read_at_kN_is_the_short_run(self, L, N, rho):
-        # the simulator does not read k, so a run of 5N steps holds every k's value
-        spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
-        full = simulate_lemma3_momentum(spec, LemmaParams(beta=0.9, rho=rho, L=L), 5 * N)
+        # a run of 5N steps holds every shorter run's value at its end
+        spec, params = SparseSignalSpec(C=50.0, u=-1.0, N=N), LemmaParams(beta=0.9, rho=rho, L=L)
+        full = simulate_lemma3_momentum(spec, params, 5 * N)
         for k in range(1, 6):
-            short = simulate_lemma3_momentum(spec, LemmaParams(beta=0.9, rho=rho, L=L, k=k), k * N)
+            short = simulate_lemma3_momentum(spec, params, k * N)
             assert short[-1].tobytes() == full[k * N - 1].tobytes()
 
     def test_csv_report(self, tmp_path):

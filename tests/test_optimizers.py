@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 import warnings
@@ -190,6 +191,8 @@ class TestConfigValidation:
             ("learning_rate", -np.inf),
             ("learning_rate", -0.1),
             ("beta", np.nan),
+            ("boost", 3.0),
+            ("boost", None),
         ],
     )
     def test_invalid_setting_named(self, field, value):
@@ -401,14 +404,15 @@ class TestBlockedUpdates:
                 assert held[k].tobytes() == copies[k].tobytes()
 
     @pytest.mark.parametrize("state_cls, step", BOTH)
-    @pytest.mark.parametrize("b", [0.5, [0.5]])
-    def test_hook_result_broadcasts(self, state_cls, step, b):
+    @pytest.mark.parametrize("b", [0.5, [0.5], np.ones(4)], ids=["scalar", "one", "d-plus-one"])
+    def test_hook_result_of_another_shape_refused(self, state_cls, step, b):
         state = state_cls.init(np.zeros(3), capacity=3)
-        want = state_cls.init(np.zeros(3), capacity=3)
-        for g in random_stream(12, 4, 3):
-            step(state, g, cfg(boost=True), boost=lambda stats: b)
-            step(want, g, cfg(boost=True), boost=lambda stats: np.full(3, 0.5))
-        np.testing.assert_array_equal(state.params, want.params)
+        for g in random_stream(12, 3, 3):
+            step(state, g, cfg(boost=True))
+        hooked = functools.partial(step, boost=lambda stats: b)
+        assert_rejected_untouched(
+            state, hooked, np.ones(3), cfg(boost=True), match="boost hook returned shape"
+        )
 
 
 class TestUpdateMemory:
