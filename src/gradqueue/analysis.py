@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoostConfig, GradQueue, delta_rho
+from .core import BoostConfig, GradQueue, _integer, delta_rho
 
 __all__ = [
     "SparseSignalSpec",
@@ -49,6 +49,7 @@ class SparseSignalSpec:
     def __post_init__(self):
         if not self.N >= 3:  # written so that NaN fails the check
             raise ValueError(f"sparse period N must be >= 3, got {self.N}")
+        _integer("sparse period N", self.N)
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ class LemmaParams:
             raise ValueError("rho must be >= 1")
         if not self.L >= 0:
             raise ValueError("queue length L must be non-negative")
+        _integer("queue length L", self.L)
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,7 @@ def lemma1_closed(spec: SparseSignalSpec, beta: float, k: int) -> float:
     """
     if not k >= 1:  # written so that NaN fails the check
         raise ValueError("k must be >= 1")
+    _integer("k", k)
     cycle = spec.u * beta * geometric_sum(beta, spec.N - 1) + spec.C
     return period_sum(beta, spec.N, k) * cycle
 
@@ -150,6 +153,7 @@ def threshold_plain(N: int, beta: float) -> float:
     """
     if N < 3:
         raise ValueError("N must be >= 3")
+    _integer("N", N)
     return beta * geometric_sum(beta, N - 1)
 
 
@@ -162,6 +166,7 @@ def threshold_plain_reported(N: int, beta: float) -> float:
     """
     if N < 3:
         raise ValueError("N must be >= 3")
+    _integer("N", N)
     return beta * geometric_sum(beta, N)
 
 
@@ -174,6 +179,7 @@ def lemma2_phi(L: int, rho: float) -> float:
     """
     if L < 3:
         raise ValueError("queue length L must be >= 3")
+    _integer("queue length L", L)
     return max(1.0 / math.sqrt(L - 1), 1.0 / rho)
 
 
@@ -197,6 +203,7 @@ def lemma3_closed(spec: SparseSignalSpec, params: LemmaParams, k: int) -> float:
     """
     if not k >= 1:  # written so that NaN fails the check
         raise ValueError("period index k must be >= 1")
+    _integer("period index k", k)
     N = spec.N
     if params.L >= N - 1:
         raise ValueError(
@@ -222,6 +229,7 @@ def threshold_boosted(N: int, params: LemmaParams) -> float:
         raise ValueError(
             f"bound requires L < N - 1 (got L={params.L}, N={N})"
         )
+    _integer("N", N)
     head, tail = _gamma_head_tail(N, params)
     return params.beta * (head + tail) / params.rho
 

@@ -7,9 +7,9 @@ and the boosted means are recombined weighted by cluster population.
 ``kmeans`` runs all its restarts at once and gives each the result it
 would give alone: kmeans++ seeds every restart together under a plan of
 the generator draws (``_kmeans_pp_init``), and the Lloyd iterations are
-batched over restarts (``_lloyd``). Squared distances are computed one
-feature column at a time and add in the order of numpy's einsum
-(``_sq_dists``). Features must be finite.
+batched over restarts (``_lloyd``). Every point-to-centroid squared
+distance goes through ``_sq_dists``, one feature column at a time in the
+order of numpy's einsum. Features must be finite.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoostConfig, QueueStats, delta_rho
+from .core import BoostConfig, QueueStats, _integer, delta_rho
 
 __all__ = [
     "ClusterAssignment",
@@ -27,6 +27,8 @@ __all__ = [
     "aggregate",
     "choose_k",
 ]
+
+MAX_ITERS = 100  # Lloyd updates per restart
 
 
 @dataclass
@@ -173,8 +175,7 @@ def _repair_empty(X, labels, centroids, k):
     for j in range(k):
         if np.any(labels == j):
             continue
-        diff = X - centroids[labels]
-        dist = np.einsum("bf,bf->b", diff, diff)
+        dist = _sq_dists(X, centroids)[labels, np.arange(labels.size)]
         counts = np.bincount(labels, minlength=k)
         dist[counts[labels] <= 1] = -1.0
         far = int(np.argmax(dist))
@@ -211,30 +212,30 @@ def _update_centroids(X, labels, centroids):
     return means.reshape(R, k, f)
 
 
-def _lloyd(X, k, starts, max_iters):
+def _lloyd(X, k, starts):
     """Lloyd iterations of every restart at once, from (R, k, f) starting centroids.
 
     Each restart runs its own loop: assign each sample to its nearest
     centroid, reseed empty clusters, stop when the labels repeat with no
     reseed, else move the centroids to their members' means and record the
-    objective. Once ``max_iters`` updates are spent the labels are
+    objective. Once ``MAX_ITERS`` updates are spent the labels are
     reassigned to the final centroids. Returns (R, B) labels, (R, k, f)
-    centroids, each restart's final objective, and the (R, max_iters)
+    centroids, each restart's final objective, and the (R, MAX_ITERS)
     objective histories with each restart's history length.
 
     An iteration depends only on the centroids and labels it starts from,
     so a restart whose state repeats an earlier one cycles until
-    ``max_iters`` (collapsed features do this: the reseeded cluster swaps
+    ``MAX_ITERS`` (collapsed features do this: the reseeded cluster swaps
     every iteration). The state is saved at every power-of-two iteration;
     when a later state equals the saved one, the restart runs only the
-    iterations that bring it to the state it would reach at ``max_iters``,
+    iterations that bring it to the state it would reach at ``MAX_ITERS``,
     and its history is filled out by repeating the cycle's objectives.
     """
-    R, B = starts.shape[0], X.shape[0]
+    R, B, max_iters = starts.shape[0], X.shape[0], MAX_ITERS
     centroids = starts.copy()
     labels = np.full((R, B), -1, dtype=np.intp)  # matches no assignment
-    history = np.empty((R, max(max_iters, 0)))
-    lengths = np.full(R, max(max_iters, 0))
+    history = np.empty((R, max_iters))
+    lengths = np.full(R, max_iters)
     objectives = np.empty(R)
     stop = np.full(R, max_iters)  # iteration after which each restart's budget is spent
     rs = np.arange(R)  # the restarts still iterating
@@ -287,9 +288,6 @@ def _lloyd(X, k, starts, max_iters):
             labels[done] = _assign(X, centroids[done])
             objectives[done] = _objectives(X, labels[done], centroids[done])
             rs = rs[~spent]
-    if max_iters < 1:  # no iteration ran
-        labels = _assign(X, centroids)
-        objectives = _objectives(X, labels, centroids)
     return labels, centroids, objectives, history, lengths
 
 
@@ -297,11 +295,10 @@ def kmeans(
     features,
     k: int,
     seed: int = 0,
-    max_iters: int = 100,
     n_init: int = 10,
     init_centroids=None,
 ) -> ClusterAssignment:
-    """Cluster feature rows into k groups via Lloyd iterations.
+    """Cluster feature rows into k groups via at most ``MAX_ITERS`` Lloyd updates.
 
     Seeding is deterministic kmeans++ from ``seed``; the best of
     ``n_init`` restarts (by objective, the first on ties) is returned.
@@ -315,7 +312,7 @@ def kmeans(
     centroids and objectives it would give on its own. A restart
     that cycles without converging (all feature rows at one point make the
     reseeded empty cluster swap every iteration) ends as soon as the cycle
-    is seen, with the state and the ``max_iters``-long objective history
+    is seen, with the state and the ``MAX_ITERS``-long objective history
     that running out the budget would give.
 
     Features and ``init_centroids`` must be finite. Squared distances add
@@ -330,10 +327,12 @@ def kmeans(
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     B = X.shape[0]
-    if k < 1:
+    if _integer("k", k) < 1:
         raise ValueError("k must be a positive integer")
     if k > B:
         raise ValueError(f"k={k} exceeds the number of samples B={B}")
+    if _integer("n_init", n_init) < 1:
+        raise ValueError(f"n_init must be >= 1, got {n_init}")
 
     if init_centroids is not None:
         starts = np.asarray(init_centroids, dtype=float)[None]
@@ -342,9 +341,9 @@ def kmeans(
         if not np.isfinite(starts).all():
             raise ValueError("init_centroids must be finite")
     else:
-        starts = _kmeans_pp_init(X, k, np.random.default_rng(seed), max(1, n_init))
+        starts = _kmeans_pp_init(X, k, np.random.default_rng(seed), n_init)
     with np.errstate(over="ignore"):
-        labels, centroids, objectives, history, lengths = _lloyd(X, k, starts, max_iters)
+        labels, centroids, objectives, history, lengths = _lloyd(X, k, starts)
     best = int(np.argmin(objectives))
     return ClusterAssignment(
         labels=labels[best],
@@ -381,6 +380,6 @@ def aggregate(
 
 def choose_k(batch_size: int, optimal_batch: int) -> int:
     """Cluster count as the rounded ratio of batch size to the optimal size."""
-    if batch_size < 1 or optimal_batch < 1:
+    if _integer("batch_size", batch_size) < 1 or _integer("optimal_batch", optimal_batch) < 1:
         raise ValueError("batch_size and optimal_batch must be positive")
     return max(1, round(batch_size / optimal_batch))

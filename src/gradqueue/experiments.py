@@ -223,12 +223,12 @@ def _maybe_write(result: RunResult, cfg: ExperimentConfig) -> RunResult:
 # lemma-check
 
 
-def _check_row(name, params, closed, simulated, tol, rel_errs: dict):
+def _check_row(name, params, closed, simulated, rel_errs: dict):
     """One evaluated check's CSV row; its rel_err is appended to rel_errs[name]."""
     abs_err = abs(closed - simulated)
     denom = max(abs(closed), abs(simulated))
     rel_err = abs_err / denom if denom > 0 else 0.0
-    status = "pass" if rel_err <= tol else "fail"
+    status = "pass" if rel_err <= LEMMA_TOL else "fail"
     rel_errs.setdefault(name, []).append(rel_err)
     return [name, params, _fmt(closed), _fmt(simulated), _fmt(abs_err), _fmt(rel_err), status]
 
@@ -258,7 +258,6 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
                             f"beta={beta} N={N} k={k} u={u} C={C}",
                             lemma1_closed(spec, beta, k),
                             sim[k * N - 1],
-                            LEMMA_TOL,
                             rel_errs,
                         )
                     )
@@ -278,7 +277,6 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
                     f"L={L} rho={rho}",
                     lemma2_phi(L, rho),
                     float(boosted[0] / u),
-                    LEMMA_TOL,
                     rel_errs,
                 )
             )
@@ -313,7 +311,6 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
                             f"{params_nk} k={k}",
                             lemma3_closed(spec, params, k),
                             sim[k * N - 1],
-                            LEMMA_TOL,
                             rel_errs,
                         )
                     )

@@ -8,7 +8,7 @@ batch, with the max-pool gradient routed to the first argmax location.
 The convolution is nine scalar multiply-adds over shifted pixel slices,
 one per filter tap, summed in the order numpy's einsum contraction uses,
 so its responses keep the einsum's bytes (see ``batch_forward``). The
-window view is taken only to gather each filter's argmax patch.
+argmax patches are gathered at the same flat tap offsets.
 
 An image's pooled features and argmax patches depend on that image alone,
 so ``take_rows`` gathers them for any batch from one forward of a larger
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "IDEAL_HORIZONTAL",
@@ -194,7 +193,8 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
 
     Returns (logits (B,), features (B, 2), patches (B, 2, 3, 3)) where
     patches are the image windows at each filter's max response, used for
-    gradient routing.
+    gradient routing, gathered from each flattened image at the conv's flat
+    tap offsets ``x*W + y`` past the argmax window's first pixel.
 
     The responses are byte-equal to numpy's
     ``einsum("bijxy,fxy->bfij", windows, filters) + bias`` for images at
@@ -218,10 +218,10 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
     resp = _conv(images, model.conv_filters, model.conv_bias)
     arg = np.argmax(resp, axis=2)  # (2, B): first max in row-major order
     features = np.ascontiguousarray(np.take_along_axis(resp, arg[:, :, None], axis=2)[:, :, 0].T)
-    i_star, j_star = np.unravel_index(arg.T, (H - 2, W - 2))
-    windows = sliding_window_view(images, (3, 3), axis=(1, 2))  # (B, H-2, W-2, 3, 3)
-    patches = windows[np.arange(B)[:, None], i_star, j_star]  # (B, 2, 3, 3)
-    return _head(model, features), features, patches
+    first = arg.T // (W - 2) * W + arg.T % (W - 2)  # (B, 2): the argmax windows' first pixels
+    taps = [x * W + y for x in range(3) for y in range(3)]
+    patches = images.reshape(B, H * W)[np.arange(B)[:, None, None], first[:, :, None] + taps]
+    return _head(model, features), features, patches.reshape(B, 2, 3, 3)
 
 
 def _head(model: LineDetectorModel, features: np.ndarray) -> np.ndarray:

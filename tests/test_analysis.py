@@ -491,6 +491,16 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         (lambda: lemma3_closed(SPEC, PARAMS, math.nan), "period index k must be >= 1"),
         (lambda: lemma1_closed(SPEC, 0.9, math.nan), "k must be >= 1"),
         (lambda: SparseSignalSpec(C=5.0, u=-1.0, N=math.nan), "sparse period N must be >= 3, got nan"),
+        # a fractional period, queue length or period index is refused after the range checks
+        (lambda: SparseSignalSpec(5.0, -1.0, 9.5), "sparse period N must be an integer, got 9.5"),
+        (lambda: LemmaParams(0.9, 3.0, 3.5), "queue length L must be an integer, got 3.5"),
+        (lambda: lemma1_closed(SPEC, 0.9, 1.5), "k must be an integer, got 1.5"),
+        (lambda: lemma3_closed(SPEC, PARAMS, 2.5), "period index k must be an integer, got 2.5"),
+        (lambda: lemma2_phi(3.5, 3.0), "queue length L must be an integer, got 3.5"),
+        (lambda: threshold_plain(9.5, 0.9), "N must be an integer, got 9.5"),
+        (lambda: threshold_plain_reported(9.5, 0.9), "N must be an integer, got 9.5"),
+        (lambda: threshold_boosted(9.5, PARAMS), "N must be an integer, got 9.5"),
+        (lambda: threshold_plain(math.nan, 0.9), "N must be an integer, got nan"),
     ],
     ids=[
         "lemma-params-beta",
@@ -510,9 +520,31 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         "lemma3-k-nan",
         "lemma1-k-nan",
         "sparse-signal-N-nan",
+        "sparse-signal-N-fractional",
+        "lemma-params-L-fractional",
+        "lemma1-k-fractional",
+        "lemma3-k-fractional",
+        "lemma2-L-fractional",
+        "threshold-plain-N-fractional",
+        "threshold-plain-reported-N-fractional",
+        "threshold-boosted-N-fractional",
+        "threshold-plain-N-nan",
     ],
 )
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nine", [np.int64(9), np.int32(9), np.uint8(9)])
+def test_numpy_integer_sizes_accepted(nine):
+    spec, params = SparseSignalSpec(5.0, -1.0, nine), LemmaParams(0.9, 3.0, nine // 3)
+    assert lemma1_closed(spec, 0.9, nine // 4) == lemma1_closed(SparseSignalSpec(5.0, -1.0, 9), 0.9, 2)
+    assert lemma3_closed(spec, params, nine // 4) == lemma3_closed(
+        SparseSignalSpec(5.0, -1.0, 9), LemmaParams(0.9, 3.0, 3), 2
+    )
+    assert lemma2_phi(nine // 3, 3.0) == lemma2_phi(3, 3.0)
+    assert threshold_plain(nine, 0.9) == threshold_plain(9, 0.9)
+    assert threshold_plain_reported(nine, 0.9) == threshold_plain_reported(9, 0.9)
+    assert threshold_boosted(nine, params) == threshold_boosted(9, LemmaParams(0.9, 3.0, 3))

@@ -347,7 +347,7 @@ def oracle_kmeans(X, k, seed=0, max_iters=100, n_init=10, init_centroids=None):
 
 def assert_same_as_oracle(X, k, **kwargs):
     result = kmeans(X, k, **kwargs)
-    labels, centroids, history = oracle_kmeans(X, k, **kwargs)
+    labels, centroids, history = oracle_kmeans(X, k, max_iters=clustering.MAX_ITERS, **kwargs)
     np.testing.assert_array_equal(result.labels, labels)
     assert result.centroids.tobytes() == centroids.tobytes()
     assert result.objective_history == history
@@ -371,27 +371,30 @@ class TestBatchedRestarts:
     # f >= 8 reaches the einsum's rounds of 8 features in the distance sum
     @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 8, 9, 16, 17])
     @pytest.mark.parametrize("n_init", [1, 10])
-    def test_matches_per_restart_loop(self, f, n_init):
+    def test_matches_per_restart_loop(self, monkeypatch, f, n_init):
+        # a budget of 20 keeps the oracle's cycling restarts short
+        monkeypatch.setattr(clustering, "MAX_ITERS", 20)
         rng = np.random.default_rng(100 * f + n_init)
         for trial in range(2 if n_init == 1 else 1):
             for X in feature_sets(f, rng).values():
                 for k in range(1, 7):
-                    # a budget of 20 keeps the oracle's cycling restarts short
-                    assert_same_as_oracle(X, k, seed=trial, n_init=n_init, max_iters=20)
+                    assert_same_as_oracle(X, k, seed=trial, n_init=n_init)
 
     @pytest.mark.parametrize("f", [1, 2, 3, 4])
-    def test_init_centroids_match_per_restart_loop(self, f):
+    def test_init_centroids_match_per_restart_loop(self, monkeypatch, f):
+        monkeypatch.setattr(clustering, "MAX_ITERS", 20)
         rng = np.random.default_rng(f)
         for X in feature_sets(f, rng).values():
             for k in range(1, 7):
                 init = X[rng.choice(X.shape[0], size=k, replace=False)] + rng.normal(size=(k, f))
-                assert_same_as_oracle(X, k, init_centroids=init, max_iters=20)
+                assert_same_as_oracle(X, k, init_centroids=init)
 
-    def test_short_budgets_match_per_restart_loop(self):
+    def test_short_budgets_match_per_restart_loop(self, monkeypatch):
         rng = np.random.default_rng(11)
         for X in feature_sets(2, rng).values():
-            for max_iters in (0, 1, 2, 3, 5):
-                assert_same_as_oracle(X, 3, seed=1, max_iters=max_iters)
+            for max_iters in (1, 2, 3, 5):
+                monkeypatch.setattr(clustering, "MAX_ITERS", max_iters)
+                assert_same_as_oracle(X, 3, seed=1)
 
     def test_ties_pick_the_first_best_restart(self):
         # every restart of a symmetric set ends at an equal objective
@@ -407,7 +410,7 @@ class TestBatchedRestarts:
 
 
 class TestCollapsedFeatures:
-    """All rows at one point: the reseeded empty cluster cycles until max_iters."""
+    """All rows at one point: the reseeded empty cluster cycles until MAX_ITERS."""
 
     def count_updates(self, monkeypatch):
         counted = []
@@ -435,7 +438,8 @@ class TestCollapsedFeatures:
             X = np.full((100, f), value)
             for k in (2, 3):
                 for max_iters in (7, 37):
-                    result = assert_same_as_oracle(X, k, seed=5, max_iters=max_iters)
+                    monkeypatch.setattr(clustering, "MAX_ITERS", max_iters)
+                    result = assert_same_as_oracle(X, k, seed=5)
                     assert len(result.objective_history) == max_iters
         # the per-restart loop makes 2 * 2 * 10 * (7 + 37) updates
         assert sum(counted) <= 8 * 10 * 6
@@ -623,7 +627,8 @@ class TestDistances:
             kmeans(X, k, seed=k, n_init=10)
             assert at_lloyd[-1] == k - 1  # the per-restart seeding makes 10 * (k - 1)
 
-    def test_collapsed_rows_raise_no_warning(self):
+    def test_collapsed_rows_raise_no_warning(self, monkeypatch):
+        monkeypatch.setattr(clustering, "MAX_ITERS", 20)
         rng = np.random.default_rng(43)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -631,7 +636,7 @@ class TestDistances:
                 sets = feature_sets(f, rng)
                 for X in (sets["collapsed"], sets["two_points"], np.zeros((30, f))):
                     for k in (1, 2, 3, 5):
-                        kmeans(X, k, seed=k, max_iters=20)
+                        kmeans(X, k, seed=k)
 
 
 class TestNonFiniteFeatures:
@@ -655,10 +660,41 @@ class TestNonFiniteFeatures:
     [
         (lambda: kmeans(np.zeros(4), 2), "features must be a (B, f) matrix"),
         (lambda: kmeans(np.zeros((2, 3, 1)), 2), "features must be a (B, f) matrix"),
+        (lambda: kmeans(np.zeros((4, 2)), 0), "k must be a positive integer"),
+        (lambda: kmeans(np.zeros((4, 2)), 5), "k=5 exceeds the number of samples B=4"),
+        (lambda: kmeans(np.zeros((4, 2)), 2.5), "k must be an integer, got 2.5"),
+        (lambda: kmeans(np.zeros((4, 2)), 2, n_init=0), "n_init must be >= 1, got 0"),
+        (lambda: kmeans(np.zeros((4, 2)), 2, n_init=-3), "n_init must be >= 1, got -3"),
+        (lambda: kmeans(np.zeros((4, 2)), 2, n_init=2.5), "n_init must be an integer, got 2.5"),
+        (lambda: choose_k(100, 2.5), "optimal_batch must be an integer, got 2.5"),
+        (lambda: choose_k(100.0, 50), "batch_size must be an integer, got 100.0"),
+        (lambda: choose_k(0, 128), "batch_size and optimal_batch must be positive"),
     ],
-    ids=["features-1d", "features-3d"],
+    ids=[
+        "features-1d",
+        "features-3d",
+        "k-zero",
+        "k-above-B",
+        "k-fractional",
+        "n-init-zero",
+        "n-init-negative",
+        "n-init-fractional",
+        "choose-k-optimal-fractional",
+        "choose-k-batch-float",
+        "choose-k-zero",
+    ],
 )
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("two", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_numpy_integer_sizes_accepted(two):
+    X = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
+    want = kmeans(X, 2, seed=1, n_init=2)
+    got = kmeans(X, two, seed=1, n_init=two)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert choose_k(two * 50, two) == choose_k(100, 2) == 50

@@ -278,6 +278,26 @@ class TestConvMatchesEinsum:
         assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
 
 
+@pytest.mark.parametrize("H", range(3, 9))
+@pytest.mark.parametrize("W", range(3, 9))
+def test_patches_are_the_argmax_windows(H, W):
+    # the patch gather against the window view, with non-finite pixels that
+    # can win the argmax (NaN does) and lose it
+    rng = np.random.default_rng(10 * H + W)
+    for B in (1, 7):
+        model = signed_zero_model(rng)
+        images = rng.normal(size=(B, H, W))
+        for bad in (np.nan, np.inf, -np.inf):
+            images[rng.random(images.shape) < 0.05] = bad
+        with np.errstate(invalid="ignore"):  # the head's product of NaN features
+            _, _, patches = batch_forward(model, images)
+        arg = np.argmax(_conv(images, model.conv_filters, model.conv_bias), axis=2).T
+        windows = sliding_window_view(images, (3, 3), axis=(1, 2)).reshape(B, -1, 3, 3)
+        want = windows[np.arange(B)[:, None], arg]
+        assert patches.shape == want.shape == (B, 2, 3, 3)
+        assert patches.tobytes() == want.tobytes()
+
+
 class TestGradients:
     def test_finite_difference_agreement(self):
         for seed in range(3):
