@@ -94,6 +94,8 @@ class BatchCompositionCase:
             raise ValueError("need B >= 1, q >= 1, p >= 0")
         if self.p + self.q != self.B:
             raise ValueError(f"p + q must equal B ({self.p} + {self.q} != {self.B})")
+        for name in ("B", "p", "q"):  # stored as ints: numpy integer arithmetic could wrap
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
 
 
 def sparse_signal(t: int, spec: SparseSignalSpec) -> float:
@@ -123,6 +125,7 @@ def simulate_momentum(spec: SparseSignalSpec, beta: float, steps: int) -> np.nda
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    steps = _integer("steps", steps)
     C, u, N = spec.C, spec.u, spec.N
     out = []
     m = 0.0
@@ -261,10 +264,13 @@ def simulate_gq_momentum(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    steps = _integer("steps", steps)
     if params.L < 1:
         raise ValueError("the mechanistic simulation needs L >= 1")
-    if warmup is not None and warmup < 1:
-        raise ValueError(f"warmup must be >= 1, got {warmup}")
+    if warmup is not None:
+        if warmup < 1:
+            raise ValueError(f"warmup must be >= 1, got {warmup}")
+        warmup = _integer("warmup", warmup)
     queue = GradQueue(capacity=params.L)
     cfg = BoostConfig(rho=params.rho)
     N = spec.N
@@ -299,6 +305,7 @@ def simulate_lemma3_momentum(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    steps = _integer("steps", steps)
     N = spec.N
     if params.L >= N - 1:
         raise ValueError(

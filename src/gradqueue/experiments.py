@@ -387,66 +387,86 @@ def _batch_schedule(n: int, batch_size: int, steps: int, rng: np.random.Generato
     return schedule
 
 
-def _train_single(
-    model: LineDetectorModel,
-    dataset,
-    groups,
-    schedule,
-    cfg: ExperimentConfig,
-    boost: bool,
-    k: int,
-    cluster_seed: int,
-):
-    """Training loop (SGDM or Adam); returns per-step (loss, align_f1, align_f2).
+def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: ExperimentConfig, runs):
+    """Training runs in lockstep (SGDM or Adam); each run's per-step (loss, align_f1, align_f2).
 
-    Each step is one ``optimizers.sgdm_step``/``adam_step`` (looked up at
-    call time) on the batch-mean gradient. With ``k > 1`` it gets a
-    ``boost`` hook: a step that boosts clusters the batch by its features
-    (``kmeans``) and aggregates the boosted cluster means (``aggregate``).
+    Each run is ``(boost, k, cluster_seed)`` and starts from ``model``
+    with its own optimizer state. Its step is one
+    ``optimizers.sgdm_step``/``adam_step`` (looked up at call time) on its
+    batch-mean gradient. With ``k > 1`` it gets a ``boost`` hook: a step
+    that boosts clusters the batch by its features (``kmeans``) and
+    aggregates the boosted cluster means (``aggregate``).
 
     ``groups`` is ``(distinct, inverse)`` from ``_train_setup``: the index
     of one image of each distinct image's group, and each image's group.
-    The loop runs one ``nn.batch_forward`` of the distinct images at the
-    initial parameters, then one per step at the parameters the step
-    produced. Every consumer takes its rows from the latest forward with
-    ``nn.take_rows``: the step's full-dataset eval loss takes rows
-    ``inverse``, and the next step's gradients rows ``inverse[idx]``,
-    whatever the batch size. The outputs are the bytes of a fresh forward
-    of each batch and of the whole dataset.
+    With the runs' parameters on a leading run axis (see ``nn``), the loop
+    runs one ``nn.batch_forward`` of the distinct images at the initial
+    parameters, then one per step at those the step produced. The step's
+    eval losses take rows ``inverse`` of it, and the next step's gradients
+    rows ``inverse[idx]``. Each run gets the bytes it gets alone, those of
+    a fresh forward of each batch and of the whole dataset.
+
+    A run that raises leaves the lockstep, and the others go on. At the
+    end the lowest-index failed run's exception is raised: of runs (plain,
+    boosted), the plain one's, as when they ran one after the other.
     """
-    opt_cfg = OptimizerConfig(
-        cfg.learning_rate, cfg.beta, boost=BoostConfig(rho=cfg.rho), boost_enabled=boost
-    )
+    boost_cfg = BoostConfig(rho=cfg.rho)
+    opt_cfgs = [OptimizerConfig(cfg.learning_rate, cfg.beta, boost_cfg, b) for b, _, _ in runs]
     state_cls = AdamState if cfg.use_adam else SgdmState
-    state = state_cls.init(model.to_vector(), cfg.capacity)
-    step_name = "adam_step" if cfg.use_adam else "sgdm_step"
+    states = [state_cls.init(model.to_vector(), cfg.capacity) for _ in runs]
+    step_fn = getattr(optimizers, "adam_step" if cfg.use_adam else "sgdm_step")
     distinct, inverse = groups
     images = dataset.images[distinct]
-    m = LineDetectorModel.from_vector(state.params)
+    histories = [[] for _ in runs]
+    errors: dict[int, Exception] = {}  # run index: what it raised
+    live = list(range(len(runs)))  # the runs stacked in m, in order
+
+    def settled():  # no run is left, or the error to raise is known
+        return not live or min(errors, default=live[0]) < live[0]
+
+    m = LineDetectorModel.from_vector([s.params for s in states])
     forward_out = nn.batch_forward(m, images)
-    history = []
     for step, idx in enumerate(schedule):
         batch = take_rows(m, forward_out, inverse[idx])
         _, grads, feats = grads_from_forward(m, batch, dataset.labels[idx])
+        for r, run_grads, run_feats in zip(live, grads, feats):
+            _, k, cluster_seed = runs[r]
 
-        def cluster_boost(stats):  # called, if at all, within this step
-            assignment = kmeans(feats, k, seed=cluster_seed + step)
-            return aggregate(grads, assignment, stats, opt_cfg.boost)
+            def cluster_boost(stats):  # called, if at all, within this step
+                assignment = kmeans(run_feats, k, seed=cluster_seed + step)
+                return aggregate(run_grads, assignment, stats, boost_cfg)
 
-        hook = cluster_boost if k > 1 else None
-        getattr(optimizers, step_name)(state, grads.mean(axis=0), opt_cfg, boost=hook)
+            hook = cluster_boost if k > 1 else None
+            try:
+                step_fn(states[r], run_grads.mean(axis=0), opt_cfgs[r], boost=hook)
+            except Exception as exc:
+                errors[r] = exc
+        live = [r for r in live if r not in errors]
+        if settled():
+            break
 
-        m = LineDetectorModel.from_vector(state.params)
+        m = LineDetectorModel.from_vector([states[r].params for r in live])
         forward_out = nn.batch_forward(m, images)
-        loss = loss_from_forward(take_rows(m, forward_out, inverse), dataset.labels)
-        if not np.isfinite(loss):
-            raise RuntimeError(
-                f"divergence: non-finite loss at step {step + 1} "
-                f"(lr={cfg.learning_rate}, rho={cfg.rho}, boost={boost})"
-            )
-        align = template_alignment(m)
-        history.append((loss, align[0], align[1]))
-    return history
+        losses = loss_from_forward(take_rows(m, forward_out, inverse), dataset.labels)
+        for r, loss in zip(live, losses):
+            if not np.isfinite(loss):
+                errors[r] = RuntimeError(
+                    f"divergence: non-finite loss at step {step + 1} "
+                    f"(lr={cfg.learning_rate}, rho={cfg.rho}, boost={runs[r][0]})"
+                )
+                continue
+            align = template_alignment(LineDetectorModel.from_vector(states[r].params))
+            histories[r].append((loss, align[0], align[1]))
+        keep = [i for i, r in enumerate(live) if r not in errors]
+        live = [live[i] for i in keep]
+        if settled():
+            break
+        if len(keep) < len(losses):  # the diverged runs' rows leave the stack
+            m = LineDetectorModel.from_vector([states[r].params for r in live])
+            forward_out = tuple(a[keep] for a in forward_out)
+    if errors:
+        raise errors[min(errors)]
+    return histories
 
 
 def _train_setup(cfg: ExperimentConfig):
@@ -479,7 +499,8 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     """Paired training runs (plain SGDM vs boosted) from one initialization.
 
     Dataset, initial weights and batch order are shared; only the boost
-    differs. Emits per-step loss and filter-template alignment for both.
+    differs. Both runs advance together in one ``_train_single`` loop.
+    Emits per-step loss and filter-template alignment for both.
     """
     seeds, dataset, groups, model, batch_size, schedule = _train_setup(cfg)
     k = cfg.k if cfg.k is not None else choose_k(batch_size, cfg.optimal_batch)
@@ -488,17 +509,8 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     if k > batch_size:
         raise ValueError(f"k={k} exceeds the batch size {batch_size}")
 
-    plain = _train_single(model, dataset, groups, schedule, cfg, boost=False, k=1, cluster_seed=0)
-    boosted = _train_single(
-        model,
-        dataset,
-        groups,
-        schedule,
-        cfg,
-        boost=cfg.boost_enabled,
-        k=k,
-        cluster_seed=seeds["clustering"],
-    )
+    runs = [(False, 1, 0), (cfg.boost_enabled, k, seeds["clustering"])]
+    plain, boosted = _train_single(model, dataset, groups, schedule, cfg, runs)
     rows = [
         [step + 1, pl[0], bo[0], pl[1], bo[1], pl[2], bo[2]]
         for step, (pl, bo) in enumerate(zip(plain, boosted))
@@ -544,9 +556,7 @@ def _loss_feed(cfg: ExperimentConfig) -> list[float]:
         return down + [floor] * (n - half)
     if cfg.pattern == "train":
         _, dataset, groups, model, _, schedule = _train_setup(cfg)
-        history = _train_single(
-            model, dataset, groups, schedule, cfg, boost=False, k=1, cluster_seed=0
-        )
+        (history,) = _train_single(model, dataset, groups, schedule, cfg, [(False, 1, 0)])
         return [h[0] for h in history]
     raise ValueError(f"unknown pattern {cfg.pattern!r}")
 

@@ -14,6 +14,11 @@ An image's pooled features and argmax patches depend on that image alone,
 so ``take_rows`` gathers them for any batch from one forward of a larger
 stack; the dense head (``_head``) is recomputed on the gathered rows, as
 its matrix product need not round a row the same way at every batch size.
+
+A model's arrays may carry a leading axis of R runs (``from_vector`` of an
+(R, 23) matrix): ``batch_forward`` convolves with all 2R filters at once,
+and every result carries the axis. Each value is computed elementwise, or
+by one 2-D head product per run, so a run's bytes are its model's alone.
 """
 
 from __future__ import annotations
@@ -43,15 +48,15 @@ IDEAL_HORIZONTAL = np.array([[-1, -1, -1], [2, 2, 2], [-1, -1, -1]], dtype=float
 IDEAL_VERTICAL = np.array([[-1, 2, -1], [-1, 2, -1], [-1, 2, -1]], dtype=float)
 
 N_PARAMS = 23  # 2 * (9 + 1) conv + 2 + 1 dense
-CONV_BLOCK = 8192  # pixels of whole images per convolution block: 128 KiB work buffers
+CONV_BLOCK = 8192  # pixels of whole images per block and filter pair: 128 KiB work buffers
 
 
 @dataclass
 class LineDetectorModel:
-    conv_filters: np.ndarray  # (2, 3, 3); index 0 horizontal role, 1 vertical
-    conv_bias: np.ndarray  # (2,)
-    dense_weights: np.ndarray  # (2,)
-    dense_bias: float
+    conv_filters: np.ndarray  # (2, 3, 3) or (R, 2, 3, 3); index 0 horizontal role, 1 vertical
+    conv_bias: np.ndarray  # (2,) or (R, 2)
+    dense_weights: np.ndarray  # (2,) or (R, 2)
+    dense_bias: float | np.ndarray  # or (R,)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate(
@@ -65,14 +70,15 @@ class LineDetectorModel:
 
     @classmethod
     def from_vector(cls, vec) -> "LineDetectorModel":
+        """The model of a (23,) vector, or the stacked model of an (R, 23) matrix's rows."""
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (N_PARAMS,):
+        if vec.ndim not in (1, 2) or vec.shape[-1] != N_PARAMS:
             raise ValueError(f"expected a vector of {N_PARAMS} parameters")
         return cls(
-            conv_filters=vec[:18].reshape(2, 3, 3).copy(),
-            conv_bias=vec[18:20].copy(),
-            dense_weights=vec[20:22].copy(),
-            dense_bias=float(vec[22]),
+            conv_filters=vec[..., :18].reshape(*vec.shape[:-1], 2, 3, 3).copy(),
+            conv_bias=vec[..., 18:20].copy(),
+            dense_weights=vec[..., 20:22].copy(),
+            dense_bias=vec[..., 22].copy()[()],  # a float64 scalar for one model
         )
 
     @classmethod
@@ -153,20 +159,21 @@ def _bce_from_logit(logits, labels):
 
 
 def _conv(images: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid 3x3 responses of both filters plus their biases, shape (2, B, h*w).
+    """Valid 3x3 responses of F filters plus their biases, shape (F, B, h*w).
 
-    The images go through in blocks of whole images of at most CONV_BLOCK
-    pixels (or one image), so the three work buffers stay small and are
-    reused. In a flattened block, tap (x, y) of the window at pixel p is
-    pixel ``p + x*W + y``: each tap is one contiguous slice, multiplied by
-    both filters' weights at once. The flat run covers every valid window;
-    the windows that wrap past a row or an image end are cropped away.
+    The images go through in blocks of whole images of at most
+    ``2 * CONV_BLOCK // F`` pixels (or one image), so the three (F, pixels)
+    work buffers stay the same small size at every F and are reused. In a
+    flattened block, tap (x, y) of the window at pixel p is pixel
+    ``p + x*W + y``: each tap is one contiguous slice, multiplied by every
+    filter's weight at once. The flat run covers every valid window; the
+    windows that wrap past a row or an image end are cropped away.
     """
     B, H, W = images.shape
-    h, w = H - 2, W - 2
-    per_block = max(1, min(B, CONV_BLOCK // (H * W)))
-    acc, row, tmp = (np.empty((2, per_block * H * W)) for _ in range(3))
-    resp = np.empty((2, B, h, w))
+    F, h, w = len(filters), H - 2, W - 2
+    per_block = max(1, min(B, 2 * CONV_BLOCK // (F * H * W)))
+    acc, row, tmp = np.empty((3, F, per_block * H * W))
+    resp = np.empty((F, B, h, w))
     for start in range(0, B, per_block):
         flat = images[start : start + per_block].reshape(-1)
         n = flat.size - 2 * W - 2  # one past the last valid window
@@ -183,9 +190,9 @@ def _conv(images: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarr
                 r += t
                 np.add(a if x else 0.0, r, out=a)
         count = flat.size // (H * W)
-        valid = acc[:, : flat.size].reshape(2, count, H, W)[:, :, :h, :w]
+        valid = acc[:, : flat.size].reshape(F, count, H, W)[:, :, :h, :w]
         np.add(valid, bias[:, None, None, None], out=resp[:, start : start + count])
-    return resp.reshape(2, B, h * w)
+    return resp.reshape(F, B, h * w)
 
 
 def batch_forward(model: LineDetectorModel, images: np.ndarray):
@@ -194,7 +201,9 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
     Returns (logits (B,), features (B, 2), patches (B, 2, 3, 3)) where
     patches are the image windows at each filter's max response, used for
     gradient routing, gathered from each flattened image at the conv's flat
-    tap offsets ``x*W + y`` past the argmax window's first pixel.
+    tap offsets ``x*W + y`` past the argmax window's first pixel. A stacked
+    model's results carry its leading run axis: (R, B), (R, B, 2) and
+    (R, B, 2, 3, 3), from one ``_conv`` of all 2R filters.
 
     The responses are byte-equal to numpy's
     ``einsum("bijxy,fxy->bfij", windows, filters) + bias`` for images at
@@ -215,32 +224,40 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
     B, H, W = images.shape
     if H < 3 or W < 3:
         raise ValueError("images must be at least 3x3")
-    resp = _conv(images, model.conv_filters, model.conv_bias)
-    arg = np.argmax(resp, axis=2)  # (2, B): first max in row-major order
-    features = np.ascontiguousarray(np.take_along_axis(resp, arg[:, :, None], axis=2)[:, :, 0].T)
-    first = arg.T // (W - 2) * W + arg.T % (W - 2)  # (B, 2): the argmax windows' first pixels
+    runs = model.conv_bias.shape[:-1]  # () for one model, (R,) for a stack
+    resp = _conv(images, model.conv_filters.reshape(-1, 3, 3), model.conv_bias.reshape(-1))
+    arg = np.argmax(resp, axis=2)  # (2R, B): first max in row-major order
+    best = np.take_along_axis(resp, arg[:, :, None], axis=2)[:, :, 0]
+    # (2R, B) -> (..., B, 2): per image, both filters' features and argmax windows
+    best, arg = (a.reshape(*runs, 2, B).swapaxes(-1, -2) for a in (best, arg))
+    features = np.ascontiguousarray(best)
+    first = arg // (W - 2) * W + arg % (W - 2)  # the argmax windows' first pixels
     taps = [x * W + y for x in range(3) for y in range(3)]
-    patches = images.reshape(B, H * W)[np.arange(B)[:, None, None], first[:, :, None] + taps]
-    return _head(model, features), features, patches.reshape(B, 2, 3, 3)
+    patches = images.reshape(B, H * W)[np.arange(B)[:, None, None], first[..., None] + taps]
+    return _head(model, features), features, patches.reshape(*runs, B, 2, 3, 3)
 
 
 def _head(model: LineDetectorModel, features: np.ndarray) -> np.ndarray:
-    """Logits (B,) of the dense head on pooled (B, 2) features."""
-    return features @ model.dense_weights + model.dense_bias
+    """Logits (..., B) of pooled (..., B, 2) features: a 2-D product per run (see ``take_rows``)."""
+    weights = model.dense_weights.reshape(-1, 2)
+    rows = features.reshape(len(weights), -1, 2)
+    logits = np.array([f @ w for f, w in zip(rows, weights)])
+    return (logits + np.reshape(model.dense_bias, (-1, 1))).reshape(features.shape[:-1])
 
 
 def take_rows(model: LineDetectorModel, forward_out, rows):
     """The ``batch_forward`` result of ``model`` on ``images[rows]``, from its result on ``images``.
 
-    ``rows`` may repeat. Features and patches are gathered; the logits are
-    recomputed by ``_head``, because OpenBLAS rounds a one-row product
-    ``f0*w0 + f1*w1`` (one fused multiply-add) unlike a product of two or
-    more rows, so gathered logits would change bytes where one of the two
-    stacks has a single row.
+    ``rows`` may repeat. Features and patches are gathered, for all runs
+    at once; the logits are recomputed by ``_head``, because OpenBLAS
+    rounds a one-row product ``f0*w0 + f1*w1`` (one fused multiply-add)
+    unlike a product of two or more rows, so gathered logits would change
+    bytes where one of the two stacks has a single row; nor may one
+    product span runs.
     """
     _, features, patches = forward_out
-    features = features[rows]
-    return _head(model, features), features, patches[rows]
+    features = np.take(features, rows, axis=-2)
+    return _head(model, features), features, np.take(patches, rows, axis=-4)
 
 
 def per_sample_grads(model: LineDetectorModel, images, labels):
@@ -256,19 +273,19 @@ def per_sample_grads(model: LineDetectorModel, images, labels):
 
 
 def grads_from_forward(model: LineDetectorModel, forward_out, labels):
-    """``per_sample_grads`` from the ``batch_forward`` result of ``model`` on the batch."""
+    """``per_sample_grads`` from the ``batch_forward`` result of ``model`` on the batch, per run."""
     logits, features, patches = forward_out
     labels = np.asarray(labels, dtype=float)
     losses = _bce_from_logit(logits, labels)
-    dlogit = _sigmoid(logits) - labels  # (B,)
+    dlogit = _sigmoid(logits) - labels  # (..., B)
 
-    B = logits.shape[0]
-    grads = np.empty((B, N_PARAMS))
-    dfilters = dlogit[:, None, None, None] * model.dense_weights[None, :, None, None]
-    grads[:, :18] = (dfilters * patches).reshape(B, 18)
-    grads[:, 18:20] = dlogit[:, None] * model.dense_weights[None, :]
-    grads[:, 20:22] = dlogit[:, None] * features
-    grads[:, 22] = dlogit
+    weights = model.dense_weights[..., None, :]  # (..., 1, 2)
+    grads = np.empty((*logits.shape, N_PARAMS))
+    dfilters = dlogit[..., None, None, None] * weights[..., None, None]
+    grads[..., :18] = (dfilters * patches).reshape(*logits.shape, 18)
+    grads[..., 18:20] = dlogit[..., None] * weights
+    grads[..., 20:22] = dlogit[..., None] * features
+    grads[..., 22] = dlogit
     return losses, grads, features
 
 
@@ -276,9 +293,10 @@ def batch_loss(model: LineDetectorModel, images, labels) -> float:
     return loss_from_forward(batch_forward(model, np.asarray(images, dtype=float)), labels)
 
 
-def loss_from_forward(forward_out, labels) -> float:
-    """``batch_loss`` (mean binary cross-entropy) from a ``batch_forward`` result."""
-    return float(np.mean(_bce_from_logit(forward_out[0], np.asarray(labels, dtype=float))))
+def loss_from_forward(forward_out, labels):
+    """``batch_loss`` (mean binary cross-entropy) from a ``batch_forward`` result; one per run."""
+    losses = _bce_from_logit(forward_out[0], np.asarray(labels, dtype=float))
+    return np.mean(losses, axis=-1).tolist()
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -501,6 +501,23 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         (lambda: threshold_plain_reported(9.5, 0.9), "N must be an integer, got 9.5"),
         (lambda: threshold_boosted(9.5, PARAMS), "N must be an integer, got 9.5"),
         (lambda: threshold_plain(math.nan, 0.9), "N must be an integer, got nan"),
+        # fractional counts and step counts, likewise
+        (
+            lambda: BatchCompositionCase(B=10.5, p=5.5, q=5, eq_q=1.0, eq_p=-0.1),
+            "B must be an integer, got 10.5",
+        ),
+        (
+            lambda: BatchCompositionCase(B=10, p=4, q=6.0, eq_q=1.0, eq_p=-0.1),
+            "q must be an integer, got 6.0",
+        ),
+        (lambda: simulate_momentum(SPEC, 0.9, 10.5), "steps must be an integer, got 10.5"),
+        (lambda: simulate_gq_momentum(SPEC, PARAMS, 10.5), "steps must be an integer, got 10.5"),
+        (lambda: simulate_lemma3_momentum(SPEC, PARAMS, 10.5), "steps must be an integer, got 10.5"),
+        (lambda: simulate_momentum(SPEC, 0.9, math.nan), "steps must be an integer, got nan"),
+        (
+            lambda: simulate_gq_momentum(SPEC, PARAMS, 20, warmup=2.5),
+            "warmup must be an integer, got 2.5",
+        ),
     ],
     ids=[
         "lemma-params-beta",
@@ -529,6 +546,13 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         "threshold-plain-reported-N-fractional",
         "threshold-boosted-N-fractional",
         "threshold-plain-N-nan",
+        "batch-composition-B-fractional",
+        "batch-composition-q-fractional",
+        "simulate-momentum-steps-fractional",
+        "simulate-gq-momentum-steps-fractional",
+        "simulate-lemma3-steps-fractional",
+        "simulate-momentum-steps-nan",
+        "simulate-gq-momentum-warmup-fractional",
     ],
 )
 def test_refusal_messages(call, message):
@@ -548,3 +572,16 @@ def test_numpy_integer_sizes_accepted(nine):
     assert threshold_plain(nine, 0.9) == threshold_plain(9, 0.9)
     assert threshold_plain_reported(nine, 0.9) == threshold_plain_reported(9, 0.9)
     assert threshold_boosted(nine, params) == threshold_boosted(9, LemmaParams(0.9, 3.0, 3))
+    spec9, params3 = SparseSignalSpec(5.0, -1.0, 9), LemmaParams(0.9, 3.0, 3)
+    steps = nine * 2  # 18, of the same numpy type
+    assert simulate_momentum(spec, 0.9, steps).tobytes() == simulate_momentum(spec9, 0.9, 18).tobytes()
+    assert (
+        simulate_gq_momentum(spec, params, steps, warmup=nine // 3).tobytes()
+        == simulate_gq_momentum(spec9, params3, 18, warmup=3).tobytes()
+    )
+    assert (
+        simulate_lemma3_momentum(spec, params, steps).tobytes()
+        == simulate_lemma3_momentum(spec9, params3, 18).tobytes()
+    )
+    case = BatchCompositionCase(B=nine + 1, p=nine - 4, q=nine - 4, eq_q=1.0, eq_p=-0.1)
+    assert zeta(case) == zeta(BatchCompositionCase(B=10, p=5, q=5, eq_q=1.0, eq_p=-0.1))

@@ -227,6 +227,23 @@ class TestTrainLines:
         with pytest.raises(RuntimeError, match="divergence"):
             run_train_lines(cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "learning_rate, message",
+        [
+            # both arms diverge, the boosted one first (at step 83): the plain arm's error
+            (50.0, "divergence: non-finite loss at step 106 (lr=50.0, rho=3.0, boost=False)"),
+            # only the boosted arm diverges
+            (5.0, "divergence: non-finite loss at step 172 (lr=5.0, rho=3.0, boost=True)"),
+        ],
+        ids=["both-arms", "boosted-arm-only"],
+    )
+    def test_divergence_message(self, learning_rate, message):
+        cfg = ExperimentConfig(learning_rate=learning_rate, steps=400, p=12, q=4, batch_size=16)
+        with pytest.raises(RuntimeError) as exc:
+            run_train_lines(cfg)
+        assert str(exc.value) == message
+
     def test_minibatch_schedule_shared(self):
         # smaller batch than dataset still runs deterministically
         cfg = ExperimentConfig(steps=8, p=20, q=5, batch_size=10, k=1)
@@ -273,8 +290,8 @@ class TestEvalReuse:
         cfg = ExperimentConfig(seed=3, noise_std=noise_std, **getattr(self, shape))
         calls = self.count_forwards(monkeypatch)
         run_train_lines(cfg)
-        # per arm: one forward at the initial parameters, then one per step
-        assert len(calls) == 2 * (1 + cfg.steps)
+        # of both arms at once: one forward at the initial parameters, then one per step
+        assert len(calls) == 1 + cfg.steps
         distinct = len({image.tobytes() for image in experiments._train_setup(cfg)[1].images})
         assert set(calls) == {distinct}
         n = cfg.p + cfg.q
@@ -347,6 +364,11 @@ def oracle_train_single(model, dataset, groups, schedule, cfg, boost, k, cluster
     return history
 
 
+def oracle_train_runs(model, dataset, groups, schedule, cfg, runs):
+    """``oracle_train_single`` of each ``(boost, k, cluster_seed)`` run, one after the other."""
+    return [oracle_train_single(model, dataset, groups, schedule, cfg, *run) for run in runs]
+
+
 class TestLibraryStepPipeline:
     """train-lines runs through ``optimizers.sgdm_step``/``adam_step``."""
 
@@ -366,7 +388,7 @@ class TestLibraryStepPipeline:
             **dict(self.SMALL, noise_std=noise_std),
         )
         library = run_train_lines(cfg)
-        monkeypatch.setattr(experiments, "_train_single", oracle_train_single)
+        monkeypatch.setattr(experiments, "_train_single", oracle_train_runs)
         oracle = run_train_lines(cfg)
         assert repr(library.rows) == repr(oracle.rows)
 
@@ -652,3 +674,90 @@ class TestWriteCsv:
         assert [type(c) for c in rows[0]] == [int, float, float, float]
         assert [r[2] for r in rows] == simulate_momentum(spec, cfg.beta, cfg.steps).tolist()
         assert [r[3] for r in rows] == simulate_gq_momentum(spec, params, cfg.steps).tolist()
+
+
+class TestLockstep:
+    """``_train_single`` over R runs gives each run the bytes it has when trained alone."""
+
+    SMALL = dict(steps=20, p=20, q=5)
+
+    @staticmethod
+    def setup(cfg):
+        seeds, dataset, groups, model, _, schedule = experiments._train_setup(cfg)
+        return seeds["clustering"], (model, dataset, groups, schedule, cfg)
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])  # duplicates; every image distinct
+    @pytest.mark.parametrize("use_adam", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("batch_size", [25, 10])  # whole dataset, minibatch
+    def test_each_run_is_its_solo_run(self, noise_std, use_adam, k, batch_size):
+        cfg = ExperimentConfig(
+            seed=k + batch_size, k=k, batch_size=batch_size, noise_std=noise_std,
+            use_adam=use_adam, learning_rate=0.02 if use_adam else 0.05, **self.SMALL,
+        )
+        seed, args = self.setup(cfg)
+        runs = [(True, k, seed), (False, 1, 0), (True, k, seed + 7), (True, 1, 0)]
+        together = experiments._train_single(*args, runs)
+        assert len(together) == len(runs)
+        for run, history in zip(runs, together):
+            (alone,) = experiments._train_single(*args, [run])
+            assert len(alone) == cfg.steps
+            assert repr(history) == repr(alone)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lowest_index_failure_is_raised(self):
+        # alone, the boosted run diverges at step 83 and the plain run at step 106
+        cfg = ExperimentConfig(learning_rate=50.0, steps=400, p=12, q=4, batch_size=16)
+        seed, args = self.setup(cfg)
+        plain, boosted = (False, 1, 0), (True, 1, seed)  # k = 1 at B = 16, as in train-lines
+        for runs, step in (([plain, boosted], 106), ([boosted, plain], 83)):
+            with pytest.raises(RuntimeError, match=f"at step {step} "):
+                experiments._train_single(*args, runs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_leaves_the_stack(self, monkeypatch):
+        # alone, the boosted run diverges at step 172 and the plain run trains on to step 400
+        cfg = ExperimentConfig(learning_rate=5.0, steps=400, p=12, q=4, batch_size=16)
+        seed, args = self.setup(cfg)
+        aligned = []
+
+        def recording_alignment(model):
+            aligned.append(model.to_vector().tobytes())
+            return nn.template_alignment(model)
+
+        monkeypatch.setattr(experiments, "template_alignment", recording_alignment)
+        experiments._train_single(*args, [(False, 1, 0)])
+        solo = aligned.copy()
+        aligned.clear()
+        with pytest.raises(RuntimeError, match="at step 172 "):
+            experiments._train_single(*args, [(False, 1, 0), (True, 1, seed), (False, 1, 0)])
+        # per step, the runs align in order: all three for 171 steps, then the two plain runs,
+        # on either side of the diverged one, with their solo parameters to the end
+        assert len(solo) == cfg.steps and len(aligned) == 3 * 171 + 2 * (cfg.steps - 171)
+        three, two = aligned[: 3 * 171], aligned[3 * 171 :]
+        assert three[0::3] == three[2::3] == solo[:171]
+        assert two[0::2] == two[1::2] == solo[171:]
+
+    def test_failed_run_leaves_and_others_go_on(self, monkeypatch):
+        cfg = ExperimentConfig(seed=2, k=2, batch_size=25, **self.SMALL)
+        seed, args = self.setup(cfg)
+
+        def kmeans_failing(*a, **kw):
+            calls.append(kw["seed"])
+            if len(calls) == 3:
+                raise ValueError("k-means failed")
+            return kmeans(*a, **kw)
+
+        def counting_alignment(model):
+            aligned.append(model)
+            return nn.template_alignment(model)
+
+        calls, aligned = [], []
+        monkeypatch.setattr(experiments, "kmeans", kmeans_failing)
+        monkeypatch.setattr(experiments, "template_alignment", counting_alignment)
+        with pytest.raises(ValueError, match="k-means failed"):
+            experiments._train_single(*args, [(False, 1, 0), (True, 2, seed)])
+        # the boosted run clusters from step 3 (warm-up) and fails on its third clustering
+        # step, 5; the plain run trains on to the end
+        assert calls == [seed + 3, seed + 4, seed + 5]
+        assert len(aligned) == cfg.steps + 5

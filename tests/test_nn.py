@@ -406,6 +406,17 @@ class TestModel:
         np.testing.assert_array_equal(back.to_vector(), model.to_vector())
         assert model.to_vector().shape == (N_PARAMS,)
 
+    def test_stacked_vector_roundtrip(self):
+        # a stacked model's rows are its runs' vectors; each run's arrays are its model's
+        vectors = np.stack([LineDetectorModel.init_random(seed).to_vector() for seed in range(3)])
+        stacked = LineDetectorModel.from_vector(vectors)
+        for r, vec in enumerate(vectors):
+            alone = LineDetectorModel.from_vector(vec)
+            assert stacked.conv_filters[r].tobytes() == alone.conv_filters.tobytes()
+            assert stacked.conv_bias[r].tobytes() == alone.conv_bias.tobytes()
+            assert stacked.dense_weights[r].tobytes() == alone.dense_weights.tobytes()
+            assert stacked.dense_bias[r] == alone.dense_bias
+
     def test_init_deterministic(self):
         a = LineDetectorModel.init_random(11)
         b = LineDetectorModel.init_random(11)

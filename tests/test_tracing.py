@@ -44,12 +44,12 @@ def test_install_wraps_and_restore_unwraps():
     assert [key for key, value in after.items() if value is not before[key]] == []
     assert repr(traced.rows) == repr(experiments.run_train_lines(ExperimentConfig(**CFG)).rows)
 
-    # the traced forwards: per arm, one at the initial parameters and one per step
+    # the traced forwards, of both arms at once: one at the initial parameters and one per step
     metrics = {name: value for name, (value, _) in tracer.layer_metrics(1).items()}
     dataset = experiments._train_setup(ExperimentConfig(**CFG))[1]
     distinct = len({image.tobytes() for image in dataset.images})
     assert distinct < len(dataset)
-    forwards = 2 * (1 + CFG["steps"])
+    forwards = 1 + CFG["steps"]
     assert metrics["nn.batch_forward.calls"] == forwards
     assert metrics["nn.images_forwarded"] == forwards * distinct
     assert metrics["nn.eval_reusable_frac"] == 0.0
