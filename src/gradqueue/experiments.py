@@ -32,7 +32,7 @@ from .analysis import (
 )
 from . import nn, optimizers
 from .clustering import aggregate, choose_k, kmeans
-from .core import BoostConfig, GradQueue, QueueLengthController, delta_rho
+from .core import BoostConfig, GradQueue, QueueLengthController, _integer, delta_rho
 # batch_loss and per_sample_grads stay bound here although unused:
 # perfbench/tracing.py wraps them by name
 from .nn import (  # noqa: F401
@@ -163,6 +163,8 @@ def load_config_file(path) -> ExperimentConfig:
 
 def expand_seeds(master: int) -> dict[str, int]:
     """Deterministically derive dataset/init/clustering seeds from one master seed."""
+    if _integer("seed", master) < 0:
+        raise ValueError(f"seed must be >= 0, got {master}")
     children = np.random.SeedSequence(master).spawn(3)
     names = ("dataset", "init", "clustering")
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
@@ -395,7 +397,9 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     ``optimizers.sgdm_step``/``adam_step`` (looked up at call time) on its
     batch-mean gradient. With ``k > 1`` it gets a ``boost`` hook: a step
     that boosts clusters the batch by its features (``kmeans``) and
-    aggregates the boosted cluster means (``aggregate``).
+    aggregates the boosted cluster means (``aggregate``). That step is a
+    run's only work of its own: one mean of the stacked gradients gives
+    the batch means, one ``template_alignment`` call the live runs' scores.
 
     ``groups`` is ``(distinct, inverse)`` from ``_train_setup``: the index
     of one image of each distinct image's group, and each image's group.
@@ -429,7 +433,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     for step, idx in enumerate(schedule):
         batch = take_rows(m, forward_out, inverse[idx])
         _, grads, feats = grads_from_forward(m, batch, dataset.labels[idx])
-        for r, run_grads, run_feats in zip(live, grads, feats):
+        for r, run_grads, run_feats, g in zip(live, grads, feats, grads.mean(axis=-2)):
             _, k, cluster_seed = runs[r]
 
             def cluster_boost(stats):  # called, if at all, within this step
@@ -438,7 +442,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
 
             hook = cluster_boost if k > 1 else None
             try:
-                step_fn(states[r], run_grads.mean(axis=0), opt_cfgs[r], boost=hook)
+                step_fn(states[r], g, opt_cfgs[r], boost=hook)
             except Exception as exc:
                 errors[r] = exc
         live = [r for r in live if r not in errors]
@@ -454,9 +458,6 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
                     f"divergence: non-finite loss at step {step + 1} "
                     f"(lr={cfg.learning_rate}, rho={cfg.rho}, boost={runs[r][0]})"
                 )
-                continue
-            align = template_alignment(LineDetectorModel.from_vector(states[r].params))
-            histories[r].append((loss, align[0], align[1]))
         keep = [i for i, r in enumerate(live) if r not in errors]
         live = [live[i] for i in keep]
         if settled():
@@ -464,6 +465,8 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
         if len(keep) < len(losses):  # the diverged runs' rows leave the stack
             m = LineDetectorModel.from_vector([states[r].params for r in live])
             forward_out = tuple(a[keep] for a in forward_out)
+        for r, i, align in zip(live, keep, template_alignment(m)):
+            histories[r].append((losses[i], align[0], align[1]))
     if errors:
         raise errors[min(errors)]
     return histories

@@ -16,9 +16,10 @@ stack; the dense head (``_head``) is recomputed on the gathered rows, as
 its matrix product need not round a row the same way at every batch size.
 
 A model's arrays may carry a leading axis of R runs (``from_vector`` of an
-(R, 23) matrix): ``batch_forward`` convolves with all 2R filters at once,
-and every result carries the axis. Each value is computed elementwise, or
-by one 2-D head product per run, so a run's bytes are its model's alone.
+(R, 23) matrix, ``to_vector`` back): ``batch_forward`` convolves with all
+2R filters at once, and every result carries the axis. Each value is
+computed elementwise, or by a stacked ``np.matmul`` (the head, the
+alignment) with one BLAS call per run, so a run's bytes are its own.
 """
 
 from __future__ import annotations
@@ -59,14 +60,10 @@ class LineDetectorModel:
     dense_bias: float | np.ndarray  # or (R,)
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.conv_filters.ravel(),
-                self.conv_bias,
-                self.dense_weights,
-                [self.dense_bias],
-            ]
-        )
+        """The (23,) vector of one model, or the (R, 23) matrix of a stacked model's runs."""
+        runs = self.conv_bias.shape[:-1]
+        parts = (self.conv_filters.reshape(*runs, 18), self.conv_bias, self.dense_weights)
+        return np.concatenate([*parts, np.reshape(self.dense_bias, (*runs, 1))], axis=-1)
 
     @classmethod
     def from_vector(cls, vec) -> "LineDetectorModel":
@@ -131,10 +128,8 @@ def generate_lines(
     labels = np.concatenate([np.zeros(p, dtype=int), np.ones(q, dtype=int)])
     rows = rng.integers(0, height, size=p)
     cols = rng.integers(0, width, size=q)
-    for i in range(p):
-        images[i, rows[i], :] = 1.0
-    for i in range(q):
-        images[p + i, :, cols[i]] = 1.0
+    images[np.arange(p), rows, :] = 1.0
+    images[p + np.arange(q), :, cols] = 1.0
     if noise_std > 0.0:
         images = np.clip(images + rng.normal(0.0, noise_std, images.shape), 0.0, 1.0)
     return LineDataset(images=images, labels=labels)
@@ -238,22 +233,20 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
 
 
 def _head(model: LineDetectorModel, features: np.ndarray) -> np.ndarray:
-    """Logits (..., B) of pooled (..., B, 2) features: a 2-D product per run (see ``take_rows``)."""
-    weights = model.dense_weights.reshape(-1, 2)
-    rows = features.reshape(len(weights), -1, 2)
-    logits = np.array([f @ w for f, w in zip(rows, weights)])
-    return (logits + np.reshape(model.dense_bias, (-1, 1))).reshape(features.shape[:-1])
+    """Logits (..., B) of (..., B, 2) features: a stacked matmul, one BLAS call per run."""
+    logits = np.matmul(features, model.dense_weights[..., None])[..., 0]
+    return logits + np.expand_dims(model.dense_bias, -1)
 
 
 def take_rows(model: LineDetectorModel, forward_out, rows):
     """The ``batch_forward`` result of ``model`` on ``images[rows]``, from its result on ``images``.
 
-    ``rows`` may repeat. Features and patches are gathered, for all runs
-    at once; the logits are recomputed by ``_head``, because OpenBLAS
-    rounds a one-row product ``f0*w0 + f1*w1`` (one fused multiply-add)
-    unlike a product of two or more rows, so gathered logits would change
-    bytes where one of the two stacks has a single row; nor may one
-    product span runs.
+    ``rows`` may repeat. Features, patches and logits are each computed
+    once for all runs: features and patches are gathered, and the logits
+    recomputed by ``_head``'s stacked product, because OpenBLAS rounds a
+    one-row product ``f0*w0 + f1*w1`` (one fused multiply-add) unlike a
+    product of two or more rows, so gathered logits would change bytes
+    where one of the two stacks has a single row.
     """
     _, features, patches = forward_out
     features = np.take(features, rows, axis=-2)
@@ -299,21 +292,20 @@ def loss_from_forward(forward_out, labels):
     return np.mean(losses, axis=-1).tolist()
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a.ravel(), b.ravel()) / (na * nb))
-
-
 def template_alignment(model: LineDetectorModel) -> np.ndarray:
-    """Cosine similarity of each mean-subtracted filter to its ideal template.
+    """Cosine similarity of each mean-subtracted filter to its ideal template: (2,) or (R, 2).
 
     Index 0 compares against the horizontal template, index 1 against the
-    vertical one. A zero-norm filter scores 0.
+    vertical one. A zero-norm filter scores 0. Each dot product and squared
+    norm is one (1, 9) @ (9, 1) matmul, the BLAS dot of ``np.dot`` and
+    ``np.linalg.norm``, so a stacked model's runs score as they do alone.
     """
-    out = np.empty(2)
-    for i, template in enumerate((IDEAL_HORIZONTAL, IDEAL_VERTICAL)):
-        f = model.conv_filters[i]
-        out[i] = _cosine(f - f.mean(), template)
-    return out
+
+    def dot(a, b):  # of (..., 1, 9) rows: one BLAS dot each
+        return np.matmul(a, b.swapaxes(-1, -2))[..., 0, 0]
+
+    filters = model.conv_filters.reshape(*model.conv_bias.shape, 1, 9)
+    rows = filters - filters.mean(axis=-1, keepdims=True)
+    templates = np.stack([IDEAL_HORIZONTAL, IDEAL_VERTICAL]).reshape(2, 1, 9)
+    norms = np.sqrt(dot(rows, rows)) * np.sqrt(dot(templates, templates))
+    return np.divide(dot(rows, templates), norms, out=np.zeros_like(norms), where=norms != 0.0)

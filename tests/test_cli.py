@@ -302,6 +302,11 @@ SMALL_TRAIN = ["--p", "8", "--q", "2", "--batch-size", "10"]
                 ("-4", "batch_size must be >= 1, got -4"),
             )
         ),
+        (["train-lines", "--seed", "-1", *SMALL_TRAIN], "seed must be >= 0, got -1"),
+        (
+            ["qlen-demo", "--pattern", "train", "--seed", "-1", *SMALL_TRAIN],
+            "seed must be >= 0, got -1",
+        ),
         (["zeta-table", "--eq-q", "1.0"], "eq_q and eq_p must be given together"),
         (["zeta-table", "--eq-p", "-0.5"], "eq_q and eq_p must be given together"),
         (["zeta-table", "--eq-q", "1.0", "--eq-p", "none"], "eq_q and eq_p must be given together"),

@@ -721,8 +721,8 @@ class TestLockstep:
         seed, args = self.setup(cfg)
         aligned = []
 
-        def recording_alignment(model):
-            aligned.append(model.to_vector().tobytes())
+        def recording_alignment(model):  # one row per run of the stacked model
+            aligned.extend(row.tobytes() for row in model.to_vector())
             return nn.template_alignment(model)
 
         monkeypatch.setattr(experiments, "template_alignment", recording_alignment)
@@ -748,8 +748,8 @@ class TestLockstep:
                 raise ValueError("k-means failed")
             return kmeans(*a, **kw)
 
-        def counting_alignment(model):
-            aligned.append(model)
+        def counting_alignment(model):  # one row per run of the stacked model
+            aligned.extend(model.to_vector())
             return nn.template_alignment(model)
 
         calls, aligned = [], []

@@ -392,6 +392,25 @@ class TestTakeRows:
             self.check_subsets(model, ds.images, rng)
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_stacked_logits_equal_solo(self, noise):
+        # one- and two-row batches: OpenBLAS rounds a one-row head product apart
+        rng = np.random.default_rng(11)
+        ds = generate_lines(6, 7, 8, 4, noise_std=noise, seed=5)
+        vectors = np.stack(
+            [LineDetectorModel.init_random(9).to_vector()]
+            + [signed_zero_model(rng).to_vector() for _ in range(3)]
+        )
+        stacked = LineDetectorModel.from_vector(vectors)
+        out = batch_forward(stacked, ds.images)
+        for rows in (np.array([3]), np.array([len(ds) - 1]), np.array([2, 2]), np.array([0, 9])):
+            together = take_rows(stacked, out, rows)
+            for r, vec in enumerate(vectors):
+                alone = LineDetectorModel.from_vector(vec)
+                want = take_rows(alone, batch_forward(alone, ds.images), rows)
+                assert_bytes_equal([a[r] for a in together], want)
+                assert_bytes_equal(want, batch_forward(alone, ds.images[rows]))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_default_block(self, noise):
         rng = np.random.default_rng(7)
         ds = generate_lines(13, 13, 110, 10, noise_std=noise, seed=8)
@@ -416,6 +435,14 @@ class TestModel:
             assert stacked.conv_bias[r].tobytes() == alone.conv_bias.tobytes()
             assert stacked.dense_weights[r].tobytes() == alone.dense_weights.tobytes()
             assert stacked.dense_bias[r] == alone.dense_bias
+
+    @pytest.mark.parametrize("shape", [(N_PARAMS,), (1, N_PARAMS), (3, N_PARAMS)])
+    def test_vector_roundtrip_bytes(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        vec = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
+        vec[rng.random(shape) < 0.2] = -0.0
+        back = LineDetectorModel.from_vector(vec).to_vector()
+        assert back.shape == shape and back.tobytes() == vec.tobytes()
 
     def test_init_deterministic(self):
         a = LineDetectorModel.init_random(11)
@@ -458,6 +485,30 @@ class TestTemplateAlignment:
         # a constant offset must not change the score
         model = self.model_with_filters(IDEAL_HORIZONTAL + 7.0, IDEAL_VERTICAL - 3.0)
         np.testing.assert_allclose(template_alignment(model), [1.0, 1.0], rtol=1e-12)
+
+    def test_stacked_equals_each_run_alone(self):
+        rng = np.random.default_rng(3)
+        constant = LineDetectorModel.init_random(0).to_vector()
+        constant[:9] = 0.25  # zero norm once its mean is subtracted
+        vectors = np.stack(
+            [
+                constant,
+                *(LineDetectorModel.init_random(seed).to_vector() for seed in range(6)),
+                *(signed_zero_model(rng).to_vector() for _ in range(4)),
+            ]
+        )
+        stacked = template_alignment(LineDetectorModel.from_vector(vectors))
+        assert stacked.shape == (len(vectors), 2) and stacked[0, 0] == 0.0
+        for row, vec in zip(stacked, vectors):
+            alone = template_alignment(LineDetectorModel.from_vector(vec))
+            assert alone.shape == (2,) and row.tobytes() == alone.tobytes()
+            # the bytes of the cosine from np.dot and np.linalg.norm
+            templates = (IDEAL_HORIZONTAL, IDEAL_VERTICAL)
+            for got, f, template in zip(alone, vec[:18].reshape(2, 3, 3), templates):
+                f = f - f.mean()
+                na, nt = np.linalg.norm(f), np.linalg.norm(template)
+                want = 0.0 if na == 0.0 else np.dot(f.ravel(), template.ravel()) / (na * nt)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_random_init_alignment_is_weak(self):
         # Monte Carlo: random filters rarely resemble the templates
