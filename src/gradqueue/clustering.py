@@ -6,10 +6,11 @@ and the boosted means are recombined weighted by cluster population.
 
 ``kmeans`` runs all its restarts at once and gives each the result it
 would give alone: kmeans++ seeds every restart together under a plan of
-the generator draws (``_kmeans_pp_init``), and the Lloyd iterations are
-batched over restarts (``_lloyd``). Every point-to-centroid squared
-distance goes through ``_sq_dists``, one feature column at a time in the
-order of numpy's einsum. Features must be finite.
+the generator draws (``_kmeans_pp_init``), and the Lloyd iterations of
+the distinct starts are batched (``_lloyd``). Every point-to-centroid
+squared distance goes through ``_sq_dists``, one feature column at a time
+in the order of numpy's einsum. Features must be finite. ``aggregate``
+sorts the samples by cluster once and reduces each cluster's rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoostConfig, QueueStats, _integer, delta_rho
+# delta_rho stays bound here although unused: perfbench/tracing.py wraps it by name
+from .core import BoostConfig, QueueStats, _boost_block, _integer, delta_rho  # noqa: F401
 
 __all__ = [
     "ClusterAssignment",
@@ -86,16 +88,18 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _objectives(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """kmeans_objective of each restart: labels (R, B), centroids (R, k, f)."""
+def _objectives(X: np.ndarray, ids: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """kmeans_objective of each restart: ``_cluster_ids`` ids, centroids (R, k, f)."""
     R, k, f = centroids.shape
-    diff = X - centroids.reshape(R * k, f)[_cluster_ids(labels, k)].reshape(R, -1, f)
-    return np.sum(diff * diff, axis=(1, 2))
+    diff = X - centroids.reshape(R * k, f)[ids].reshape(R, -1, f)
+    return np.add.reduce(diff * diff, axis=(1, 2))  # np.sum without its wrapper
 
 
 def kmeans_objective(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     """Sum of squared distances of each sample to its assigned centroid."""
-    return float(_objectives(X, np.asarray(labels)[None], np.asarray(centroids)[None])[0])
+    centroids = np.asarray(centroids)[None]
+    ids = _cluster_ids(np.asarray(labels)[None], centroids.shape[1])
+    return float(_objectives(X, ids, centroids)[0])
 
 
 def _kmeans_pp_init(
@@ -190,21 +194,23 @@ def _cluster_ids(labels: np.ndarray, k: int) -> np.ndarray:
     return (labels + k * np.arange(labels.shape[0])[:, None]).ravel()
 
 
-def _update_centroids(X, labels, centroids):
+def _update_centroids(X, ids, counts, centroids):
     """Move every centroid to its members' mean; an empty cluster's centroid stays.
 
-    labels is (R, B) and centroids (R, k, f). Each mean adds the members in
-    the order ``X[labels == j].mean(axis=0)`` does: one row after another
-    when f > 1, pairwise along the single column when f = 1.
+    ``ids`` are the (R * B,) ``_cluster_ids`` of the labels, ``counts`` their
+    bincount and centroids (R, k, f). Each mean adds the members in the
+    order ``X[labels == j].mean(axis=0)`` does: one row after another when
+    f > 1, pairwise along the single column when f = 1. For f > 1 that is
+    one bincount over the bins ``id * f + column``, each bin's rows in order.
     """
     R, k, f = centroids.shape
-    ids = _cluster_ids(labels, k)
-    counts = np.bincount(ids, minlength=R * k)
-    rows = np.tile(X, (R, 1))
-    if f > 1:
-        sums = np.stack([np.bincount(ids, weights=col, minlength=R * k) for col in rows.T], axis=1)
+    if f > 1:  # laid out column by column, which keeps each bin's row order
+        bins = (ids * f + np.arange(f)[:, None]).ravel()
+        weights = np.empty((f, R, X.shape[0]))
+        weights[...] = X.T[:, None]
+        sums = np.bincount(bins, weights=weights.ravel(), minlength=R * k * f).reshape(R * k, f)
     else:
-        x = rows[np.argsort(ids, kind="stable"), 0]
+        x = np.tile(X[:, 0], R)[np.argsort(ids, kind="stable")]
         ends = np.cumsum(counts)
         sums = np.array([x[e - c : e].sum() for e, c in zip(ends, counts)])[:, None]
     means = centroids.reshape(R * k, f).copy()
@@ -222,6 +228,9 @@ def _lloyd(X, k, starts):
     reassigned to the final centroids. Returns (R, B) labels, (R, k, f)
     centroids, each restart's final objective, and the (R, MAX_ITERS)
     objective histories with each restart's history length.
+
+    An iteration's cluster ids and their bincount are computed once and
+    shared by the centroid update and the objectives.
 
     An iteration depends only on the centroids and labels it starts from,
     so a restart whose state repeats an earlier one cycles until
@@ -245,13 +254,16 @@ def _lloyd(X, k, starts):
             break
         at = rs if rs.size < R else slice(None)  # a slice while every restart iterates
         new = _assign(X, centroids[at])
-        counts = np.bincount(_cluster_ids(new, k), minlength=rs.size * k)
+        ids = _cluster_ids(new, k)
+        counts = np.bincount(ids, minlength=rs.size * k).reshape(-1, k)
         reseeded = []
         if not counts.all():
-            for i in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
+            for i in np.flatnonzero((counts == 0).any(axis=1)):
                 new[i], centroids[rs[i]], repaired = _repair_empty(X, new[i], centroids[rs[i]], k)
                 if repaired:
                     reseeded.append(i)
+                    counts[i] = np.bincount(new[i], minlength=k)
+                    ids[i * B : (i + 1) * B] = new[i] + i * k
         converged = (new == labels[at]).all(axis=1)
         converged[reseeded] = False
         labels[at] = new
@@ -261,12 +273,13 @@ def _lloyd(X, k, starts):
             objectives[done] = history[done, it - 1]
             lengths[done] = it
             at = rs = rs[~converged]
-            new = new[~converged]
             if rs.size == 0:
                 break
-        moved = _update_centroids(X, new, centroids[at])
+            new, counts = new[~converged], counts[~converged]
+            ids = _cluster_ids(new, k)
+        moved = _update_centroids(X, ids, counts.ravel(), centroids[at])
         centroids[at] = moved
-        history[at, it] = _objectives(X, new, moved)
+        history[at, it] = _objectives(X, ids, moved)
 
         t = it + 1  # the moving restarts' state now starts iteration t
         if saved_centroids is not None:
@@ -286,7 +299,7 @@ def _lloyd(X, k, starts):
         if spent.any():  # leave a consistent nearest-centroid state
             done = rs[spent]
             labels[done] = _assign(X, centroids[done])
-            objectives[done] = _objectives(X, labels[done], centroids[done])
+            objectives[done] = _objectives(X, _cluster_ids(labels[done], k), centroids[done])
             rs = rs[~spent]
     return labels, centroids, objectives, history, lengths
 
@@ -307,13 +320,16 @@ def kmeans(
 
     The restarts are seeded together, one centroid at a time, under a plan
     of the generator draws that gives each the centroids it would get
-    seeded after the one before it (``_kmeans_pp_init``). They then iterate
-    together in one batched Lloyd loop; every restart gives the labels,
-    centroids and objectives it would give on its own. A restart
-    that cycles without converging (all feature rows at one point make the
-    reseeded empty cluster swap every iteration) ends as soon as the cycle
-    is seen, with the state and the ``MAX_ITERS``-long objective history
-    that running out the budget would give.
+    seeded after the one before it (``_kmeans_pp_init``). A restart depends
+    only on its start and the features, so byte-equal starts (common when
+    the rows repeat a few points) end equal, and only the first of each is
+    iterated: ``argmin`` picks the first of equal objectives anyway. The
+    distinct starts iterate together in one batched Lloyd loop, each giving
+    the labels, centroids and objectives it would give on its own. A
+    restart that cycles without converging (all feature rows at one point
+    make the reseeded empty cluster swap every iteration) ends as soon as
+    the cycle is seen, with the state and the ``MAX_ITERS``-long objective
+    history that running out the budget would give.
 
     Features and ``init_centroids`` must be finite. Squared distances add
     per feature column in the order of numpy's einsum (``_sq_dists``), and
@@ -342,6 +358,10 @@ def kmeans(
             raise ValueError("init_centroids must be finite")
     else:
         starts = _kmeans_pp_init(X, k, np.random.default_rng(seed), n_init)
+        first = {}  # each distinct start's first restart
+        for r, start in enumerate(starts):
+            first.setdefault(start.tobytes(), r)
+        starts = starts[list(first.values())]
     with np.errstate(over="ignore"):
         labels, centroids, objectives, history, lengths = _lloyd(X, k, starts)
     best = int(np.argmin(objectives))
@@ -359,7 +379,14 @@ def aggregate(
 
     g* = (1/B) * sum_j population_j * delta_rho(mean_j), over the non-empty
     clusters in index order. With rho = 1 this reconstructs the plain batch
-    mean for any assignment. Every label must be an integer in [0, k).
+    mean for any assignment. Every label must be an integer in [0, k), and
+    ``stats`` must have the gradients' dimension.
+
+    The rows are sorted stably by label once, so each cluster's members
+    are a contiguous slice in the order ``G[labels == j]`` gathers them;
+    ``np.add.reduce`` of it over the population is, byte for byte,
+    ``G[labels == j].mean(axis=0)`` (``np.add.reduceat`` is not). Each mean
+    is boosted by ``delta_rho``'s kernel, ``core._boost_block``.
     """
     G = np.asarray(per_sample_grads, dtype=float)
     if G.ndim != 2 or G.shape[0] == 0:
@@ -369,13 +396,19 @@ def aggregate(
         raise ValueError("gradient count does not match the assignment")
     if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= assignment.k:
         raise ValueError(f"cluster labels must be integers in [0, {assignment.k})")
-    total = np.zeros(G.shape[1])
-    for j in range(assignment.k):
-        members = labels == j
-        pop = int(members.sum())
+    B, d = G.shape
+    if stats.mean.shape != (d,):
+        raise ValueError(f"dimension mismatch: gradient ({d},) vs stats {stats.mean.shape}")
+    rows = G[np.argsort(labels, kind="stable")]  # each cluster's members, in order
+    total, mean, boosted = np.zeros(d), np.empty(d), np.empty(d)
+    end = 0
+    for pop in np.bincount(labels, minlength=assignment.k).tolist():
+        end += pop
         if pop:
-            total += pop * delta_rho(G[members].mean(axis=0), stats, cfg)
-    return total / G.shape[0]
+            np.add.reduce(rows[end - pop : end], axis=0, out=mean)
+            _boost_block(np.divide(mean, pop, out=mean), stats.mean, stats.std, cfg.rho, boosted)
+            total += pop * boosted
+    return total / B
 
 
 def choose_k(batch_size: int, optimal_batch: int) -> int:

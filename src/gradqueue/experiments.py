@@ -407,8 +407,10 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     runs one ``nn.batch_forward`` of the distinct images at the initial
     parameters, then one per step at those the step produced. The step's
     eval losses take rows ``inverse`` of it, and the next step's gradients
-    rows ``inverse[idx]``. Each run gets the bytes it gets alone, those of
-    a fresh forward of each batch and of the whole dataset.
+    rows ``inverse[idx]``; a batch of every image in dataset order reuses
+    the eval's rows while no run has left the stack. Each run gets the
+    bytes it gets alone, those of a fresh forward of each batch and of the
+    whole dataset.
 
     A run that raises leaves the lockstep, and the others go on. At the
     end the lowest-index failed run's exception is raised: of runs (plain,
@@ -428,10 +430,16 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     def settled():  # no run is left, or the error to raise is known
         return not live or min(errors, default=live[0]) < live[0]
 
+    n = len(inverse)
+    everything = np.arange(n)
+    evaled = None  # the last eval's take_rows of every image, while its stack is current
     m = LineDetectorModel.from_vector([s.params for s in states])
     forward_out = nn.batch_forward(m, images)
     for step, idx in enumerate(schedule):
-        batch = take_rows(m, forward_out, inverse[idx])
+        if len(idx) == n and evaled is not None and np.array_equal(idx, everything):
+            batch = evaled
+        else:
+            batch = take_rows(m, forward_out, inverse[idx])
         _, grads, feats = grads_from_forward(m, batch, dataset.labels[idx])
         for r, run_grads, run_feats, g in zip(live, grads, feats, grads.mean(axis=-2)):
             _, k, cluster_seed = runs[r]
@@ -451,7 +459,8 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
 
         m = LineDetectorModel.from_vector([states[r].params for r in live])
         forward_out = nn.batch_forward(m, images)
-        losses = loss_from_forward(take_rows(m, forward_out, inverse), dataset.labels)
+        evaled = take_rows(m, forward_out, inverse)
+        losses = loss_from_forward(evaled, dataset.labels)
         for r, loss in zip(live, losses):
             if not np.isfinite(loss):
                 errors[r] = RuntimeError(
@@ -465,6 +474,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
         if len(keep) < len(losses):  # the diverged runs' rows leave the stack
             m = LineDetectorModel.from_vector([states[r].params for r in live])
             forward_out = tuple(a[keep] for a in forward_out)
+            evaled = None
         for r, i, align in zip(live, keep, template_alignment(m)):
             histories[r].append((losses[i], align[0], align[1]))
     if errors:

@@ -13,6 +13,7 @@ from gradqueue import (
     QueueStats,
     aggregate,
     choose_k,
+    delta_rho,
     kmeans,
     kmeans_objective,
 )
@@ -137,9 +138,49 @@ class TestKmeans:
         assert groups_base == groups_perm
 
 
+def oracle_aggregate(grads, labels, k, stats, cfg):
+    """The per-cluster loop: each cluster's mean by a boolean gather, boosted by delta_rho."""
+    total = np.zeros(grads.shape[1])
+    for j in range(k):
+        members = labels == j
+        pop = int(members.sum())
+        if pop:
+            total += pop * delta_rho(grads[members].mean(axis=0), stats, cfg)
+    return total / grads.shape[0]
+
+
 class TestAggregate:
     def stats(self, mu, sigma, d):
         return QueueStats(np.full(d, mu), np.full(d, sigma), 5)
+
+    @pytest.mark.parametrize("d", [1, 23])
+    def test_bytes_equal_the_per_cluster_loop(self, d):
+        rng = np.random.default_rng(15 + d)
+        for trial in range(300):
+            B = 100 if trial % 3 == 0 else int(rng.integers(1, 30))  # b100 shapes
+            k = 2 if trial % 3 == 0 else int(rng.integers(1, 7))
+            grads = rng.normal(size=(B, d)) * 10.0 ** rng.uniform(-6, 6, size=d)
+            if trial % 4 == 0:  # signed zeros
+                grads[rng.random(grads.shape) < 0.4] = 0.0
+                grads[rng.random(grads.shape) < 0.4] = -0.0
+            labels = rng.integers(0, k, size=B)  # clusters may be empty or single
+            if trial % 5 == 0:
+                labels = labels.astype(rng.choice([np.uint8, np.uint64, np.int32]))
+            std = np.abs(rng.normal(size=d)) * 10.0 ** rng.uniform(-3, 3)
+            std[rng.random(d) < 0.3] = 0.0  # zero-variance columns
+            mean = np.where(rng.random(d) < 0.2, -0.0, rng.normal(size=d))
+            stats = QueueStats(mean, std, 3)
+            cfg = BoostConfig(rho=float(rng.choice([1.0, 1.5, 3.0])))
+            assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 2)))
+            got = aggregate(grads, assignment, stats, cfg)
+            assert got.tobytes() == oracle_aggregate(grads, labels, k, stats, cfg).tobytes()
+
+    @pytest.mark.parametrize("grads_d, stats_d", [(23, 1), (1, 23), (23, 22)])
+    def test_stats_of_another_dimension_refused(self, grads_d, stats_d):
+        grads = np.ones((4, grads_d))
+        assignment = ClusterAssignment(labels=np.array([0, 0, 1, 1]), centroids=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            aggregate(grads, assignment, self.stats(0.0, 1.0, stats_d), BoostConfig())
 
     def test_rho_one_recovers_batch_mean(self):
         rng = np.random.default_rng(10)
@@ -174,8 +215,6 @@ class TestAggregate:
         assert np.all(np.abs(out - G.mean(axis=0)) <= tol)
 
     def test_single_cluster_equals_boosted_mean(self):
-        from gradqueue import delta_rho
-
         rng = np.random.default_rng(11)
         grads = rng.normal(size=(8, 4))
         assignment = ClusterAssignment(
@@ -416,9 +455,9 @@ class TestCollapsedFeatures:
         counted = []
         update = clustering._update_centroids
 
-        def counting(X, labels, centroids):
-            counted.append(labels.shape[0])  # one Lloyd update per restart in the batch
-            return update(X, labels, centroids)
+        def counting(X, ids, counts, centroids):
+            counted.append(centroids.shape[0])  # one Lloyd update per restart in the batch
+            return update(X, ids, counts, centroids)
 
         monkeypatch.setattr(clustering, "_update_centroids", counting)
         return counted
@@ -427,9 +466,9 @@ class TestCollapsedFeatures:
         counted = self.count_updates(monkeypatch)
         result = assert_same_as_oracle(np.ones((100, 2)), 2, seed=0)
         assert len(result.objective_history) == 100
-        # the per-restart loop makes 10 restarts x 100 updates; here each
-        # restart's second state repeats its first
-        assert sum(counted) == 10 * 2
+        # the per-restart loop makes 10 restarts x 100 updates; here the 10
+        # equal starts are iterated once, and its second state repeats its first
+        assert sum(counted) == 1 * 2
 
     @pytest.mark.parametrize("f", [1, 2])
     def test_collapsed_values_match_per_restart_loop(self, monkeypatch, f):
@@ -441,8 +480,73 @@ class TestCollapsedFeatures:
                     monkeypatch.setattr(clustering, "MAX_ITERS", max_iters)
                     result = assert_same_as_oracle(X, k, seed=5)
                     assert len(result.objective_history) == max_iters
-        # the per-restart loop makes 2 * 2 * 10 * (7 + 37) updates
-        assert sum(counted) <= 8 * 10 * 6
+        # the per-restart loop makes 2 * 2 * 10 * (7 + 37) updates; here each of
+        # the 8 calls iterates one restart (its 10 starts are equal) and sees the
+        # cycle after 5 updates
+        assert sum(counted) == 8 * 5
+
+
+def distinct_starts(X, k, seed, n_init):
+    """The kmeans++ starts that differ in bytes, each at its first restart, in order."""
+    starts = _kmeans_pp_init(X, k, np.random.default_rng(seed), n_init)
+    keys = [start.tobytes() for start in starts]
+    return starts[[r for r, key in enumerate(keys) if key not in keys[:r]]]
+
+
+def repeated_points(rng, f, B=100):
+    """B rows drawn from 3 to 7 points, as the features of a noise-free batch are."""
+    points = rng.normal(size=(int(rng.integers(3, 8)), f)) * rng.uniform(0.5, 3.0)
+    return points[rng.integers(0, len(points), size=B)]
+
+
+class TestDistinctStarts:
+    """Restarts from byte-equal starts end equal, so each distinct start is iterated once."""
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    @pytest.mark.parametrize("n_init", [1, 10, 25])
+    def test_repeated_points_match_per_restart_loop(self, monkeypatch, f, n_init):
+        rng = np.random.default_rng(200 + 10 * f + n_init)
+        for trial, max_iters in enumerate((1, 2, 3, 5, 20)):
+            monkeypatch.setattr(clustering, "MAX_ITERS", max_iters)
+            X = repeated_points(rng, f)
+            for k in (2, 3):
+                assert_same_as_oracle(X, k, seed=trial + k, n_init=n_init)
+
+    def record_starts(self, monkeypatch):
+        received = []
+        lloyd = clustering._lloyd
+
+        def recording(X, k, starts):
+            received.append(starts.copy())
+            return lloyd(X, k, starts)
+
+        monkeypatch.setattr(clustering, "_lloyd", recording)
+        return received
+
+    def test_lloyd_gets_exactly_the_distinct_starts(self, monkeypatch):
+        received = self.record_starts(monkeypatch)
+        rng = np.random.default_rng(210)
+        counts = []
+        for trial in range(20):
+            X = repeated_points(rng, 2)
+            for n_init in (1, 10, 25):
+                kmeans(X, 2, seed=trial, n_init=n_init)
+                expected = distinct_starts(X, 2, trial, n_init)
+                assert received[-1].tobytes() == expected.tobytes()
+                counts.append(len(expected))
+        assert min(counts) == 1 and max(counts) > 3  # some collapse, some do not
+
+    @pytest.mark.parametrize("a, b", [(0.0, -0.0), (1.0, np.nextafter(1.0, 2.0))])
+    def test_starts_apart_in_bytes_are_distinct(self, monkeypatch, a, b):
+        # 0.0 and -0.0 are equal under ==, and two floats one ulp apart round alike
+        # in float32; yet each start is its own restart
+        received = self.record_starts(monkeypatch)
+        X = np.array([[a], [b], [b], [a], [a], [b]])
+        assert_same_as_oracle(X, 1, seed=0, n_init=10)
+        assert received[-1].tobytes() == distinct_starts(X, 1, 0, 10).tobytes()
+        assert sorted(start.tobytes() for start in received[-1]) == sorted(
+            np.float64(x).tobytes() for x in (a, b)
+        )
 
 
 def choice_kmeans_pp_init(X, k, rng):

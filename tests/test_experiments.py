@@ -297,6 +297,37 @@ class TestEvalReuse:
         n = cfg.p + cfg.q
         assert distinct == n if noise_std else distinct < n
 
+    @pytest.mark.parametrize("shape", ["B100", "MINIBATCH"])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    def test_whole_dataset_batch_reuses_the_eval_gather(self, monkeypatch, shape, noise_std):
+        cfg = ExperimentConfig(seed=4, noise_std=noise_std, **getattr(self, shape))
+        gathered = []
+        take_rows = experiments.take_rows
+
+        def counting(model, forward_out, rows):
+            gathered.append(len(rows))
+            return take_rows(model, forward_out, rows)
+
+        monkeypatch.setattr(experiments, "take_rows", counting)
+        rows = run_train_lines(cfg).rows
+        n, steps = cfg.p + cfg.q, cfg.steps
+        if cfg.batch_size >= n:  # the first batch, then one eval per step serves the next batch
+            assert gathered == [n] * (1 + steps)
+        else:  # each mini-batch and each eval gathered
+            assert gathered == [cfg.batch_size, n] * steps
+        # the bytes of a fresh forward of each batch and of the whole dataset
+        monkeypatch.setattr(experiments, "_train_single", oracle_train_runs)
+        assert repr(rows) == repr(run_train_lines(cfg).rows)
+
+    def test_batch_of_every_image_out_of_order_is_gathered(self):
+        # n rows but not the dataset's order: the eval's rows are not the batch's
+        cfg = ExperimentConfig(seed=5, k=2, **dict(self.B100, steps=12))
+        seeds, dataset, groups, model, _, schedule = experiments._train_setup(cfg)
+        rng = np.random.default_rng(5)
+        schedule = [idx if step % 3 else rng.permutation(idx) for step, idx in enumerate(schedule)]
+        args = (model, dataset, groups, schedule, cfg, [(False, 1, 0), (True, 2, seeds["clustering"])])
+        assert repr(experiments._train_single(*args)) == repr(oracle_train_runs(*args))
+
     def test_groups_are_the_distinct_bytes(self):
         cfg = ExperimentConfig(seed=1, **self.MINIBATCH)
         _, dataset, (distinct, inverse), *_ = experiments._train_setup(cfg)
