@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# delta_rho stays bound here although unused: perfbench/tracing.py wraps it by name
-from .core import BoostConfig, QueueStats, _boost_block, _integer, delta_rho  # noqa: F401
+from .core import BoostConfig, QueueStats, _integer, delta_rho
 
 __all__ = [
     "ClusterAssignment",
@@ -385,8 +384,7 @@ def aggregate(
     The rows are sorted stably by label once, so each cluster's members
     are a contiguous slice in the order ``G[labels == j]`` gathers them;
     ``np.add.reduce`` of it over the population is, byte for byte,
-    ``G[labels == j].mean(axis=0)`` (``np.add.reduceat`` is not). Each mean
-    is boosted by ``delta_rho``'s kernel, ``core._boost_block``.
+    ``G[labels == j].mean(axis=0)`` (``np.add.reduceat`` is not).
     """
     G = np.asarray(per_sample_grads, dtype=float)
     if G.ndim != 2 or G.shape[0] == 0:
@@ -396,19 +394,15 @@ def aggregate(
         raise ValueError("gradient count does not match the assignment")
     if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= assignment.k:
         raise ValueError(f"cluster labels must be integers in [0, {assignment.k})")
-    B, d = G.shape
-    if stats.mean.shape != (d,):
-        raise ValueError(f"dimension mismatch: gradient ({d},) vs stats {stats.mean.shape}")
     rows = G[np.argsort(labels, kind="stable")]  # each cluster's members, in order
-    total, mean, boosted = np.zeros(d), np.empty(d), np.empty(d)
+    total = np.zeros(G.shape[1])
     end = 0
-    for pop in np.bincount(labels, minlength=assignment.k).tolist():
+    # intp first: bincount refuses uint64 under numpy < 2.3; the range check makes it safe
+    for pop in np.bincount(labels.astype(np.intp, copy=False), minlength=assignment.k).tolist():
         end += pop
         if pop:
-            np.add.reduce(rows[end - pop : end], axis=0, out=mean)
-            _boost_block(np.divide(mean, pop, out=mean), stats.mean, stats.std, cfg.rho, boosted)
-            total += pop * boosted
-    return total / B
+            total += pop * delta_rho(np.add.reduce(rows[end - pop : end], axis=0) / pop, stats, cfg)
+    return total / G.shape[0]
 
 
 def choose_k(batch_size: int, optimal_batch: int) -> int:

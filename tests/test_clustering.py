@@ -175,6 +175,22 @@ class TestAggregate:
             got = aggregate(grads, assignment, stats, cfg)
             assert got.tobytes() == oracle_aggregate(grads, labels, k, stats, cfg).tobytes()
 
+    def test_uint64_labels_under_a_strict_bincount(self, monkeypatch):
+        # numpy < 2.3 bincount refuses to cast uint64 input to intp; emulate that
+        bincount = np.bincount
+
+        def strict_bincount(x, *args, **kwargs):
+            if np.asarray(x).dtype == np.uint64:
+                raise TypeError("Cannot cast array data from dtype('uint64') to dtype('int64')")
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", strict_bincount)
+        grads = np.random.default_rng(7).normal(size=(9, 4))
+        labels = np.array([2, 0, 2, 1, 0, 0, 2, 2, 1], dtype=np.uint64)
+        stats, cfg = QueueStats(np.full(4, 0.1), np.full(4, 0.5), 3), BoostConfig(rho=3.0)
+        got = aggregate(grads, ClusterAssignment(labels, np.zeros((3, 2))), stats, cfg)
+        assert got.tobytes() == oracle_aggregate(grads, labels, 3, stats, cfg).tobytes()
+
     @pytest.mark.parametrize("grads_d, stats_d", [(23, 1), (1, 23), (23, 22)])
     def test_stats_of_another_dimension_refused(self, grads_d, stats_d):
         grads = np.ones((4, grads_d))
