@@ -241,16 +241,14 @@ def simulate_gq_momentum(
     spec: SparseSignalSpec,
     params: LemmaParams,
     steps: int,
-    warmup: int | None = None,
 ) -> np.ndarray:
     """Boosted momentum trajectory computed mechanistically.
 
     Feeds the periodic stream through a real queue of capacity L and the
     real boost operator; each step accumulates m_t = beta*m_{t-1} +
     boosted(g_t) and then pushes the raw g_t. The boost is the identity
-    until the queue holds ``warmup`` entries (default min(3, L), the
-    optimizer convention; pass warmup=L for the closed-form convention).
-    A warmup below 1 raises ``ValueError``.
+    until the queue is ``warmed_up`` (min(3, L) entries, the optimizer
+    convention; the closed form assumes L).
 
     The boost is evaluated once per distinct queue window. Once t > L + N,
     the queue before step t holds g_{t-L} .. g_{t-1} and the queue before
@@ -267,10 +265,6 @@ def simulate_gq_momentum(
     steps = _integer("steps", steps)
     if params.L < 1:
         raise ValueError("the mechanistic simulation needs L >= 1")
-    if warmup is not None:
-        if warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {warmup}")
-        warmup = _integer("warmup", warmup)
     queue = GradQueue(capacity=params.L)
     cfg = BoostConfig(rho=params.rho)
     N = spec.N
@@ -278,8 +272,7 @@ def simulate_gq_momentum(
     for t in range(1, min(steps, params.L + N) + 1):
         g = sparse_signal(t, spec)
         gv = np.array([g])
-        ready = queue.warmed_up if warmup is None else len(queue) >= warmup
-        boosts.append(float(delta_rho(gv, queue.stats(), cfg)[0]) if ready else g)
+        boosts.append(float(delta_rho(gv, queue.stats(), cfg)[0]) if queue.warmed_up else g)
         queue.push(gv)
     for i in range(len(boosts), steps):  # b_t = b_{t-N}, 0-based
         boosts.append(boosts[i - N])

@@ -342,11 +342,13 @@ def kmeans(
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     B = X.shape[0]
-    if _integer("k", k) < 1:
+    k = _integer("k", k)
+    if k < 1:
         raise ValueError("k must be a positive integer")
     if k > B:
         raise ValueError(f"k={k} exceeds the number of samples B={B}")
-    if _integer("n_init", n_init) < 1:
+    n_init = _integer("n_init", n_init)
+    if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
 
     if init_centroids is not None:

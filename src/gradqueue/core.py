@@ -88,6 +88,8 @@ class QueueStats:
         object.__setattr__(self, "std", np.atleast_1d(np.asarray(self.std, float)).view())
         if self.mean.shape != self.std.shape:
             raise ValueError(f"mean {self.mean.shape} and std {self.std.shape} differ in shape")
+        if self.mean.ndim != 1:
+            raise ValueError(f"mean and std must be 1-D, got shape {self.mean.shape}")
         # fmin skips NaN, so this refuses any negative coordinate
         if np.fmin.reduce(self.std, initial=0.0) < 0:
             raise ValueError("std coordinates must be non-negative")

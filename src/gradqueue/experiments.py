@@ -408,13 +408,17 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     parameters, then one per step at those the step produced. The step's
     eval losses take rows ``inverse`` of it, and the next step's gradients
     rows ``inverse[idx]``; a batch of every image in dataset order reuses
-    the eval's rows while no run has left the stack. Each run gets the
-    bytes it gets alone, those of a fresh forward of each batch and of the
-    whole dataset.
+    the eval's rows, cut or not. Each run gets the bytes it gets alone,
+    those of a fresh forward of each batch and of the whole dataset.
 
-    A run that raises leaves the lockstep, and the others go on. At the
-    end the lowest-index failed run's exception is raised: of runs (plain,
-    boosted), the plain one's, as when they ran one after the other.
+    A run fails when its step or hook raises or its eval loss is not
+    finite, and cuts the stack at itself: runs ``0 .. live-1`` go on.
+    Steps run in index order up to the first that raises, and the eval
+    cuts at the first non-finite loss. The lowest-index failure is raised
+    once no run is left, or at the end; a later run can never supply it,
+    and no history is returned, so the cut changes no result. Of runs
+    (plain, boosted), the plain one's error is raised, as when they ran
+    one after the other.
     """
     boost_cfg = BoostConfig(rho=cfg.rho)
     opt_cfgs = [OptimizerConfig(cfg.learning_rate, cfg.beta, boost_cfg, b) for b, _, _ in runs]
@@ -424,15 +428,10 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     distinct, inverse = groups
     images = dataset.images[distinct]
     histories = [[] for _ in runs]
-    errors: dict[int, Exception] = {}  # run index: what it raised
-    live = list(range(len(runs)))  # the runs stacked in m, in order
-
-    def settled():  # no run is left, or the error to raise is known
-        return not live or min(errors, default=live[0]) < live[0]
-
+    live, error = len(runs), None  # runs 0 .. live-1 stay stacked; what the first cut run raised
     n = len(inverse)
     everything = np.arange(n)
-    evaled = None  # the last eval's take_rows of every image, while its stack is current
+    evaled = None  # the last eval's take_rows of every image
     m = LineDetectorModel.from_vector([s.params for s in states])
     forward_out = nn.batch_forward(m, images)
     for step, idx in enumerate(schedule):
@@ -441,7 +440,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
         else:
             batch = take_rows(m, forward_out, inverse[idx])
         _, grads, feats = grads_from_forward(m, batch, dataset.labels[idx])
-        for r, run_grads, run_feats, g in zip(live, grads, feats, grads.mean(axis=-2)):
+        for r, (run_grads, run_feats, g) in enumerate(zip(grads, feats, grads.mean(axis=-2))):
             _, k, cluster_seed = runs[r]
 
             def cluster_boost(stats):  # called, if at all, within this step
@@ -452,33 +451,31 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
             try:
                 step_fn(states[r], g, opt_cfgs[r], boost=hook)
             except Exception as exc:
-                errors[r] = exc
-        live = [r for r in live if r not in errors]
-        if settled():
+                live, error = r, exc
+                break
+        if not live:
             break
 
-        m = LineDetectorModel.from_vector([states[r].params for r in live])
+        m = LineDetectorModel.from_vector([s.params for s in states[:live]])
         forward_out = nn.batch_forward(m, images)
         evaled = take_rows(m, forward_out, inverse)
         losses = loss_from_forward(evaled, dataset.labels)
-        for r, loss in zip(live, losses):
+        for r, loss in enumerate(losses):
             if not np.isfinite(loss):
-                errors[r] = RuntimeError(
+                live, error = r, RuntimeError(
                     f"divergence: non-finite loss at step {step + 1} "
                     f"(lr={cfg.learning_rate}, rho={cfg.rho}, boost={runs[r][0]})"
                 )
-        keep = [i for i, r in enumerate(live) if r not in errors]
-        live = [live[i] for i in keep]
-        if settled():
+                break
+        if not live:
             break
-        if len(keep) < len(losses):  # the diverged runs' rows leave the stack
-            m = LineDetectorModel.from_vector([states[r].params for r in live])
-            forward_out = tuple(a[keep] for a in forward_out)
-            evaled = None
-        for r, i, align in zip(live, keep, template_alignment(m)):
-            histories[r].append((losses[i], align[0], align[1]))
-    if errors:
-        raise errors[min(errors)]
+        if live < len(losses):  # the cut runs' rows leave the stack
+            m = LineDetectorModel.from_vector([s.params for s in states[:live]])
+            forward_out, evaled = (tuple(a[:live] for a in out) for out in (forward_out, evaled))
+        for history, loss, align in zip(histories, losses, template_alignment(m)):
+            history.append((loss, align[0], align[1]))
+    if error is not None:
+        raise error
     return histories
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _integer
+
 __all__ = [
     "IDEAL_HORIZONTAL",
     "IDEAL_VERTICAL",
@@ -111,9 +113,11 @@ def generate_lines(
     """p images with one random full row lit, q with one random full column.
 
     Pixels are in [0, 1]; optional additive Gaussian noise is clipped back
-    into range. A negative or non-finite ``noise_std`` raises ``ValueError``.
-    Deterministic for a fixed seed.
+    into range. A size that is not an integer, or a negative or non-finite
+    ``noise_std``, raises ``ValueError``. Deterministic for a fixed seed.
     """
+    height, width = _integer("height", height), _integer("width", width)
+    p, q = _integer("p", p), _integer("q", q)
     if height < 3 or width < 3:
         raise ValueError("images must be at least 3x3")
     if p < 0 or q < 0 or p + q < 1:

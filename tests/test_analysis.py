@@ -189,7 +189,7 @@ class TestBoostedMomentum:
         for L, N, rho, k in self.GRID:
             spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
             params = LemmaParams(beta=0.9, rho=rho, L=L)
-            sim = simulate_gq_momentum(spec, params, steps=k * N, warmup=L)
+            sim = stepwise_gq_momentum(spec, params, k * N, warmup=L)
             assert rel_err(lemma3_closed(spec, params, k), sim[-1]) <= 1e-10
 
     def test_default_warmup_deviation_is_exactly_one_step(self):
@@ -275,20 +275,18 @@ class TestMechanisticSimulator:
     @pytest.mark.parametrize("N", [3, 4, 5, 9])
     def test_byte_equal_to_stepwise_loop(self, N):
         # L from 1 to beyond N - 1 (a queue that never saturates between rare
-        # steps), warmup up to L + 1 (the boost never applies), rho = 1, C = u,
-        # and step counts on both sides of L + N
+        # steps), rho = 1, C = u, and step counts on both sides of L + N
         for L in (1, 3, 4, 10):
             for rho in (1.0, 3.0):
                 for C, u in self.PAIRS:
-                    for warmup in (None, 1, L, L + 1):
-                        spec = SparseSignalSpec(C=C, u=u, N=N)
-                        params = LemmaParams(beta=0.9, rho=rho, L=L)
-                        want = stepwise_gq_momentum(spec, params, self.MAX_STEPS, warmup)
-                        period = L + N
-                        for steps in {1, 2, period - 1, period, period + 1, period + N + 1}:
-                            steps = min(steps, self.MAX_STEPS)
-                            got = simulate_gq_momentum(spec, params, steps, warmup)
-                            assert_same_bytes(got, want[:steps])
+                    spec = SparseSignalSpec(C=C, u=u, N=N)
+                    params = LemmaParams(beta=0.9, rho=rho, L=L)
+                    want = stepwise_gq_momentum(spec, params, self.MAX_STEPS)
+                    period = L + N
+                    for steps in {1, 2, period - 1, period, period + 1, period + N + 1}:
+                        steps = min(steps, self.MAX_STEPS)
+                        got = simulate_gq_momentum(spec, params, steps)
+                        assert_same_bytes(got, want[:steps])
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -298,19 +296,17 @@ class TestMechanisticSimulator:
         C=st.floats(-1e3, 1e3, allow_nan=False),
         u=st.floats(-1e3, 1e3, allow_nan=False),
         steps=st.integers(1, 120),
-        warmup=st.none() | st.integers(1, 12),
     )
-    def test_property_byte_equal_to_stepwise_loop(self, N, L, rho, C, u, steps, warmup):
+    def test_property_byte_equal_to_stepwise_loop(self, N, L, rho, C, u, steps):
         spec = SparseSignalSpec(C=C, u=u, N=N)
         params = LemmaParams(beta=0.9, rho=rho, L=L)
-        got = simulate_gq_momentum(spec, params, steps, warmup)
-        assert_same_bytes(got, stepwise_gq_momentum(spec, params, steps, warmup))
+        got = simulate_gq_momentum(spec, params, steps)
+        assert_same_bytes(got, stepwise_gq_momentum(spec, params, steps))
 
     @pytest.mark.parametrize(
-        "N, L, steps, warmup",
-        [(9, 3, 2000, None), (5, 5, 2000, None), (20, 4, 2000, 4), (3, 8, 7, None), (7, 2, 9, 1)],
+        "N, L, steps", [(9, 3, 2000), (5, 5, 2000), (20, 4, 2000), (3, 8, 7), (7, 2, 9)]
     )
-    def test_boosts_each_distinct_window_once(self, monkeypatch, N, L, steps, warmup):
+    def test_boosts_each_distinct_window_once(self, monkeypatch, N, L, steps):
         calls = []
 
         def counted(*args, **kwargs):
@@ -320,17 +316,10 @@ class TestMechanisticSimulator:
         monkeypatch.setattr(analysis, "delta_rho", counted)
         spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
         params = LemmaParams(beta=0.9, rho=3.0, L=L)
-        got = simulate_gq_momentum(spec, params, steps, warmup)
+        got = simulate_gq_momentum(spec, params, steps)
         assert 0 < len(calls) <= min(steps, L + N)
         monkeypatch.undo()
-        assert_same_bytes(got, stepwise_gq_momentum(spec, params, steps, warmup))
-
-    @pytest.mark.parametrize("warmup", [0, -2])
-    def test_warmup_below_one_rejected(self, warmup):
-        spec = SparseSignalSpec(C=50.0, u=-1.0, N=9)
-        params = LemmaParams(beta=0.9, rho=3.0, L=3)
-        with pytest.raises(ValueError, match="warmup must be >= 1"):
-            simulate_gq_momentum(spec, params, 20, warmup=warmup)
+        assert_same_bytes(got, stepwise_gq_momentum(spec, params, steps))
 
 
 class TestSignLaws:
@@ -514,10 +503,6 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         (lambda: simulate_gq_momentum(SPEC, PARAMS, 10.5), "steps must be an integer, got 10.5"),
         (lambda: simulate_lemma3_momentum(SPEC, PARAMS, 10.5), "steps must be an integer, got 10.5"),
         (lambda: simulate_momentum(SPEC, 0.9, math.nan), "steps must be an integer, got nan"),
-        (
-            lambda: simulate_gq_momentum(SPEC, PARAMS, 20, warmup=2.5),
-            "warmup must be an integer, got 2.5",
-        ),
     ],
     ids=[
         "lemma-params-beta",
@@ -552,7 +537,6 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         "simulate-gq-momentum-steps-fractional",
         "simulate-lemma3-steps-fractional",
         "simulate-momentum-steps-nan",
-        "simulate-gq-momentum-warmup-fractional",
     ],
 )
 def test_refusal_messages(call, message):
@@ -576,8 +560,8 @@ def test_numpy_integer_sizes_accepted(nine):
     steps = nine * 2  # 18, of the same numpy type
     assert simulate_momentum(spec, 0.9, steps).tobytes() == simulate_momentum(spec9, 0.9, 18).tobytes()
     assert (
-        simulate_gq_momentum(spec, params, steps, warmup=nine // 3).tobytes()
-        == simulate_gq_momentum(spec9, params3, 18, warmup=3).tobytes()
+        simulate_gq_momentum(spec, params, steps).tobytes()
+        == simulate_gq_momentum(spec9, params3, 18).tobytes()
     )
     assert (
         simulate_lemma3_momentum(spec, params, steps).tobytes()

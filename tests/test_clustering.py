@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import product
 
@@ -783,6 +784,8 @@ class TestNonFiniteFeatures:
         (lambda: kmeans(np.zeros((4, 2)), 0), "k must be a positive integer"),
         (lambda: kmeans(np.zeros((4, 2)), 5), "k=5 exceeds the number of samples B=4"),
         (lambda: kmeans(np.zeros((4, 2)), 2.5), "k must be an integer, got 2.5"),
+        (lambda: kmeans(np.zeros((4, 2)), math.nan), "k must be an integer, got nan"),
+        (lambda: kmeans(np.zeros((4, 2)), False), "k must be a positive integer"),
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=0), "n_init must be >= 1, got 0"),
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=-3), "n_init must be >= 1, got -3"),
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=2.5), "n_init must be an integer, got 2.5"),
@@ -796,6 +799,8 @@ class TestNonFiniteFeatures:
         "k-zero",
         "k-above-B",
         "k-fractional",
+        "k-nan",
+        "k-false",
         "n-init-zero",
         "n-init-negative",
         "n-init-fractional",
@@ -818,3 +823,12 @@ def test_numpy_integer_sizes_accepted(two):
     np.testing.assert_array_equal(got.labels, want.labels)
     assert got.centroids.tobytes() == want.centroids.tobytes()
     assert choose_k(two * 50, two) == choose_k(100, 2) == 50
+
+
+def test_bool_sizes_are_their_ints():
+    X = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
+    cases = [(kmeans(X, True), kmeans(X, 1)), (kmeans(X, 2, n_init=True), kmeans(X, 2, n_init=1))]
+    for got, want in cases:
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.objective_history == want.objective_history

@@ -565,6 +565,27 @@ class TestBlockedHostileInputs:
         with pytest.raises(ValueError, match="differ in shape"):
             QueueStats(mean, std, 2)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 2), (3, 1), (1, 3), (1, 1), (2, 0), (2, 2, 2)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_stats_not_1d_refused(self, shape):
+        with pytest.raises(ValueError) as exc:
+            QueueStats(np.ones(shape), np.ones(shape), 3)
+        assert str(exc.value) == f"mean and std must be 1-D, got shape {shape}"
+
+    @pytest.mark.parametrize(
+        "mean, std, shape",
+        [(0.5, 2.0, (1,)), (np.float64(0.5), np.array(2.0), (1,)), (np.empty(0), np.empty(0), (0,))],
+        ids=["scalars", "0-d", "empty"],
+    )
+    def test_scalar_and_empty_stats_accepted(self, mean, std, shape):
+        stats = QueueStats(mean, std, 3)
+        assert stats.mean.shape == stats.std.shape == shape
+        assert stats.mean.tobytes() == np.ravel(mean).tobytes()
+        assert stats.std.tobytes() == np.ravel(std).tobytes()
+
     @pytest.mark.parametrize("std", [[np.nan, 0.0], [-0.0, 1.0], [np.inf]])
     def test_nan_zero_and_inf_std_accepted(self, std):
         stats = QueueStats(np.zeros(len(std)), np.array(std), 2)

@@ -756,18 +756,83 @@ class TestLockstep:
             aligned.extend(row.tobytes() for row in model.to_vector())
             return nn.template_alignment(model)
 
+        def counting_take_rows(*a):
+            gathered.append(len(a[-1]))
+            return take_rows(*a)
+
+        take_rows, gathered = experiments.take_rows, []
         monkeypatch.setattr(experiments, "template_alignment", recording_alignment)
+        monkeypatch.setattr(experiments, "take_rows", counting_take_rows)
         experiments._train_single(*args, [(False, 1, 0)])
         solo = aligned.copy()
         aligned.clear()
+        gathered.clear()
         with pytest.raises(RuntimeError, match="at step 172 "):
             experiments._train_single(*args, [(False, 1, 0), (True, 1, seed), (False, 1, 0)])
-        # per step, the runs align in order: all three for 171 steps, then the two plain runs,
-        # on either side of the diverged one, with their solo parameters to the end
-        assert len(solo) == cfg.steps and len(aligned) == 3 * 171 + 2 * (cfg.steps - 171)
-        three, two = aligned[: 3 * 171], aligned[3 * 171 :]
+        # every batch is the whole dataset: the eval's gather serves the next batch, cut or not
+        assert gathered == [16] * (1 + cfg.steps)
+        # per step, the runs align in order: all three for 171 steps; the diverged run cuts the
+        # stack at itself, so from then on only the first plain run aligns, with its solo
+        # parameters to the end
+        assert len(solo) == cfg.steps and len(aligned) == 3 * 171 + (cfg.steps - 171)
+        three, one = aligned[: 3 * 171], aligned[3 * 171 :]
         assert three[0::3] == three[2::3] == solo[:171]
-        assert two[0::2] == two[1::2] == solo[171:]
+        assert one == solo[171:]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "fails",  # run index: the 0-based step at which its hook raises, or "diverges"
+        [{0: 50}, {2: "diverges"}, {3: 100}, {1: "diverges", 2: 171}, {1: 171, 2: "diverges"},
+         {1: 80, 2: 80}, {1: "diverges", 3: "diverges"}],
+        ids=["first-hook", "middle-diverges", "last-hook", "diverges-and-later-hook",
+             "hook-and-later-diverges", "two-hooks", "two-diverge"],
+    )
+    def test_failure_cuts_the_stack(self, monkeypatch, fails):
+        # alone, a boosted k = 1 run diverges at step 172 (0-based 171); plain runs and boosted
+        # k = 2 runs train on. Healthy runs alternate plain and k = 2, to keep k-means cheap.
+        cfg = ExperimentConfig(learning_rate=5.0, steps=180, p=12, q=4, batch_size=16)
+        _, args = self.setup(cfg)
+        runs = [
+            (True, 1, 0) if fails.get(r) == "diverges"
+            else (True, 2, 1000 * r) if r in fails or r % 2 else (False, 1, 0)
+            for r in range(4)
+        ]
+        aligned = []
+
+        def kmeans_failing(*a, seed, **kw):  # run r clusters with seed 1000 * r + step
+            r, step = divmod(seed, 1000)
+            if fails.get(r) == step:
+                raise ValueError(f"the hook of run {r} raised at step {step}")
+            return kmeans(*a, seed=seed, **kw)
+
+        def recording_alignment(model):  # one row per run of the stacked model
+            aligned.extend(row.tobytes() for row in model.to_vector())
+            return nn.template_alignment(model)
+
+        def train(runs):  # the aligned rows, and what the call raised
+            aligned.clear()
+            try:
+                experiments._train_single(*args, runs)
+            except (ValueError, RuntimeError) as exc:
+                return aligned.copy(), exc
+            return aligned.copy(), None
+
+        monkeypatch.setattr(experiments, "kmeans", kmeans_failing)
+        monkeypatch.setattr(experiments, "template_alignment", recording_alignment)
+        alone = [train([run]) for run in runs]
+        stops = [171 if fails.get(r) == "diverges" else fails.get(r, cfg.steps) for r in range(4)]
+        assert [len(rows) for rows, _ in alone] == stops
+        together, error = train(runs)
+        # the lowest-index failure is raised
+        first = alone[min(fails)][1]
+        assert (type(error), str(error)) == (type(first), str(first))
+        # run j aligns, with its solo bytes, until the first failure at or before its index:
+        # runs before the cut train to the end, the others leave at the failing step
+        ends = np.minimum.accumulate(stops)
+        assert list(ends[: min(fails)]) == [cfg.steps] * min(fails)
+        assert together == [
+            rows[t] for t in range(cfg.steps) for (rows, _), end in zip(alone, ends) if t < end
+        ]
 
     def test_failed_run_leaves_and_others_go_on(self, monkeypatch):
         cfg = ExperimentConfig(seed=2, k=2, batch_size=25, **self.SMALL)

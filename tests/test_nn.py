@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -530,6 +531,11 @@ MODEL = LineDetectorModel.init_random(0)
             f"expected a vector of {N_PARAMS} parameters",
         ),
         (lambda: generate_lines(8, 8, 0, 0), "need non-negative counts with p + q >= 1"),
+        (lambda: generate_lines(8.0, 8, 2, 1), "height must be an integer, got 8.0"),
+        (lambda: generate_lines(8, 2.5, 2, 1), "width must be an integer, got 2.5"),
+        (lambda: generate_lines(8, 8, 2.5, 1), "p must be an integer, got 2.5"),
+        (lambda: generate_lines(8, 8, 2, 1.0), "q must be an integer, got 1.0"),
+        (lambda: generate_lines(math.nan, 8, 2, 1), "height must be an integer, got nan"),
         (
             lambda: batch_forward(MODEL, np.zeros((8, 8))),
             "images must be a (B, H, W) stack, got shape (8, 8)",
@@ -546,6 +552,11 @@ MODEL = LineDetectorModel.init_random(0)
     ids=[
         "from-vector-length",
         "generate-lines-empty",
+        "generate-lines-height-float",
+        "generate-lines-width-fractional",
+        "generate-lines-p-fractional",
+        "generate-lines-q-float",
+        "generate-lines-height-nan",
         "batch-forward-one-image",
         "per-sample-grads-one-image",
         "per-sample-grads-4d",
