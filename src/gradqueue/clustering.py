@@ -330,11 +330,11 @@ def kmeans(
     the cycle is seen, with the state and the ``MAX_ITERS``-long objective
     history that running out the budget would give.
 
-    Features and ``init_centroids`` must be finite. Squared distances add
-    per feature column in the order of numpy's einsum (``_sq_dists``), and
-    the nearest centroid is the first of equals, as ``argmin`` picks it. A
-    distance or objective that overflows is inf, with no warning; seeding
-    then raises.
+    Features and ``init_centroids`` must be finite, and ``seed`` an integer
+    >= 0. Squared distances add per feature column in the order of numpy's
+    einsum (``_sq_dists``), and the nearest centroid is the first of equals,
+    as ``argmin`` picks it. A distance or objective that overflows is inf,
+    with no warning; seeding then raises.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -350,6 +350,8 @@ def kmeans(
     n_init = _integer("n_init", n_init)
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
+    if _integer("seed", seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     if init_centroids is not None:
         starts = np.asarray(init_centroids, dtype=float)[None]

@@ -406,10 +406,10 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     With the runs' parameters on a leading run axis (see ``nn``), the loop
     runs one ``nn.batch_forward`` of the distinct images at the initial
     parameters, then one per step at those the step produced. The step's
-    eval losses take rows ``inverse`` of it, and the next step's gradients
-    rows ``inverse[idx]``; a batch of every image in dataset order reuses
-    the eval's rows, cut or not. Each run gets the bytes it gets alone,
-    those of a fresh forward of each batch and of the whole dataset.
+    eval losses gather its logits ``inverse``, and the next step's batch
+    is one ``take_rows`` of rows ``inverse[idx]``. Each run gets the bytes
+    it gets alone, those of a fresh forward of each batch and of the whole
+    dataset, since every value of the forward is row-local (see ``nn``).
 
     A run fails when its step or hook raises or its eval loss is not
     finite, and cuts the stack at itself: runs ``0 .. live-1`` go on.
@@ -429,16 +429,10 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     images = dataset.images[distinct]
     histories = [[] for _ in runs]
     live, error = len(runs), None  # runs 0 .. live-1 stay stacked; what the first cut run raised
-    n = len(inverse)
-    everything = np.arange(n)
-    evaled = None  # the last eval's take_rows of every image
     m = LineDetectorModel.from_vector([s.params for s in states])
     forward_out = nn.batch_forward(m, images)
     for step, idx in enumerate(schedule):
-        if len(idx) == n and evaled is not None and np.array_equal(idx, everything):
-            batch = evaled
-        else:
-            batch = take_rows(m, forward_out, inverse[idx])
+        batch = take_rows(forward_out, inverse[idx])
         _, grads, feats = grads_from_forward(m, batch, dataset.labels[idx])
         for r, (run_grads, run_feats, g) in enumerate(zip(grads, feats, grads.mean(axis=-2))):
             _, k, cluster_seed = runs[r]
@@ -458,8 +452,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
 
         m = LineDetectorModel.from_vector([s.params for s in states[:live]])
         forward_out = nn.batch_forward(m, images)
-        evaled = take_rows(m, forward_out, inverse)
-        losses = loss_from_forward(evaled, dataset.labels)
+        losses = loss_from_forward(np.take(forward_out[0], inverse, axis=-1), dataset.labels)
         for r, loss in enumerate(losses):
             if not np.isfinite(loss):
                 live, error = r, RuntimeError(
@@ -471,7 +464,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
             break
         if live < len(losses):  # the cut runs' rows leave the stack
             m = LineDetectorModel.from_vector([s.params for s in states[:live]])
-            forward_out, evaled = (tuple(a[:live] for a in out) for out in (forward_out, evaled))
+            forward_out = tuple(a[:live] for a in forward_out)
         for history, loss, align in zip(histories, losses, template_alignment(m)):
             history.append((loss, align[0], align[1]))
     if error is not None:

@@ -10,16 +10,15 @@ one per filter tap, summed in the order numpy's einsum contraction uses,
 so its responses keep the einsum's bytes (see ``batch_forward``). The
 argmax patches are gathered at the same flat tap offsets.
 
-An image's pooled features and argmax patches depend on that image alone,
-so ``take_rows`` gathers them for any batch from one forward of a larger
-stack; the dense head (``_head``) is recomputed on the gathered rows, as
-its matrix product need not round a row the same way at every batch size.
+An image's logit, pooled features and argmax patches depend on that image
+alone: the dense head (``_head``) is elementwise, so ``take_rows`` gathers
+all three for any batch from one forward of a larger stack.
 
 A model's arrays may carry a leading axis of R runs (``from_vector`` of an
 (R, 23) matrix, ``to_vector`` back): ``batch_forward`` convolves with all
-2R filters at once, and every result carries the axis. Each value is
-computed elementwise, or by a stacked ``np.matmul`` (the head, the
-alignment) with one BLAS call per run, so a run's bytes are its own.
+2R filters at once, and every result carries the axis. Every value is
+computed elementwise or by a reduce along one row, with no BLAS call, so
+a run's bytes are its own and do not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -113,8 +112,9 @@ def generate_lines(
     """p images with one random full row lit, q with one random full column.
 
     Pixels are in [0, 1]; optional additive Gaussian noise is clipped back
-    into range. A size that is not an integer, or a negative or non-finite
-    ``noise_std``, raises ``ValueError``. Deterministic for a fixed seed.
+    into range. A size or seed that is not an integer, a negative seed, or
+    a negative or non-finite ``noise_std`` raises ``ValueError``.
+    Deterministic for a fixed seed.
     """
     height, width = _integer("height", height), _integer("width", width)
     p, q = _integer("p", p), _integer("q", q)
@@ -126,6 +126,8 @@ def generate_lines(
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     if not np.isfinite(noise_std):
         raise ValueError(f"noise_std must be finite, got {noise_std}")
+    if _integer("seed", seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = p + q
     images = np.zeros((n, height, width))
@@ -237,24 +239,18 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
 
 
 def _head(model: LineDetectorModel, features: np.ndarray) -> np.ndarray:
-    """Logits (..., B) of (..., B, 2) features: a stacked matmul, one BLAS call per run."""
-    logits = np.matmul(features, model.dense_weights[..., None])[..., 0]
-    return logits + np.expand_dims(model.dense_bias, -1)
+    """Logits (..., B) of (..., B, 2) features: ``(f0*w0 + f1*w1) + b``, each row on its own."""
+    w, b = model.dense_weights[..., None, :], np.expand_dims(model.dense_bias, -1)
+    return features[..., 0] * w[..., 0] + features[..., 1] * w[..., 1] + b
 
 
-def take_rows(model: LineDetectorModel, forward_out, rows):
-    """The ``batch_forward`` result of ``model`` on ``images[rows]``, from its result on ``images``.
+def take_rows(forward_out, rows):
+    """The ``batch_forward`` result on ``images[rows]``, gathered from its result on ``images``.
 
-    ``rows`` may repeat. Features, patches and logits are each computed
-    once for all runs: features and patches are gathered, and the logits
-    recomputed by ``_head``'s stacked product, because OpenBLAS rounds a
-    one-row product ``f0*w0 + f1*w1`` (one fused multiply-add) unlike a
-    product of two or more rows, so gathered logits would change bytes
-    where one of the two stacks has a single row.
+    ``rows`` may repeat. Each image's logit, features and patches are its
+    own, so gathering them gives the bytes of a fresh forward, for all runs.
     """
-    _, features, patches = forward_out
-    features = np.take(features, rows, axis=-2)
-    return _head(model, features), features, np.take(patches, rows, axis=-4)
+    return tuple(np.take(a, rows, axis=axis) for a, axis in zip(forward_out, (-1, -2, -4)))
 
 
 def per_sample_grads(model: LineDetectorModel, images, labels):
@@ -287,12 +283,12 @@ def grads_from_forward(model: LineDetectorModel, forward_out, labels):
 
 
 def batch_loss(model: LineDetectorModel, images, labels) -> float:
-    return loss_from_forward(batch_forward(model, np.asarray(images, dtype=float)), labels)
+    return loss_from_forward(batch_forward(model, np.asarray(images, dtype=float))[0], labels)
 
 
-def loss_from_forward(forward_out, labels):
-    """``batch_loss`` (mean binary cross-entropy) from a ``batch_forward`` result; one per run."""
-    losses = _bce_from_logit(forward_out[0], np.asarray(labels, dtype=float))
+def loss_from_forward(logits, labels):
+    """``batch_loss`` (mean binary cross-entropy) from ``batch_forward`` logits; one per run."""
+    losses = _bce_from_logit(logits, np.asarray(labels, dtype=float))
     return np.mean(losses, axis=-1).tolist()
 
 
@@ -301,15 +297,15 @@ def template_alignment(model: LineDetectorModel) -> np.ndarray:
 
     Index 0 compares against the horizontal template, index 1 against the
     vertical one. A zero-norm filter scores 0. Each dot product and squared
-    norm is one (1, 9) @ (9, 1) matmul, the BLAS dot of ``np.dot`` and
-    ``np.linalg.norm``, so a stacked model's runs score as they do alone.
+    norm is ``np.add.reduce(a * b, axis=-1)`` along one filter's 9 taps, so
+    a stacked model's runs score as they do alone.
     """
 
-    def dot(a, b):  # of (..., 1, 9) rows: one BLAS dot each
-        return np.matmul(a, b.swapaxes(-1, -2))[..., 0, 0]
+    def dot(a, b):  # of (..., 9) rows, one row at a time
+        return np.add.reduce(a * b, axis=-1)
 
-    filters = model.conv_filters.reshape(*model.conv_bias.shape, 1, 9)
+    filters = model.conv_filters.reshape(*model.conv_bias.shape, 9)
     rows = filters - filters.mean(axis=-1, keepdims=True)
-    templates = np.stack([IDEAL_HORIZONTAL, IDEAL_VERTICAL]).reshape(2, 1, 9)
+    templates = np.stack([IDEAL_HORIZONTAL, IDEAL_VERTICAL]).reshape(2, 9)
     norms = np.sqrt(dot(rows, rows)) * np.sqrt(dot(templates, templates))
     return np.divide(dot(rows, templates), norms, out=np.zeros_like(norms), where=norms != 0.0)

@@ -789,6 +789,8 @@ class TestNonFiniteFeatures:
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=0), "n_init must be >= 1, got 0"),
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=-3), "n_init must be >= 1, got -3"),
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=2.5), "n_init must be an integer, got 2.5"),
+        (lambda: kmeans(np.zeros((4, 2)), 2, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: kmeans(np.zeros((4, 2)), 2, seed=1.5), "seed must be an integer, got 1.5"),
         (lambda: choose_k(100, 2.5), "optimal_batch must be an integer, got 2.5"),
         (lambda: choose_k(100.0, 50), "batch_size must be an integer, got 100.0"),
         (lambda: choose_k(0, 128), "batch_size and optimal_batch must be positive"),
@@ -804,6 +806,8 @@ class TestNonFiniteFeatures:
         "n-init-zero",
         "n-init-negative",
         "n-init-fractional",
+        "seed-negative",
+        "seed-fractional",
         "choose-k-optimal-fractional",
         "choose-k-batch-float",
         "choose-k-zero",

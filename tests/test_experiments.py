@@ -299,28 +299,25 @@ class TestEvalReuse:
 
     @pytest.mark.parametrize("shape", ["B100", "MINIBATCH"])
     @pytest.mark.parametrize("noise_std", [0.0, 0.1])
-    def test_whole_dataset_batch_reuses_the_eval_gather(self, monkeypatch, shape, noise_std):
+    def test_one_gather_per_step_of_the_batch_length(self, monkeypatch, shape, noise_std):
         cfg = ExperimentConfig(seed=4, noise_std=noise_std, **getattr(self, shape))
         gathered = []
         take_rows = experiments.take_rows
 
-        def counting(model, forward_out, rows):
+        def counting(forward_out, rows):
             gathered.append(len(rows))
-            return take_rows(model, forward_out, rows)
+            return take_rows(forward_out, rows)
 
         monkeypatch.setattr(experiments, "take_rows", counting)
         rows = run_train_lines(cfg).rows
-        n, steps = cfg.p + cfg.q, cfg.steps
-        if cfg.batch_size >= n:  # the first batch, then one eval per step serves the next batch
-            assert gathered == [n] * (1 + steps)
-        else:  # each mini-batch and each eval gathered
-            assert gathered == [cfg.batch_size, n] * steps
+        # each step's batch is one gather; the eval gathers only the logits, with np.take
+        assert gathered == [min(cfg.batch_size, cfg.p + cfg.q)] * cfg.steps
         # the bytes of a fresh forward of each batch and of the whole dataset
         monkeypatch.setattr(experiments, "_train_single", oracle_train_runs)
         assert repr(rows) == repr(run_train_lines(cfg).rows)
 
     def test_batch_of_every_image_out_of_order_is_gathered(self):
-        # n rows but not the dataset's order: the eval's rows are not the batch's
+        # n rows but not the dataset's order: each batch is gathered in its own order
         cfg = ExperimentConfig(seed=5, k=2, **dict(self.B100, steps=12))
         seeds, dataset, groups, model, _, schedule = experiments._train_setup(cfg)
         rng = np.random.default_rng(5)
@@ -389,7 +386,7 @@ def oracle_train_single(model, dataset, groups, schedule, cfg, boost, k, cluster
         queue.push(raw)
 
         m = nn.LineDetectorModel.from_vector(theta)
-        loss = nn.loss_from_forward(nn.batch_forward(m, dataset.images), dataset.labels)
+        loss = nn.loss_from_forward(nn.batch_forward(m, dataset.images)[0], dataset.labels)
         align = nn.template_alignment(m)
         history.append((loss, align[0], align[1]))
     return history
@@ -769,8 +766,8 @@ class TestLockstep:
         gathered.clear()
         with pytest.raises(RuntimeError, match="at step 172 "):
             experiments._train_single(*args, [(False, 1, 0), (True, 1, seed), (False, 1, 0)])
-        # every batch is the whole dataset: the eval's gather serves the next batch, cut or not
-        assert gathered == [16] * (1 + cfg.steps)
+        # every batch is the whole dataset, one gather per step, cut or not
+        assert gathered == [16] * cfg.steps
         # per step, the runs align in order: all three for 171 steps; the diverged run cuts the
         # stack at itself, so from then on only the first plain run aligns, with its solo
         # parameters to the end

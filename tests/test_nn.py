@@ -164,7 +164,8 @@ def einsum_forward(model, images):
     features = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
     i_star, j_star = np.unravel_index(arg, resp.shape[2:])
     patches = windows[np.arange(B)[:, None], i_star, j_star]
-    logits = features @ model.dense_weights + model.dense_bias
+    w, b = model.dense_weights, model.dense_bias
+    logits = features[:, 0] * w[0] + features[:, 1] * w[1] + b
     return flat.transpose(1, 0, 2), logits, features, patches
 
 
@@ -343,7 +344,7 @@ class TestGradients:
         model = LineDetectorModel.init_random(4)
         ds = generate_lines(8, 8, 9, 3, noise_std=0.1, seed=5)
         out = batch_forward(model, ds.images)
-        assert loss_from_forward(out, ds.labels) == batch_loss(model, ds.images, ds.labels)
+        assert loss_from_forward(out[0], ds.labels) == batch_loss(model, ds.images, ds.labels)
         copy = np.arange(len(ds))
         for got, want in zip(
             grads_from_forward(model, out, ds.labels),
@@ -379,7 +380,7 @@ class TestTakeRows:
         subsets = [rng.integers(0, n, size) for size in (1, 2, 2, n)]  # with repeats
         subsets += [np.array([n - 1]), np.full(2, rng.integers(n)), rng.permutation(n)]
         for rows in subsets:
-            assert_bytes_equal(take_rows(model, out, rows), batch_forward(model, images[rows]))
+            assert_bytes_equal(take_rows(out, rows), batch_forward(model, images[rows]))
 
     @pytest.mark.parametrize("width", range(3, 14))
     @pytest.mark.parametrize("noise", [0.0, 0.2])
@@ -394,7 +395,7 @@ class TestTakeRows:
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_stacked_logits_equal_solo(self, noise):
-        # one- and two-row batches: OpenBLAS rounds a one-row head product apart
+        # one- and two-row batches of a stack of four runs, each run's bytes its own
         rng = np.random.default_rng(11)
         ds = generate_lines(6, 7, 8, 4, noise_std=noise, seed=5)
         vectors = np.stack(
@@ -404,10 +405,10 @@ class TestTakeRows:
         stacked = LineDetectorModel.from_vector(vectors)
         out = batch_forward(stacked, ds.images)
         for rows in (np.array([3]), np.array([len(ds) - 1]), np.array([2, 2]), np.array([0, 9])):
-            together = take_rows(stacked, out, rows)
+            together = take_rows(out, rows)
             for r, vec in enumerate(vectors):
                 alone = LineDetectorModel.from_vector(vec)
-                want = take_rows(alone, batch_forward(alone, ds.images), rows)
+                want = take_rows(batch_forward(alone, ds.images), rows)
                 assert_bytes_equal([a[r] for a in together], want)
                 assert_bytes_equal(want, batch_forward(alone, ds.images[rows]))
 
@@ -503,13 +504,17 @@ class TestTemplateAlignment:
         for row, vec in zip(stacked, vectors):
             alone = template_alignment(LineDetectorModel.from_vector(vec))
             assert alone.shape == (2,) and row.tobytes() == alone.tobytes()
-            # the bytes of the cosine from np.dot and np.linalg.norm
+            # the bytes of the cosine written out, each dot a row reduce of the products;
+            # within rounding, the cosine from np.dot and np.linalg.norm
             templates = (IDEAL_HORIZONTAL, IDEAL_VERTICAL)
-            for got, f, template in zip(alone, vec[:18].reshape(2, 3, 3), templates):
-                f = f - f.mean()
-                na, nt = np.linalg.norm(f), np.linalg.norm(template)
-                want = 0.0 if na == 0.0 else np.dot(f.ravel(), template.ravel()) / (na * nt)
+            for got, f, template in zip(alone, vec[:18].reshape(2, 9), templates):
+                f, t = f - f.mean(), template.ravel()
+                na, nt = np.sqrt(np.add.reduce(f * f)), np.sqrt(np.add.reduce(t * t))
+                want = 0.0 if na == 0.0 else np.add.reduce(f * t) / (na * nt)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                na = np.linalg.norm(f)
+                blas = 0.0 if na == 0.0 else np.dot(f, t) / (na * np.linalg.norm(t))
+                assert np.allclose(got, blas, rtol=1e-14, atol=0.0)
 
     def test_random_init_alignment_is_weak(self):
         # Monte Carlo: random filters rarely resemble the templates
@@ -536,6 +541,8 @@ MODEL = LineDetectorModel.init_random(0)
         (lambda: generate_lines(8, 8, 2.5, 1), "p must be an integer, got 2.5"),
         (lambda: generate_lines(8, 8, 2, 1.0), "q must be an integer, got 1.0"),
         (lambda: generate_lines(math.nan, 8, 2, 1), "height must be an integer, got nan"),
+        (lambda: generate_lines(8, 8, 2, 1, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: generate_lines(8, 8, 2, 1, seed=-1), "seed must be >= 0, got -1"),
         (
             lambda: batch_forward(MODEL, np.zeros((8, 8))),
             "images must be a (B, H, W) stack, got shape (8, 8)",
@@ -557,6 +564,8 @@ MODEL = LineDetectorModel.init_random(0)
         "generate-lines-p-fractional",
         "generate-lines-q-float",
         "generate-lines-height-nan",
+        "generate-lines-seed-fractional",
+        "generate-lines-seed-negative",
         "batch-forward-one-image",
         "per-sample-grads-one-image",
         "per-sample-grads-4d",
