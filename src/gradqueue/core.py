@@ -76,13 +76,16 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class QueueStats:
-    """Per-coordinate population mean/std over the most recent queue entries."""
+    """Per-coordinate population mean/std over the ``sample_count`` (>= 1) latest queue entries."""
 
     mean: np.ndarray
     std: np.ndarray
     sample_count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_count", _integer("sample_count", self.sample_count))
+        if self.sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         # read-only views: the caller's arrays stay writable, and nothing is copied
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)).view())
         object.__setattr__(self, "std", np.atleast_1d(np.asarray(self.std, float)).view())

@@ -30,21 +30,12 @@ from .analysis import (
     threshold_plain_reported,
     zeta,
 )
-from . import nn, optimizers
+from . import optimizers
 from .clustering import aggregate, choose_k, kmeans
 from .core import BoostConfig, GradQueue, QueueLengthController, _integer, delta_rho
-# batch_loss and per_sample_grads stay bound here although unused:
-# perfbench/tracing.py wraps them by name
-from .nn import (  # noqa: F401
-    LineDetectorModel,
-    batch_loss,
-    generate_lines,
-    grads_from_forward,
-    loss_from_forward,
-    per_sample_grads,
-    take_rows,
-    template_alignment,
-)
+from .nn import LineDetectorModel, generate_lines, per_sample_grads, template_alignment
+# bound here although unused: perfbench/tracing.py wraps it by name
+from .nn import batch_loss  # noqa: F401
 from .optimizers import AdamState, OptimizerConfig, SgdmState
 
 __all__ = [
@@ -402,14 +393,16 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     the batch means, one ``template_alignment`` call the live runs' scores.
 
     ``groups`` is ``(distinct, inverse)`` from ``_train_setup``: the index
-    of one image of each distinct image's group, and each image's group.
-    With the runs' parameters on a leading run axis (see ``nn``), the loop
-    runs one ``nn.batch_forward`` of the distinct images at the initial
-    parameters, then one per step at those the step produced. The step's
-    eval losses gather its logits ``inverse``, and the next step's batch
-    is one ``take_rows`` of rows ``inverse[idx]``. Each run gets the bytes
-    it gets alone, those of a fresh forward of each batch and of the whole
-    dataset, since every value of the forward is row-local (see ``nn``).
+    of one sample of each distinct (image bytes, label) group, and each
+    sample's group. With the runs' parameters on a leading run axis (see
+    ``nn``), the loop makes one ``per_sample_grads`` call over the
+    distinct pairs at the initial parameters, then one per step at those
+    the step produced. The step's eval loss is the mean of its losses
+    gathered at ``inverse``, and the next step's batch gathers its
+    gradients and features at rows ``inverse[idx]``. Each run gets the
+    bytes it gets alone, those of a fresh ``per_sample_grads`` of each
+    batch and of the whole dataset, since every per-sample value is
+    row-local (see ``nn``).
 
     A run fails when its step or hook raises or its eval loss is not
     finite, and cuts the stack at itself: runs ``0 .. live-1`` go on.
@@ -426,14 +419,14 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     states = [state_cls.init(model.to_vector(), cfg.capacity) for _ in runs]
     step_fn = getattr(optimizers, "adam_step" if cfg.use_adam else "sgdm_step")
     distinct, inverse = groups
-    images = dataset.images[distinct]
+    images, labels = dataset.images[distinct], dataset.labels[distinct]
     histories = [[] for _ in runs]
     live, error = len(runs), None  # runs 0 .. live-1 stay stacked; what the first cut run raised
     m = LineDetectorModel.from_vector([s.params for s in states])
-    forward_out = nn.batch_forward(m, images)
+    _, grads, feats = per_sample_grads(m, images, labels)
     for step, idx in enumerate(schedule):
-        batch = take_rows(forward_out, inverse[idx])
-        _, grads, feats = grads_from_forward(m, batch, dataset.labels[idx])
+        # the batch's rows of the distinct pairs' results
+        grads, feats = (np.take(a, inverse[idx], axis=-2) for a in (grads, feats))
         for r, (run_grads, run_feats, g) in enumerate(zip(grads, feats, grads.mean(axis=-2))):
             _, k, cluster_seed = runs[r]
 
@@ -451,8 +444,8 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
             break
 
         m = LineDetectorModel.from_vector([s.params for s in states[:live]])
-        forward_out = nn.batch_forward(m, images)
-        losses = loss_from_forward(np.take(forward_out[0], inverse, axis=-1), dataset.labels)
+        losses, grads, feats = per_sample_grads(m, images, labels)
+        losses = np.mean(np.take(losses, inverse, axis=-1), axis=-1).tolist()
         for r, loss in enumerate(losses):
             if not np.isfinite(loss):
                 live, error = r, RuntimeError(
@@ -464,7 +457,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
             break
         if live < len(losses):  # the cut runs' rows leave the stack
             m = LineDetectorModel.from_vector([s.params for s in states[:live]])
-            forward_out = tuple(a[:live] for a in forward_out)
+            grads, feats = grads[:live], feats[:live]
         for history, loss, align in zip(histories, losses, template_alignment(m)):
             history.append((loss, align[0], align[1]))
     if error is not None:
@@ -473,12 +466,14 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
 
 
 def _train_setup(cfg: ExperimentConfig):
-    """Seeds, dataset, image groups, initial model, batch size and batch schedule of a run.
+    """Seeds, dataset, sample groups, initial model, batch size and batch schedule of a run.
 
-    The groups are ``(distinct, inverse)``: images are grouped by their
-    bytes, ``distinct`` holds the index of each group's first image and
-    ``inverse`` each image's group. Grouping by bytes keeps an image with
-    a ``-0.0`` pixel apart from one with ``0.0`` there.
+    The groups are ``(distinct, inverse)``: samples are grouped by their
+    image's bytes and their label, ``distinct`` holds the index of each
+    group's first sample and ``inverse`` each sample's group. Grouping by
+    bytes keeps an image with a ``-0.0`` pixel apart from one with ``0.0``
+    there; grouping by label keeps equal images with different labels
+    apart, as their losses and gradients differ.
     """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -488,8 +483,8 @@ def _train_setup(cfg: ExperimentConfig):
     dataset = generate_lines(
         cfg.height, cfg.width, cfg.p, cfg.q, cfg.noise_std, seeds["dataset"]
     )
-    flat = dataset.images.reshape(len(dataset), -1)
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
+    pairs = np.column_stack([dataset.images.reshape(len(dataset), -1), dataset.labels])
+    keys = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1])))[:, 0]
     _, distinct, inverse = np.unique(keys, return_index=True, return_inverse=True)
     model = LineDetectorModel.init_random(seeds["init"])
     batch_size = min(cfg.batch_size, len(dataset))

@@ -11,8 +11,10 @@ so its responses keep the einsum's bytes (see ``batch_forward``). The
 argmax patches are gathered at the same flat tap offsets.
 
 An image's logit, pooled features and argmax patches depend on that image
-alone: the dense head (``_head``) is elementwise, so ``take_rows`` gathers
-all three for any batch from one forward of a larger stack.
+alone, since the dense head (``_head``) is elementwise, and so do its loss
+and gradient under its label: ``per_sample_grads`` of a batch's distinct
+(image, label) pairs, gathered at each sample's row, is
+``per_sample_grads`` of the batch.
 
 A model's arrays may carry a leading axis of R runs (``from_vector`` of an
 (R, 23) matrix, ``to_vector`` back): ``batch_forward`` convolves with all
@@ -38,10 +40,7 @@ __all__ = [
     "generate_lines",
     "batch_forward",
     "per_sample_grads",
-    "take_rows",
-    "grads_from_forward",
     "batch_loss",
-    "loss_from_forward",
     "template_alignment",
 ]
 
@@ -141,24 +140,6 @@ def generate_lines(
     return LineDataset(images=images, labels=labels)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _bce_from_logit(logits, labels):
-    # max(x,0) - x*y + log(1 + exp(-|x|)), stable for large |x|
-    return (
-        np.maximum(logits, 0.0)
-        - logits * labels
-        + np.log1p(np.exp(-np.abs(logits)))
-    )
-
-
 def _conv(images: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid 3x3 responses of F filters plus their biases, shape (F, B, h*w).
 
@@ -244,33 +225,27 @@ def _head(model: LineDetectorModel, features: np.ndarray) -> np.ndarray:
     return features[..., 0] * w[..., 0] + features[..., 1] * w[..., 1] + b
 
 
-def take_rows(forward_out, rows):
-    """The ``batch_forward`` result on ``images[rows]``, gathered from its result on ``images``.
-
-    ``rows`` may repeat. Each image's logit, features and patches are its
-    own, so gathering them gives the bytes of a fresh forward, for all runs.
-    """
-    return tuple(np.take(a, rows, axis=axis) for a, axis in zip(forward_out, (-1, -2, -4)))
-
-
 def per_sample_grads(model: LineDetectorModel, images, labels):
     """Loss, exact loss gradient (23 parameters) and features per sample.
 
     ``images`` is a non-empty (B, H, W) stack. Returns (losses (B,),
-    grads (B, 23), features (B, 2)).
+    grads (B, 23), features (B, 2)); a stacked model's results carry its
+    leading run axis. Each row depends only on its own image and label,
+    so gathering rows of the results for distinct (image, label) pairs
+    gives the bytes of a call on the gathered pairs, for every run.
+
+    One ``exp(-|x|)`` of each logit x serves both the binary cross-entropy
+    ``max(x, 0) - x*y + log1p(exp(-|x|))`` and the sigmoid, which is
+    ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim == 3 and images.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    return grads_from_forward(model, batch_forward(model, images), labels)
-
-
-def grads_from_forward(model: LineDetectorModel, forward_out, labels):
-    """``per_sample_grads`` from the ``batch_forward`` result of ``model`` on the batch, per run."""
-    logits, features, patches = forward_out
+    logits, features, patches = batch_forward(model, images)
     labels = np.asarray(labels, dtype=float)
-    losses = _bce_from_logit(logits, labels)
-    dlogit = _sigmoid(logits) - labels  # (..., B)
+    e = np.exp(-np.abs(logits))
+    losses = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)
+    dlogit = np.where(logits >= 0, 1.0, e) / (1.0 + e) - labels  # (..., B)
 
     weights = model.dense_weights[..., None, :]  # (..., 1, 2)
     grads = np.empty((*logits.shape, N_PARAMS))
@@ -282,14 +257,9 @@ def grads_from_forward(model: LineDetectorModel, forward_out, labels):
     return losses, grads, features
 
 
-def batch_loss(model: LineDetectorModel, images, labels) -> float:
-    return loss_from_forward(batch_forward(model, np.asarray(images, dtype=float))[0], labels)
-
-
-def loss_from_forward(logits, labels):
-    """``batch_loss`` (mean binary cross-entropy) from ``batch_forward`` logits; one per run."""
-    losses = _bce_from_logit(logits, np.asarray(labels, dtype=float))
-    return np.mean(losses, axis=-1).tolist()
+def batch_loss(model: LineDetectorModel, images, labels):
+    """Mean binary cross-entropy of the batch: a float, or a list of one per run of a stack."""
+    return np.mean(per_sample_grads(model, images, labels)[0], axis=-1).tolist()
 
 
 def template_alignment(model: LineDetectorModel) -> np.ndarray:

@@ -792,6 +792,9 @@ class TestQueueLengthController:
             QueueLengthController(window=6, min_length=3, max_length=5)
 
 
+ONES = np.ones(2)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -807,6 +810,10 @@ class TestQueueLengthController:
         (lambda: QueueLengthController(window=2.5), "window must be an integer, got 2.5"),
         (lambda: QueueLengthController(min_length=3.5), "min_length must be an integer, got 3.5"),
         (lambda: QueueLengthController(max_length=5.5), "max_length must be an integer, got 5.5"),
+        (lambda: QueueStats(ONES, ONES, 2.5), "sample_count must be an integer, got 2.5"),
+        (lambda: QueueStats(ONES, ONES, None), "sample_count must be an integer, got None"),
+        (lambda: QueueStats(ONES, ONES, -1), "sample_count must be >= 1, got -1"),
+        (lambda: QueueStats(ONES, ONES, 0), "sample_count must be >= 1, got 0"),
     ],
     ids=[
         "push-2d",
@@ -817,6 +824,10 @@ class TestQueueLengthController:
         "controller-window",
         "controller-min-length",
         "controller-max-length",
+        "stats-count-fraction",
+        "stats-count-none",
+        "stats-count-negative",
+        "stats-count-zero",
     ],
 )
 def test_refusal_messages(call, message):
@@ -837,3 +848,5 @@ def test_numpy_integer_sizes_accepted(three):
     ctrl = QueueLengthController(window=three - 1, min_length=three, max_length=three + 2)
     assert (ctrl.window, ctrl.min_length, ctrl.max_length) == (2, 3, 5)
     assert all(type(v) is int for v in (ctrl.window, ctrl.min_length, ctrl.max_length))
+    stats = QueueStats(np.ones(2), np.ones(2), three)
+    assert stats.sample_count == 3 and type(stats.sample_count) is int

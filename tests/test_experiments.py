@@ -265,13 +265,20 @@ class TestTrainLines:
             assert row[1] == row[2]
 
 
+def distinct_pairs(dataset):
+    """The number of distinct (image bytes, label) pairs of a dataset."""
+    return len({(image.tobytes(), label) for image, label in zip(dataset.images, dataset.labels)})
+
+
 class TestEvalReuse:
-    """One forward of the distinct images per step serves its eval and the next step's batch."""
+    """One ``per_sample_grads`` call over the distinct pairs serves a step's eval and next batch."""
 
     # criterion-8 configuration (batch = dataset = 100, k = 2), fewer steps
     B100 = dict(steps=50, p=95, q=5, batch_size=100, optimal_batch=50)
     # paired-train-minibatch shape (12x12, n = 200, B = 20, k = 1), fewer steps
     MINIBATCH = dict(steps=30, height=12, width=12, p=190, q=10, batch_size=20, k=1)
+    # 3x3 images of pixels clipped to 0 or 1, half of each label
+    MIXED = dict(height=3, width=3, p=50, q=50, noise_std=1e6)
 
     def count_forwards(self, monkeypatch):
         calls = []
@@ -292,26 +299,19 @@ class TestEvalReuse:
         run_train_lines(cfg)
         # of both arms at once: one forward at the initial parameters, then one per step
         assert len(calls) == 1 + cfg.steps
-        distinct = len({image.tobytes() for image in experiments._train_setup(cfg)[1].images})
+        distinct = distinct_pairs(experiments._train_setup(cfg)[1])
         assert set(calls) == {distinct}
         n = cfg.p + cfg.q
         assert distinct == n if noise_std else distinct < n
 
     @pytest.mark.parametrize("shape", ["B100", "MINIBATCH"])
     @pytest.mark.parametrize("noise_std", [0.0, 0.1])
-    def test_one_gather_per_step_of_the_batch_length(self, monkeypatch, shape, noise_std):
+    def test_one_per_sample_grads_call_per_forward(self, monkeypatch, shape, noise_std):
         cfg = ExperimentConfig(seed=4, noise_std=noise_std, **getattr(self, shape))
-        gathered = []
-        take_rows = experiments.take_rows
-
-        def counting(forward_out, rows):
-            gathered.append(len(rows))
-            return take_rows(forward_out, rows)
-
-        monkeypatch.setattr(experiments, "take_rows", counting)
+        calls = count_per_sample_grads(monkeypatch)
         rows = run_train_lines(cfg).rows
-        # each step's batch is one gather; the eval gathers only the logits, with np.take
-        assert gathered == [min(cfg.batch_size, cfg.p + cfg.q)] * cfg.steps
+        # one call at the initial parameters and one per step, each over the distinct pairs
+        assert calls == [distinct_pairs(experiments._train_setup(cfg)[1])] * (1 + cfg.steps)
         # the bytes of a fresh forward of each batch and of the whole dataset
         monkeypatch.setattr(experiments, "_train_single", oracle_train_runs)
         assert repr(rows) == repr(run_train_lines(cfg).rows)
@@ -325,23 +325,54 @@ class TestEvalReuse:
         args = (model, dataset, groups, schedule, cfg, [(False, 1, 0), (True, 2, seeds["clustering"])])
         assert repr(experiments._train_single(*args)) == repr(oracle_train_runs(*args))
 
-    def test_groups_are_the_distinct_bytes(self):
-        cfg = ExperimentConfig(seed=1, **self.MINIBATCH)
+    @pytest.mark.parametrize("settings", [MINIBATCH, MIXED])
+    def test_groups_are_the_distinct_pairs(self, settings):
+        cfg = ExperimentConfig(seed=1, **settings)
         _, dataset, (distinct, inverse), *_ = experiments._train_setup(cfg)
-        images = dataset.images
+        images, labels = dataset.images, dataset.labels
         assert images[distinct][inverse].tobytes() == images.tobytes()
-        assert len({images[i].tobytes() for i in distinct}) == len(distinct)
+        assert labels[distinct][inverse].tobytes() == labels.tobytes()
+        assert len({(images[i].tobytes(), labels[i]) for i in distinct}) == len(distinct)
 
     def test_signed_zeros_are_kept_apart(self, monkeypatch):
-        # equal under ==, different bytes: a forward may treat the two differently
-        images = np.zeros((4, 5, 5))
+        # equal under ==, different bytes: a forward may treat the two differently; each
+        # byte group's labels agree, so only the bytes can keep the first four apart
+        images = np.zeros((6, 5, 5))
         images[1, 2, 2] = images[3, 2, 2] = -0.0
-        dataset = nn.LineDataset(images=images, labels=np.array([0, 0, 1, 1]))
+        images[4:, 2] = 1.0
+        dataset = nn.LineDataset(images=images, labels=np.array([0, 0, 0, 0, 1, 1]))
         monkeypatch.setattr(experiments, "generate_lines", lambda *args: dataset)
-        cfg = ExperimentConfig(steps=1, height=5, width=5, p=2, q=2, batch_size=4)
+        cfg = ExperimentConfig(steps=1, height=5, width=5, p=4, q=2, batch_size=6)
         _, _, (distinct, inverse), *_ = experiments._train_setup(cfg)
-        assert len(distinct) == 2
+        assert len(distinct) == 3
         assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
+        assert inverse[4] == inverse[5] not in (inverse[0], inverse[1])
+
+    def test_equal_images_with_different_labels_are_kept_apart(self, monkeypatch):
+        # 3x3 pixels clipped to 0 or 1: some images occur under both labels
+        cfg = ExperimentConfig(steps=20, batch_size=10, k=1, **self.MIXED)
+        dataset = experiments._train_setup(cfg)[1]
+        labels_of = {}
+        for image, label in zip(dataset.images, dataset.labels):
+            labels_of.setdefault(image.tobytes(), set()).add(label)
+        assert {0, 1} in labels_of.values()
+        rows = run_train_lines(cfg).rows
+        # the bytes of a fresh forward of each batch and of the whole dataset
+        monkeypatch.setattr(experiments, "_train_single", oracle_train_runs)
+        assert repr(rows) == repr(run_train_lines(cfg).rows)
+
+
+def count_per_sample_grads(monkeypatch):
+    """The number of samples of each ``per_sample_grads`` call the train loop makes."""
+    calls = []
+    per_sample_grads = experiments.per_sample_grads
+
+    def counting(model, images, labels):
+        calls.append(len(images))
+        return per_sample_grads(model, images, labels)
+
+    monkeypatch.setattr(experiments, "per_sample_grads", counting)
+    return calls
 
 
 def oracle_train_single(model, dataset, groups, schedule, cfg, boost, k, cluster_seed):
@@ -386,7 +417,7 @@ def oracle_train_single(model, dataset, groups, schedule, cfg, boost, k, cluster
         queue.push(raw)
 
         m = nn.LineDetectorModel.from_vector(theta)
-        loss = nn.loss_from_forward(nn.batch_forward(m, dataset.images)[0], dataset.labels)
+        loss = nn.batch_loss(m, dataset.images, dataset.labels)
         align = nn.template_alignment(m)
         history.append((loss, align[0], align[1]))
     return history
@@ -753,21 +784,16 @@ class TestLockstep:
             aligned.extend(row.tobytes() for row in model.to_vector())
             return nn.template_alignment(model)
 
-        def counting_take_rows(*a):
-            gathered.append(len(a[-1]))
-            return take_rows(*a)
-
-        take_rows, gathered = experiments.take_rows, []
         monkeypatch.setattr(experiments, "template_alignment", recording_alignment)
-        monkeypatch.setattr(experiments, "take_rows", counting_take_rows)
+        calls = count_per_sample_grads(monkeypatch)
         experiments._train_single(*args, [(False, 1, 0)])
         solo = aligned.copy()
         aligned.clear()
-        gathered.clear()
+        calls.clear()
         with pytest.raises(RuntimeError, match="at step 172 "):
             experiments._train_single(*args, [(False, 1, 0), (True, 1, seed), (False, 1, 0)])
-        # every batch is the whole dataset, one gather per step, cut or not
-        assert gathered == [16] * cfg.steps
+        # one call over the distinct pairs at the start and one per step, cut or not
+        assert calls == [distinct_pairs(args[1])] * (1 + cfg.steps)
         # per step, the runs align in order: all three for 171 steps; the diverged run cuts the
         # stack at itself, so from then on only the first plain run aligns, with its solo
         # parameters to the end

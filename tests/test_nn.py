@@ -17,16 +17,22 @@ from gradqueue import (
     template_alignment,
 )
 from gradqueue import nn
-from gradqueue.nn import (
-    N_PARAMS,
-    _conv,
-    _sigmoid,
-    batch_forward,
-    batch_loss,
-    grads_from_forward,
-    loss_from_forward,
-    take_rows,
-)
+from gradqueue.nn import N_PARAMS, _conv, batch_forward, batch_loss
+
+
+def reference_sigmoid(x):
+    """The logistic function, each sign branch computed on its own entries."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_bce(logits, labels):
+    """Binary cross-entropy of a logit, ``max(x,0) - x*y + log(1 + exp(-|x|))``."""
+    return np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
 
 
 def batch_grad(model, images, labels):
@@ -34,7 +40,7 @@ def batch_grad(model, images, labels):
     images = np.asarray(images, dtype=float)
     labels = np.asarray(labels, dtype=float)
     logits, features, patches = batch_forward(model, images)
-    dlogit = (_sigmoid(logits) - labels) / images.shape[0]  # (B,)
+    dlogit = (reference_sigmoid(logits) - labels) / images.shape[0]  # (B,)
     grads = np.empty(N_PARAMS)
     grads[:18] = np.einsum(
         "b,f,bfxy->fxy", dlogit, model.dense_weights, patches
@@ -339,18 +345,32 @@ class TestGradients:
         with pytest.raises(ValueError):
             per_sample_grads(model, np.zeros((0, 8, 8)), np.zeros(0))
 
-    def test_one_forward_serves_loss_and_gradients(self):
-        # the forward of the stored images gives the bytes of a forward of an indexed copy
+    def test_batch_loss_is_the_mean_sample_loss(self):
         model = LineDetectorModel.init_random(4)
         ds = generate_lines(8, 8, 9, 3, noise_std=0.1, seed=5)
-        out = batch_forward(model, ds.images)
-        assert loss_from_forward(out[0], ds.labels) == batch_loss(model, ds.images, ds.labels)
-        copy = np.arange(len(ds))
-        for got, want in zip(
-            grads_from_forward(model, out, ds.labels),
-            per_sample_grads(model, ds.images[copy], ds.labels[copy]),
-        ):
-            assert got.tobytes() == want.tobytes()
+        losses, _, _ = per_sample_grads(model, ds.images, ds.labels)
+        assert batch_loss(model, ds.images, ds.labels) == np.mean(losses)
+        rng = np.random.default_rng(4)
+        vectors = np.stack([model.to_vector(), signed_zero_model(rng).to_vector()])
+        stacked = batch_loss(LineDetectorModel.from_vector(vectors), ds.images, ds.labels)
+        models = map(LineDetectorModel.from_vector, vectors)
+        assert repr(stacked) == repr([batch_loss(m, ds.images, ds.labels) for m in models])
+
+    def test_loss_and_sigmoid_match_the_references(self):
+        # one exp(-|x|) per logit gives the bytes of the sign-branch sigmoid and the BCE;
+        # runs of zero filters and dense weights -1 on a zero image have logit = dense bias
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 709.8, -709.8, 1e-300, -1e-300]
+        logits = np.concatenate([special, rng.normal(scale=40.0, size=2000)])
+        vectors = np.zeros((len(logits), N_PARAMS))
+        vectors[:, 20:22], vectors[:, 22] = -1.0, logits
+        model = LineDetectorModel.from_vector(vectors)
+        for label in (0, 1):
+            with np.errstate(invalid="ignore"):  # inf - inf at an infinite logit
+                losses, grads, _ = per_sample_grads(model, np.zeros((1, 3, 3)), [label])
+                want = reference_bce(logits, float(label))
+            assert losses[:, 0].tobytes() == want.tobytes()
+            assert grads[:, 0, 22].tobytes() == (reference_sigmoid(logits) - label).tobytes()
 
     def test_loss_non_increasing_under_small_sgd(self):
         # plain full-batch gradient descent, noise-free data, fixed seeds
@@ -370,17 +390,23 @@ class TestGradients:
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-class TestTakeRows:
-    """Rows gathered from one forward of a stack are a fresh forward of those rows, byte for byte."""
+def gather(results, rows):
+    """Rows of ``per_sample_grads`` results: losses (..., B), grads and features (..., B, d)."""
+    return [np.take(a, rows, axis=axis) for a, axis in zip(results, (-1, -2, -2))]
+
+
+class TestGatheredRows:
+    """Rows gathered from a ``per_sample_grads`` call are a fresh call on them, byte for byte."""
 
     @staticmethod
-    def check_subsets(model, images, rng):
-        n = len(images)
-        out = batch_forward(model, images)
+    def check_subsets(model, ds, rng):
+        n = len(ds)
+        out = per_sample_grads(model, ds.images, ds.labels)
         subsets = [rng.integers(0, n, size) for size in (1, 2, 2, n)]  # with repeats
         subsets += [np.array([n - 1]), np.full(2, rng.integers(n)), rng.permutation(n)]
         for rows in subsets:
-            assert_bytes_equal(take_rows(out, rows), batch_forward(model, images[rows]))
+            want = per_sample_grads(model, ds.images[rows], ds.labels[rows])
+            assert_bytes_equal(gather(out, rows), want)
 
     @pytest.mark.parametrize("width", range(3, 14))
     @pytest.mark.parametrize("noise", [0.0, 0.2])
@@ -391,10 +417,10 @@ class TestTakeRows:
         # four images per convolution block: the whole stack spans several blocks
         monkeypatch.setattr(nn, "CONV_BLOCK", 4 * height * width)
         for model in (LineDetectorModel.init_random(width), signed_zero_model(rng)):
-            self.check_subsets(model, ds.images, rng)
+            self.check_subsets(model, ds, rng)
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
-    def test_stacked_logits_equal_solo(self, noise):
+    def test_stacked_runs_equal_solo(self, noise):
         # one- and two-row batches of a stack of four runs, each run's bytes its own
         rng = np.random.default_rng(11)
         ds = generate_lines(6, 7, 8, 4, noise_std=noise, seed=5)
@@ -403,21 +429,21 @@ class TestTakeRows:
             + [signed_zero_model(rng).to_vector() for _ in range(3)]
         )
         stacked = LineDetectorModel.from_vector(vectors)
-        out = batch_forward(stacked, ds.images)
+        out = per_sample_grads(stacked, ds.images, ds.labels)
         for rows in (np.array([3]), np.array([len(ds) - 1]), np.array([2, 2]), np.array([0, 9])):
-            together = take_rows(out, rows)
+            together = gather(out, rows)
             for r, vec in enumerate(vectors):
                 alone = LineDetectorModel.from_vector(vec)
-                want = take_rows(batch_forward(alone, ds.images), rows)
+                want = gather(per_sample_grads(alone, ds.images, ds.labels), rows)
                 assert_bytes_equal([a[r] for a in together], want)
-                assert_bytes_equal(want, batch_forward(alone, ds.images[rows]))
+                assert_bytes_equal(want, per_sample_grads(alone, ds.images[rows], ds.labels[rows]))
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_default_block(self, noise):
         rng = np.random.default_rng(7)
         ds = generate_lines(13, 13, 110, 10, noise_std=noise, seed=8)
         assert len(ds) * 13 * 13 > 2 * nn.CONV_BLOCK
-        self.check_subsets(signed_zero_model(rng), ds.images, rng)
+        self.check_subsets(signed_zero_model(rng), ds, rng)
 
 
 class TestModel:

@@ -53,3 +53,6 @@ def test_install_wraps_and_restore_unwraps():
     assert metrics["nn.batch_forward.calls"] == forwards
     assert metrics["nn.images_forwarded"] == forwards * distinct
     assert metrics["nn.eval_reusable_frac"] == 0.0
+    # the gradient math is its own layer: one per_sample_grads span per forward
+    assert tracer.self_times()[1]["nn.per_sample_grads"] == forwards
+    assert metrics["nn.per_sample_grads.self_s"] > 0.0
