@@ -66,8 +66,7 @@ class LemmaParams:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
+        _check_beta(self.beta)
         if not self.rho >= 1.0:
             raise ValueError("rho must be >= 1")
         if not self.L >= 0:
@@ -96,6 +95,11 @@ class BatchCompositionCase:
             raise ValueError(f"p + q must equal B ({self.p} + {self.q} != {self.B})")
         for name in ("B", "p", "q"):  # stored as ints: numpy integer arithmetic could wrap
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < 1.0:  # written so that NaN fails the check
+        raise ValueError("beta must lie in (0, 1)")
 
 
 def sparse_signal(t: int, spec: SparseSignalSpec) -> float:
@@ -144,6 +148,7 @@ def lemma1_closed(spec: SparseSignalSpec, beta: float, k: int) -> float:
     if not k >= 1:  # written so that NaN fails the check
         raise ValueError("k must be >= 1")
     _integer("k", k)
+    _check_beta(beta)
     cycle = spec.u * beta * geometric_sum(beta, spec.N - 1) + spec.C
     return period_sum(beta, spec.N, k) * cycle
 
@@ -157,6 +162,7 @@ def threshold_plain(N: int, beta: float) -> float:
     if N < 3:
         raise ValueError("N must be >= 3")
     _integer("N", N)
+    _check_beta(beta)
     return beta * geometric_sum(beta, N - 1)
 
 
@@ -170,6 +176,7 @@ def threshold_plain_reported(N: int, beta: float) -> float:
     if N < 3:
         raise ValueError("N must be >= 3")
     _integer("N", N)
+    _check_beta(beta)
     return beta * geometric_sum(beta, N)
 
 
@@ -346,6 +353,8 @@ def zeta(case: BatchCompositionCase) -> float:
 
 def boosted_batch_mean(case: BatchCompositionCase, rho: float) -> float:
     """Batch mean after scaling the rare group by rho and the rest by 1/rho."""
+    if not rho > 0.0:  # zeta is often below 1; written so that NaN fails the check
+        raise ValueError(f"rho must be > 0, got {rho}")
     return (case.q * rho * case.eq_q + case.p * case.eq_p / rho) / case.B
 
 

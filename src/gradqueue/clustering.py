@@ -5,12 +5,13 @@ cluster's mean gradient is boosted against the shared queue statistics
 and the boosted means are recombined weighted by cluster population.
 
 ``kmeans`` runs all its restarts at once and gives each the result it
-would give alone: kmeans++ seeds every restart together under a plan of
-the generator draws (``_kmeans_pp_init``), and the Lloyd iterations of
-the distinct starts are batched (``_lloyd``). Every point-to-centroid
-squared distance goes through ``_sq_dists``, one feature column at a time
-in the order of numpy's einsum. Features must be finite. ``aggregate``
-sorts the samples by cluster once and reduces each cluster's rows.
+would give alone: kmeans++ draws every centroid from one ``random()``, so
+all restarts are seeded together from one generator call
+(``_kmeans_pp_init``), and the Lloyd iterations of the distinct starts are
+batched (``_lloyd``). Every point-to-centroid squared distance goes
+through ``_sq_dists``, one feature column at a time in the order of
+numpy's einsum. Features must be finite. ``aggregate`` sorts the samples
+by cluster once and reduces each cluster's rows.
 """
 
 from __future__ import annotations
@@ -94,10 +95,21 @@ def _objectives(X: np.ndarray, ids: np.ndarray, centroids: np.ndarray) -> np.nda
     return np.add.reduce(diff * diff, axis=(1, 2))  # np.sum without its wrapper
 
 
+def _check_labels(labels, B: int, k: int) -> np.ndarray:
+    """``labels`` as an array, refused unless they are B integers in [0, k)."""
+    labels = np.asarray(labels)
+    if labels.shape != (B,):
+        raise ValueError(f"label shape {labels.shape} does not match the {B} samples")
+    if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
+        raise ValueError(f"cluster labels must be integers in [0, {k})")
+    return labels
+
+
 def kmeans_objective(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     """Sum of squared distances of each sample to its assigned centroid."""
     centroids = np.asarray(centroids)[None]
-    ids = _cluster_ids(np.asarray(labels)[None], centroids.shape[1])
+    labels = _check_labels(labels, len(X), centroids.shape[1])
+    ids = _cluster_ids(labels[None], centroids.shape[1])
     return float(_objectives(X, ids, centroids)[0])
 
 
@@ -106,65 +118,25 @@ def _kmeans_pp_init(
 ) -> np.ndarray:
     """kmeans++ starting centroids of ``n_init`` restarts, (n_init, k, f).
 
-    The centroids and the generator's final state are those of seeding the
-    restarts one after another: each draws its first centroid with
-    ``rng.integers(n)``, then each later one with ``rng.random()`` against
-    the cumulative distribution of the squared distances to the centroids
-    chosen so far, or with ``rng.integers(n)`` when all those distances are
-    0 (every point coincides with a chosen centroid).
-
-    All restarts are seeded together, one centroid at a time, from draws
-    made up front in that order under a plan of which draws are integers.
-    When a stage finds a restart whose distances are all 0 against the
-    plan, the plan is corrected at the first such restart: a coincidence
-    persists, so its later stages become integers too, and every later
-    restart's plan is reset. The generator is then rewound and all draws
-    are made again. With no coincidence the seeding computes k - 1
-    distances, one per stage.
+    Each centroid is drawn from one ``random()``, as ``rng.choice(n, p=w /
+    w.sum())`` draws it: w holds the squared distances to the centroids
+    chosen so far, or ones for the first centroid and when those distances
+    are all 0. Every restart takes k draws, so all restarts are seeded
+    together, one centroid at a time, from one ``rng.random((n_init, k))``,
+    with the centroids and final generator state of seeding them in turn.
     """
-    n = X.shape[0]
-    integers, random = rng.integers, rng.random
-    plan = np.zeros((n_init, k), dtype=bool)  # True: the draw is integers(n), else random()
-    plan[:, 0] = True
-    start = rng.bit_generator.state
-    while True:
-        draws = np.array([integers(n) if p else random() for p in plan.ravel().tolist()])
-        with np.errstate(over="ignore", invalid="ignore"):
-            centroids = _seed_under_plan(X, plan, draws.reshape(n_init, k))
-        if centroids is not None:
-            return centroids
-        rng.bit_generator.state = start
-
-
-def _seed_under_plan(X, plan, draws):
-    """kmeans++ centroids of every restart from its (R, k) draws made under ``plan``.
-
-    At the first stage whose distances show the plan wrong, corrects the
-    plan at the first restart it is wrong for, and returns None.
-    """
-    R, k = plan.shape
-    centroids = np.empty((R, k, X.shape[1]))
-    centroids[:, 0] = X[draws[:, 0].astype(np.intp)]
-    totals = np.zeros((R, k))
-    for i in range(1, k):
-        d2 = _sq_dists(X, centroids[:, :i]).min(axis=1)
-        totals[:, i] = d2.sum(axis=1)  # each row's sum is that of the row alone
-        coincide = totals[:, i] <= 0.0
-        wrong = coincide != plan[:, i]
-        if wrong.any():
-            r = wrong.argmax()
-            plan[r, i:] = coincide[r]
-            plan[r + 1 :, 1:] = False
-            return None
-        # rng.choice(n, p=d2 / total) without its checks of p: the same draw,
-        # index and generator state. Rows of a zero or non-finite total give
-        # NaN here and are not used.
-        cdf = (d2 / totals[:, i, None]).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        drawn = (cdf <= draws[:, i, None]).sum(axis=1)
-        centroids[:, i] = X[np.where(coincide, draws[:, i], drawn).astype(np.intp)]
-    if not np.isfinite(totals).all():
-        raise ValueError("squared feature distances overflow")
+    draws = rng.random((n_init, k))
+    centroids = np.empty((n_init, k, X.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            w = _sq_dists(X, centroids[:, :i]).min(axis=1) if i else np.ones((n_init, len(X)))
+            w[w.sum(axis=1) <= 0.0] = 1.0  # every point coincides with a chosen centroid
+            # rng.choice(n, p=w / w.sum()) without its checks of p; a row's sum is the row's alone
+            cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            if not np.isfinite(cdf[:, -1]).all():
+                raise ValueError("squared feature distances overflow")
+            centroids[:, i] = X[(cdf <= draws[:, i, None]).sum(axis=1)]
     return centroids
 
 
@@ -317,27 +289,29 @@ def kmeans(
     ``init_centroids`` bypasses seeding and forces a single run from the
     given (k, f) centroids.
 
-    The restarts are seeded together, one centroid at a time, under a plan
-    of the generator draws that gives each the centroids it would get
-    seeded after the one before it (``_kmeans_pp_init``). A restart depends
-    only on its start and the features, so byte-equal starts (common when
-    the rows repeat a few points) end equal, and only the first of each is
-    iterated: ``argmin`` picks the first of equal objectives anyway. The
-    distinct starts iterate together in one batched Lloyd loop, each giving
-    the labels, centroids and objectives it would give on its own. A
-    restart that cycles without converging (all feature rows at one point
-    make the reseeded empty cluster swap every iteration) ends as soon as
-    the cycle is seen, with the state and the ``MAX_ITERS``-long objective
-    history that running out the budget would give.
+    Each kmeans++ centroid is drawn from one ``random()`` as
+    ``Generator.choice`` draws by weight, so the restarts are seeded
+    together, one centroid at a time, from one generator call, each with
+    the centroids it would get seeded after the one before it
+    (``_kmeans_pp_init``). A restart depends only on its start and the
+    features, so byte-equal starts (common when the rows repeat a few
+    points) end equal, and only the first of each is iterated: ``argmin``
+    picks the first of equal objectives anyway. The distinct starts iterate
+    together in one batched Lloyd loop, each giving the labels, centroids
+    and objectives it would give on its own. A restart that cycles without
+    converging (all feature rows at one point make the reseeded empty
+    cluster swap every iteration) ends as soon as the cycle is seen, with
+    the state and the ``MAX_ITERS``-long objective history that running
+    out the budget would give.
 
-    Features and ``init_centroids`` must be finite, and ``seed`` an integer
-    >= 0. Squared distances add per feature column in the order of numpy's
+    Features must be a (B, f) matrix with f >= 1, features and
+    ``init_centroids`` finite, and ``seed`` an integer >= 0. Squared distances add per feature column in the order of numpy's
     einsum (``_sq_dists``), and the nearest centroid is the first of equals,
     as ``argmin`` picks it. A distance or objective that overflows is inf,
     with no warning; seeding then raises.
     """
     X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
+    if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError("features must be a (B, f) matrix")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
@@ -393,11 +367,7 @@ def aggregate(
     G = np.asarray(per_sample_grads, dtype=float)
     if G.ndim != 2 or G.shape[0] == 0:
         raise ValueError("need a non-empty (B, d) gradient matrix")
-    labels = np.asarray(assignment.labels)
-    if labels.shape != G.shape[:1]:
-        raise ValueError("gradient count does not match the assignment")
-    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= assignment.k:
-        raise ValueError(f"cluster labels must be integers in [0, {assignment.k})")
+    labels = _check_labels(assignment.labels, G.shape[0], assignment.k)
     rows = G[np.argsort(labels, kind="stable")]  # each cluster's members, in order
     total = np.zeros(G.shape[1])
     end = 0

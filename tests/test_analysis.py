@@ -454,6 +454,7 @@ class TestBatchErrorCases:
 
 SPEC = SparseSignalSpec(C=5.0, u=-1.0, N=5)
 PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
+CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
 
 
 @pytest.mark.parametrize(
@@ -503,6 +504,16 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         (lambda: simulate_gq_momentum(SPEC, PARAMS, 10.5), "steps must be an integer, got 10.5"),
         (lambda: simulate_lemma3_momentum(SPEC, PARAMS, 10.5), "steps must be an integer, got 10.5"),
         (lambda: simulate_momentum(SPEC, 0.9, math.nan), "steps must be an integer, got nan"),
+        # a beta outside (0, 1) or a rho of 0 would divide by zero, and a NaN would give NaN
+        (lambda: lemma1_closed(SPEC, 1.0, 2), "beta must lie in (0, 1)"),
+        (lambda: lemma1_closed(SPEC, math.nan, 2), "beta must lie in (0, 1)"),
+        (lambda: threshold_plain(9, 1.0), "beta must lie in (0, 1)"),
+        (lambda: threshold_plain(9, math.nan), "beta must lie in (0, 1)"),
+        (lambda: threshold_plain_reported(9, 1.0), "beta must lie in (0, 1)"),
+        (lambda: threshold_plain_reported(9, math.nan), "beta must lie in (0, 1)"),
+        (lambda: boosted_batch_mean(CASE, 0.0), "rho must be > 0, got 0.0"),
+        (lambda: boosted_batch_mean(CASE, -2.0), "rho must be > 0, got -2.0"),
+        (lambda: boosted_batch_mean(CASE, math.nan), "rho must be > 0, got nan"),
     ],
     ids=[
         "lemma-params-beta",
@@ -537,6 +548,15 @@ PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
         "simulate-gq-momentum-steps-fractional",
         "simulate-lemma3-steps-fractional",
         "simulate-momentum-steps-nan",
+        "lemma1-beta-one",
+        "lemma1-beta-nan",
+        "threshold-plain-beta-one",
+        "threshold-plain-beta-nan",
+        "threshold-plain-reported-beta-one",
+        "threshold-plain-reported-beta-nan",
+        "boosted-batch-mean-rho-zero",
+        "boosted-batch-mean-rho-negative",
+        "boosted-batch-mean-rho-nan",
     ],
 )
 def test_refusal_messages(call, message):

@@ -300,6 +300,17 @@ class TestAggregate:
         with pytest.raises(ValueError, match=match):
             aggregate(grads, assignment, st, cfg)
 
+    def test_labels_refused_with_the_objectives_messages(self):
+        grads = np.array([[1.0], [2.0], [30.0]])
+        st, cfg = self.stats(0.0, 1.0, 1), BoostConfig(rho=1.0)
+        for labels in ([0, -1, -1], [0, 1, 2], [0.0, 1.0, 1.0], [0], [[0, 1, 1]]):
+            assignment = ClusterAssignment(labels=np.array(labels), centroids=OBJECTIVE_C[:, :1])
+            with pytest.raises(ValueError) as ours:
+                aggregate(grads, assignment, st, cfg)
+            with pytest.raises(ValueError) as theirs:
+                objective(labels)
+            assert str(ours.value) == str(theirs.value)
+
     def test_clusters_add_in_index_order(self):
         # at rho = 1 each singleton cluster adds its gradient: 1.0 + 1e17 - 1e17 is 0.0
         # in index order, and any other order gives 1.0 or 1e17
@@ -570,12 +581,13 @@ def choice_kmeans_pp_init(X, k, rng):
     """kmeans++ seeding drawn with ``Generator.choice``, the oracle for the written-out draw."""
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]), dtype=float)
-    centroids[0] = X[rng.integers(n)]
+    uniform = np.full(n, 1.0 / n)
+    centroids[0] = X[rng.choice(n, p=uniform)]
     for i in range(1, k):
         d2 = np.min(_oracle_sq_dists(X, centroids[:i]), axis=1)
         total = d2.sum()
         if total <= 0.0:
-            centroids[i] = X[rng.integers(n)]
+            centroids[i] = X[rng.choice(n, p=uniform)]
             continue
         centroids[i] = X[rng.choice(n, p=d2 / total)]
     return centroids
@@ -668,19 +680,31 @@ class TestSeedingTogether:
             expected = assert_seeds_as_one_after_another(X, k, 10, seed=seed)
             coinciding = [bool(coinciding_stages(X, c)) for c in expected]
             mixed += 0 < sum(coinciding) < len(coinciding)
-        assert mixed >= 10  # plans corrected at a restart after the first
+        assert mixed >= 10  # restarts that coincide seeded beside restarts that do not
+
+    def test_one_generator_call_draws_every_centroid(self):
+        # the fake has no other method: an integers() draw or a state rewind raises
+        calls = []
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, *args):
+                calls.append(args)
+                return self.rng.random(*args)
+
+        X = np.repeat([[0.0, 0.0], [1.0, 2.0]], 10, axis=0)  # k > 2 draws while all coincide
+        for k, n_init in ((1, 1), (3, 10), (6, 4)):
+            calls.clear()
+            _kmeans_pp_init(X, k, Recording(k), n_init)
+            assert calls == [((n_init, k),)]
 
     def test_draw_at_a_cdf_step_takes_the_next_point(self):
         # searchsorted(side="right"): a draw equal to a cdf value passes it
         class FixedDraws:
-            class bit_generator:
-                state = None
-
-            def integers(self, n):
-                return 0
-
-            def random(self):
-                return 0.5
+            def random(self, shape):
+                return np.array([[0.0, 0.5]])  # 0.0 takes X[0]
 
         X = np.array([[0.0], [1.0], [-1.0]])  # from X[0], cdf = [0, 0.5, 1]
         assert _kmeans_pp_init(X, 2, FixedDraws())[0, 1, 0] == -1.0
@@ -776,11 +800,28 @@ class TestNonFiniteFeatures:
                 kmeans(np.nan_to_num(X), k, init_centroids=init)
 
 
+OBJECTIVE_X = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
+OBJECTIVE_C = np.array([[0.0, 0.0], [5.0, 5.0]])
+
+
+def objective(labels):
+    return kmeans_objective(OBJECTIVE_X, np.array(labels), OBJECTIVE_C)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: kmeans(np.zeros(4), 2), "features must be a (B, f) matrix"),
         (lambda: kmeans(np.zeros((2, 3, 1)), 2), "features must be a (B, f) matrix"),
+        (lambda: kmeans(np.zeros((5, 0)), 1), "features must be a (B, f) matrix"),
+        (lambda: kmeans(np.zeros((5, 0)), 2), "features must be a (B, f) matrix"),
+        # a negative label would pick the last centroid, and one label would broadcast
+        (lambda: objective([0, -1, -1]), "cluster labels must be integers in [0, 2)"),
+        (lambda: objective([0, 1, 2]), "cluster labels must be integers in [0, 2)"),
+        (lambda: objective([0.0, 1.0, 1.0]), "cluster labels must be integers in [0, 2)"),
+        (lambda: objective([True, False, True]), "cluster labels must be integers in [0, 2)"),
+        (lambda: objective([0]), "label shape (1,) does not match the 3 samples"),
+        (lambda: objective([[0, 1, 1]]), "label shape (1, 3) does not match the 3 samples"),
         (lambda: kmeans(np.zeros((4, 2)), 0), "k must be a positive integer"),
         (lambda: kmeans(np.zeros((4, 2)), 5), "k=5 exceeds the number of samples B=4"),
         (lambda: kmeans(np.zeros((4, 2)), 2.5), "k must be an integer, got 2.5"),
@@ -798,6 +839,14 @@ class TestNonFiniteFeatures:
     ids=[
         "features-1d",
         "features-3d",
+        "features-no-columns-k1",
+        "features-no-columns-k2",
+        "objective-labels-negative",
+        "objective-labels-above-k",
+        "objective-labels-float",
+        "objective-labels-bool",
+        "objective-labels-short",
+        "objective-labels-2d",
         "k-zero",
         "k-above-B",
         "k-fractional",

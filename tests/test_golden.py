@@ -22,8 +22,10 @@ GOLDEN = {
     ),
     "train-lines --height 12 --width 12 --p 190 --q 10 --batch-size 20 --optimal-batch 20"
     " --steps 100 --seed 1": "f2d15d81d2888dd0a305975092b72b0de293448a1c4152eae6801f8f22a8d9f9",
+    # regenerated when kmeans++ came to draw every centroid from one random(), which moved
+    # the k-means starts of some steps (the default train-lines digest kept its bytes)
     "train-lines --adam --steps 60 --k 3 --batch-size 40 --seed 2": (
-        "be07e68faad55ca082305a3049f767f92da0f354f07fa6bcb70f14742566f760"
+        "f2dcb258cda4ff22952b22f331739ad98df7df040ae877ef567be824dff7ab18"
     ),
     # one image per batch, and a dataset of one distinct image (two 3x3 images, one lit row)
     "train-lines --batch-size 1 --k 1": (
