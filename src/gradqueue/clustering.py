@@ -106,8 +106,14 @@ def _check_labels(labels, B: int, k: int) -> np.ndarray:
 
 
 def kmeans_objective(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
-    """Sum of squared distances of each sample to its assigned centroid."""
-    centroids = np.asarray(centroids)[None]
+    """Sum of squared distances of each of the (B, f) samples to its one of (k, f) centroids."""
+    X, centroids = np.asarray(X), np.asarray(centroids)
+    if centroids.ndim != 2 or centroids.shape[1:] != X.shape[1:]:
+        raise ValueError(
+            f"centroids of shape {centroids.shape} are not a (k, f) matrix "
+            f"for features of shape {X.shape}"
+        )
+    centroids = centroids[None]
     labels = _check_labels(labels, len(X), centroids.shape[1])
     ids = _cluster_ids(labels[None], centroids.shape[1])
     return float(_objectives(X, ids, centroids)[0])

@@ -33,7 +33,7 @@ from .analysis import (
 from . import optimizers
 from .clustering import aggregate, choose_k, kmeans
 from .core import BoostConfig, GradQueue, QueueLengthController, _integer, delta_rho
-from .nn import LineDetectorModel, generate_lines, per_sample_grads, template_alignment
+from .nn import LineDetectorModel, Windows, generate_lines, per_sample_grads, template_alignment
 # bound here although unused: perfbench/tracing.py wraps it by name
 from .nn import batch_loss  # noqa: F401
 from .optimizers import AdamState, OptimizerConfig, SgdmState
@@ -394,10 +394,12 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
 
     ``groups`` is ``(distinct, inverse)`` from ``_train_setup``: the index
     of one sample of each distinct (image bytes, label) group, and each
-    sample's group. With the runs' parameters on a leading run axis (see
-    ``nn``), the loop makes one ``per_sample_grads`` call over the
-    distinct pairs at the initial parameters, then one per step at those
-    the step produced. The step's eval loss is the mean of its losses
+    sample's group. With the distinct pairs' images indexed once
+    (``nn.Windows``: each forward convolves their distinct 3x3 windows
+    only) and the runs' parameters on a leading run axis (see ``nn``),
+    the loop makes one ``per_sample_grads`` call over the distinct pairs
+    at the initial parameters, then one per step at those the step
+    produced. The step's eval loss is the mean of its losses
     gathered at ``inverse``, and the next step's batch gathers its
     gradients and features at rows ``inverse[idx]``. Each run gets the
     bytes it gets alone, those of a fresh ``per_sample_grads`` of each
@@ -419,7 +421,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     states = [state_cls.init(model.to_vector(), cfg.capacity) for _ in runs]
     step_fn = getattr(optimizers, "adam_step" if cfg.use_adam else "sgdm_step")
     distinct, inverse = groups
-    images, labels = dataset.images[distinct], dataset.labels[distinct]
+    images, labels = Windows(dataset.images[distinct]), dataset.labels[distinct]
     histories = [[] for _ in runs]
     live, error = len(runs), None  # runs 0 .. live-1 stay stacked; what the first cut run raised
     m = LineDetectorModel.from_vector([s.params for s in states])

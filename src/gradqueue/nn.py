@@ -5,10 +5,13 @@ with a sigmoid/binary-cross-entropy loss. 23 parameters total. Gradients
 are computed in closed form (reverse mode by hand), vectorized over the
 batch, with the max-pool gradient routed to the first argmax location.
 
-The convolution is nine scalar multiply-adds over shifted pixel slices,
-one per filter tap, summed in the order numpy's einsum contraction uses,
-so its responses keep the einsum's bytes (see ``batch_forward``). The
-argmax patches are gathered at the same flat tap offsets.
+The images' 3x3 windows are indexed once per stack (``Windows``): a
+table of the byte-distinct windows, at most 7 for noise-free line images
+of any size, and each image's distinct windows in order. The convolution
+runs over the table only, as nine multiply-adds over its tap rows summed
+in the order numpy's einsum contraction uses, so each window's responses
+keep the einsum's bytes (see ``batch_forward``). Responses and argmax
+patches are gathered from the table at each image's index.
 
 An image's logit, pooled features and argmax patches depend on that image
 alone, since the dense head (``_head``) is elementwise, and so do its loss
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import _integer
 
@@ -37,6 +41,7 @@ __all__ = [
     "N_PARAMS",
     "LineDetectorModel",
     "LineDataset",
+    "Windows",
     "generate_lines",
     "batch_forward",
     "per_sample_grads",
@@ -49,7 +54,6 @@ IDEAL_HORIZONTAL = np.array([[-1, -1, -1], [2, 2, 2], [-1, -1, -1]], dtype=float
 IDEAL_VERTICAL = np.array([[-1, 2, -1], [-1, 2, -1], [-1, 2, -1]], dtype=float)
 
 N_PARAMS = 23  # 2 * (9 + 1) conv + 2 + 1 dense
-CONV_BLOCK = 8192  # pixels of whole images per block and filter pair: 128 KiB work buffers
 
 
 @dataclass
@@ -140,54 +144,73 @@ def generate_lines(
     return LineDataset(images=images, labels=labels)
 
 
-def _conv(images: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid 3x3 responses of F filters plus their biases, shape (F, B, h*w).
+class Windows:
+    """The byte-distinct 3x3 windows of a (B, H, W) image stack, indexed per image.
 
-    The images go through in blocks of whole images of at most
-    ``2 * CONV_BLOCK // F`` pixels (or one image), so the three (F, pixels)
-    work buffers stay the same small size at every F and are reused. In a
-    flattened block, tap (x, y) of the window at pixel p is pixel
-    ``p + x*W + y``: each tap is one contiguous slice, multiplied by every
-    filter's weight at once. The flat run covers every valid window; the
-    windows that wrap past a row or an image end are cropped away.
+    ``table`` holds the D distinct windows tap-major, (9, D): row ``3*x + y``
+    is tap (x, y) of every window. Row b of the (B, M) ``index`` lists
+    image b's distinct windows in the order they first occur in its
+    row-major scan, padded with the row's first entry, so a row's first
+    maximum response is the image's. Windows are grouped by bytes: a
+    ``-0.0`` pixel keeps its window apart from ``0.0``. ``shape`` and
+    ``len`` are the stack's.
     """
-    B, H, W = images.shape
-    F, h, w = len(filters), H - 2, W - 2
-    per_block = max(1, min(B, 2 * CONV_BLOCK // (F * H * W)))
-    acc, row, tmp = np.empty((3, F, per_block * H * W))
-    resp = np.empty((F, B, h, w))
-    for start in range(0, B, per_block):
-        flat = images[start : start + per_block].reshape(-1)
-        n = flat.size - 2 * W - 2  # one past the last valid window
-        a, r, t = acc[:, :n], row[:, :n], tmp[:, :n]
-        # like the einsum, no floating-point warnings: the cropped windows
-        # meet non-finite pixels at taps that no valid window pairs them with
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x in range(3):
-                taps = [flat[x * W + y : x * W + y + n] for y in range(3)]
-                np.multiply(taps[0], filters[:, x, 0, None], out=r)
-                np.multiply(taps[2], filters[:, x, 2, None], out=t)
-                r += t
-                np.multiply(taps[1], filters[:, x, 1, None], out=t)
-                r += t
-                np.add(a if x else 0.0, r, out=a)
-        count = flat.size // (H * W)
-        valid = acc[:, : flat.size].reshape(F, count, H, W)[:, :, :h, :w]
-        np.add(valid, bias[:, None, None, None], out=resp[:, start : start + count])
-    return resp.reshape(F, B, h * w)
+
+    def __init__(self, images):
+        images = np.asarray(images, dtype=float)
+        if images.ndim != 3:
+            raise ValueError(f"images must be a (B, H, W) stack, got shape {images.shape}")
+        B, H, W = self.shape = images.shape
+        if H < 3 or W < 3:
+            raise ValueError("images must be at least 3x3")
+        windows = sliding_window_view(images, (3, 3), axis=(1, 2)).reshape(-1, 9)
+        keys = windows.view(np.dtype((np.void, windows.itemsize * 9)))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        self.table = np.ascontiguousarray(windows[first].T)
+        # each image's distinct windows, in order: its scan's first position of each window
+        per_image = inverse.reshape(B, (H - 2) * (W - 2))
+        keys = per_image + len(first) * np.arange(B)[:, None]  # (image, window) pairs
+        seen = np.zeros(per_image.shape, dtype=bool)
+        seen.flat[np.unique(keys, return_index=True)[1]] = True
+        order = np.argsort(~seen, axis=1, kind="stable")[:, : seen.sum(axis=1).max(initial=1)]
+        seen, index = (np.take_along_axis(a, order, axis=1) for a in (seen, per_image))
+        self.index = np.where(seen, index, per_image[:, :1])  # padded with the first entry
+
+    def __len__(self) -> int:
+        return self.shape[0]
 
 
-def batch_forward(model: LineDetectorModel, images: np.ndarray):
+def _conv(table: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(F, D) responses of F 3x3 filters plus their biases at a (9, D) table of windows."""
+    resp, r, t = np.empty((3, len(filters), table.shape[1]))
+    # like the einsum, no floating-point warnings at non-finite pixels
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in range(3):
+            taps = table[3 * x : 3 * x + 3]
+            np.multiply(taps[0], filters[:, x, 0, None], out=r)
+            np.multiply(taps[2], filters[:, x, 2, None], out=t)
+            r += t
+            np.multiply(taps[1], filters[:, x, 1, None], out=t)
+            r += t
+            np.add(resp if x else 0.0, r, out=resp)
+        resp += bias[:, None]
+    return resp
+
+
+def batch_forward(model: LineDetectorModel, images):
     """Logits, pooled features, and argmax patches for a (B, H, W) stack of images.
 
+    ``images`` is the stack or its ``Windows``; a stack is indexed here.
     Returns (logits (B,), features (B, 2), patches (B, 2, 3, 3)) where
-    patches are the image windows at each filter's max response, used for
-    gradient routing, gathered from each flattened image at the conv's flat
-    tap offsets ``x*W + y`` past the argmax window's first pixel. A stacked
-    model's results carry its leading run axis: (R, B), (R, B, 2) and
-    (R, B, 2, 3, 3), from one ``_conv`` of all 2R filters.
+    patches are the image windows at each filter's max response (the
+    first in row-major order), used for gradient routing. Each distinct
+    window is convolved once (``_conv`` of the table), its responses are
+    gathered at each image's index, and the patches read from the table at
+    the argmax. A stacked model's results carry its leading run axis:
+    (R, B), (R, B, 2) and (R, B, 2, 3, 3), from one ``_conv`` of all 2R
+    filters.
 
-    The responses are byte-equal to numpy's
+    Each window's responses are byte-equal to numpy's
     ``einsum("bijxy,fxy->bfij", windows, filters) + bias`` for images at
     least 4 pixels wide, because the tap sums add in the einsum's order.
     Kernel row x is ``(w[x,0]*p[x,0] + w[x,2]*p[x,2]) + w[x,1]*p[x,1]``:
@@ -200,22 +223,17 @@ def batch_forward(model: LineDetectorModel, images: np.ndarray):
     reduces all 9 products in one loop in another order, and the responses
     may differ from it in the last bits. tests/test_nn.py checks both.
     """
-    images = np.asarray(images, dtype=float)
-    if images.ndim != 3:
-        raise ValueError(f"images must be a (B, H, W) stack, got shape {images.shape}")
-    B, H, W = images.shape
-    if H < 3 or W < 3:
-        raise ValueError("images must be at least 3x3")
+    windows = images if isinstance(images, Windows) else Windows(images)
+    B = len(windows)
     runs = model.conv_bias.shape[:-1]  # () for one model, (R,) for a stack
-    resp = _conv(images, model.conv_filters.reshape(-1, 3, 3), model.conv_bias.reshape(-1))
-    arg = np.argmax(resp, axis=2)  # (2R, B): first max in row-major order
+    resp = _conv(windows.table, model.conv_filters.reshape(-1, 3, 3), model.conv_bias.reshape(-1))
+    resp = resp[:, windows.index]  # (2R, B, M)
+    arg = np.argmax(resp, axis=2)  # (2R, B): the first max, NaN included
     best = np.take_along_axis(resp, arg[:, :, None], axis=2)[:, :, 0]
     # (2R, B) -> (..., B, 2): per image, both filters' features and argmax windows
     best, arg = (a.reshape(*runs, 2, B).swapaxes(-1, -2) for a in (best, arg))
     features = np.ascontiguousarray(best)
-    first = arg // (W - 2) * W + arg % (W - 2)  # the argmax windows' first pixels
-    taps = [x * W + y for x in range(3) for y in range(3)]
-    patches = images.reshape(B, H * W)[np.arange(B)[:, None, None], first[..., None] + taps]
+    patches = windows.table.T[windows.index[np.arange(B)[:, None], arg]]
     return _head(model, features), features, patches.reshape(*runs, B, 2, 3, 3)
 
 
@@ -228,20 +246,20 @@ def _head(model: LineDetectorModel, features: np.ndarray) -> np.ndarray:
 def per_sample_grads(model: LineDetectorModel, images, labels):
     """Loss, exact loss gradient (23 parameters) and features per sample.
 
-    ``images`` is a non-empty (B, H, W) stack. Returns (losses (B,),
-    grads (B, 23), features (B, 2)); a stacked model's results carry its
-    leading run axis. Each row depends only on its own image and label,
-    so gathering rows of the results for distinct (image, label) pairs
-    gives the bytes of a call on the gathered pairs, for every run.
+    ``images`` is a non-empty (B, H, W) stack, or its ``Windows``, which a
+    caller that forwards one stack many times builds once. Returns (losses
+    (B,), grads (B, 23), features (B, 2)); a stacked model's results carry
+    its leading run axis. Each row depends only on its own image and
+    label, so gathering rows of the results for distinct (image, label)
+    pairs gives the bytes of a call on the gathered pairs, for every run.
 
     One ``exp(-|x|)`` of each logit x serves both the binary cross-entropy
     ``max(x, 0) - x*y + log1p(exp(-|x|))`` and the sigmoid, which is
     ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below.
     """
-    images = np.asarray(images, dtype=float)
-    if images.ndim == 3 and images.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
     logits, features, patches = batch_forward(model, images)
+    if logits.shape[-1] == 0:
+        raise ValueError("batch must be non-empty")
     labels = np.asarray(labels, dtype=float)
     e = np.exp(-np.abs(logits))
     losses = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)

@@ -822,6 +822,23 @@ def objective(labels):
         (lambda: objective([True, False, True]), "cluster labels must be integers in [0, 2)"),
         (lambda: objective([0]), "label shape (1,) does not match the 3 samples"),
         (lambda: objective([[0, 1, 1]]), "label shape (1, 3) does not match the 3 samples"),
+        # one column would broadcast over both
+        (
+            lambda: kmeans_objective(OBJECTIVE_X, np.array([0, 0, 1]), np.zeros((2, 1))),
+            "centroids of shape (2, 1) are not a (k, f) matrix for features of shape (3, 2)",
+        ),
+        (
+            lambda: kmeans_objective(OBJECTIVE_X, np.array([0, 0, 1]), np.zeros((2, 3))),
+            "centroids of shape (2, 3) are not a (k, f) matrix for features of shape (3, 2)",
+        ),
+        (
+            lambda: kmeans_objective(OBJECTIVE_X, np.array([0, 0, 1]), np.zeros(2)),
+            "centroids of shape (2,) are not a (k, f) matrix for features of shape (3, 2)",
+        ),
+        (
+            lambda: kmeans_objective(OBJECTIVE_X, np.array([0, 0, 1]), np.zeros((1, 2, 2))),
+            "centroids of shape (1, 2, 2) are not a (k, f) matrix for features of shape (3, 2)",
+        ),
         (lambda: kmeans(np.zeros((4, 2)), 0), "k must be a positive integer"),
         (lambda: kmeans(np.zeros((4, 2)), 5), "k=5 exceeds the number of samples B=4"),
         (lambda: kmeans(np.zeros((4, 2)), 2.5), "k must be an integer, got 2.5"),
@@ -847,6 +864,10 @@ def objective(labels):
         "objective-labels-bool",
         "objective-labels-short",
         "objective-labels-2d",
+        "objective-centroids-one-column",
+        "objective-centroids-three-columns",
+        "objective-centroids-1d",
+        "objective-centroids-3d",
         "k-zero",
         "k-above-B",
         "k-fractional",

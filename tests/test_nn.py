@@ -16,8 +16,7 @@ from gradqueue import (
     per_sample_grads,
     template_alignment,
 )
-from gradqueue import nn
-from gradqueue.nn import N_PARAMS, _conv, batch_forward, batch_loss
+from gradqueue.nn import N_PARAMS, Windows, _conv, batch_forward, batch_loss
 
 
 def reference_sigmoid(x):
@@ -175,9 +174,29 @@ def einsum_forward(model, images):
     return flat.transpose(1, 0, 2), logits, features, patches
 
 
+def window_keys(rows):
+    """One byte string per row of a (N, 9) array of windows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * 9)))[:, 0]
+
+
 def tap_forward(model, images):
-    resp = _conv(images, model.conv_filters, model.conv_bias)
-    return (resp, *batch_forward(model, images))
+    """``_conv``'s table responses at every window position, (2, B, h*w), and ``batch_forward``'s.
+
+    Each position's window is looked up in the table by its bytes: every
+    window must be in it, once.
+    """
+    B = len(images)
+    windows = Windows(images)
+    resp = _conv(windows.table, model.conv_filters, model.conv_bias)
+    positions = sliding_window_view(images, (3, 3), axis=(1, 2)).reshape(-1, 9)
+    D = windows.table.shape[1]
+    keys = np.concatenate([window_keys(windows.table.T), window_keys(positions)])
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    assert len(distinct) == D  # the table holds each window's bytes once
+    column = np.empty(D, dtype=int)
+    column[inverse[:D]] = np.arange(D)
+    return (resp[:, column[inverse[D:]].reshape(B, -1)], *batch_forward(model, windows))
 
 
 def conv_images(kind, B, H, W, rng):
@@ -231,15 +250,14 @@ class TestConvMatchesEinsum:
         assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
         assert not np.signbit(tap_forward(model, images)[0]).any()
 
-    def test_one_image_per_block(self):
+    def test_large_images(self):
         rng = np.random.default_rng(7)
         model = signed_zero_model(rng)
-        images = rng.random((3, 95, 97))  # more pixels than one block holds
+        images = rng.random((3, 95, 97))  # 26,505 distinct windows
         assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
 
     def test_non_finite_pixels_warn_as_little_as_einsum(self):
-        # einsum sets no floating-point flags; the cropped outputs pair
-        # pixels with taps that no valid window pairs them with
+        # einsum sets no floating-point flags
         rng = np.random.default_rng(8)
         model = signed_zero_model(rng)
         model.conv_filters[:, 0, 1] = 0.0
@@ -299,11 +317,64 @@ def test_patches_are_the_argmax_windows(H, W):
             images[rng.random(images.shape) < 0.05] = bad
         with np.errstate(invalid="ignore"):  # the head's product of NaN features
             _, _, patches = batch_forward(model, images)
-        arg = np.argmax(_conv(images, model.conv_filters, model.conv_bias), axis=2).T
+            arg = np.argmax(tap_forward(model, images)[0], axis=2).T
         windows = sliding_window_view(images, (3, 3), axis=(1, 2)).reshape(B, -1, 3, 3)
         want = windows[np.arange(B)[:, None], arg]
         assert patches.shape == want.shape == (B, 2, 3, 3)
         assert patches.tobytes() == want.tobytes()
+
+
+class TestWindows:
+    """The window index: distinct windows by bytes, each image's in order of first occurrence."""
+
+    def test_signed_zeros_stay_apart(self):
+        images = np.zeros((2, 4, 5))
+        images[1, 1, 1] = -0.0  # at a different tap of each of 4 windows
+        windows = Windows(images)
+        assert windows.table.shape == (9, 5) and windows.index.shape == (2, 5)
+        assert windows.index[0].tolist() == [windows.index[0, 0]] * 5
+        # zero filters tie every window at +0.0: the first, with the -0.0 at tap (1, 1), wins
+        model = LineDetectorModel.from_vector(np.zeros(N_PARAMS))
+        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+        patches = batch_forward(model, windows)[2]
+        assert np.signbit(patches[1, :, 1, 1]).all() and np.signbit(patches).sum() == 2
+
+    def test_a_tie_goes_to_the_first_position(self):
+        # two distinct windows of an image respond 1.0; in either order, the earlier wins
+        model = LineDetectorModel.from_vector(np.zeros(N_PARAMS))
+        model.conv_filters[:, 1, 1] = 1.0
+        a = np.zeros((5, 7))
+        a[1, 1] = 1.0  # window (0, 0)
+        a[2, 5], a[3, 6] = 1.0, 0.5  # window (1, 4), which the 0.5 at tap (2, 2) sets apart
+        images = np.stack([a, a[::-1, ::-1]])
+        _, features, patches = batch_forward(model, images)
+        assert features.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert patches[0, 0].tobytes() == a[0:3, 0:3].tobytes()
+        assert patches[1, 0].tobytes() == images[1, 1:4, 0:3].tobytes()
+        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+
+    def test_equal_windows_give_one_column(self):
+        windows = Windows(np.full((3, 4, 6), 0.25))
+        assert windows.table.shape == (9, 1) and windows.index.tolist() == [[0]] * 3
+        assert np.shape(windows) == (3, 4, 6) and len(windows) == 3
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_stack_and_index_give_the_same_bytes(self, noise):
+        rng = np.random.default_rng(13)
+        ds = generate_lines(7, 9, 12, 6, noise_std=noise, seed=4)
+        vectors = [LineDetectorModel.init_random(5).to_vector()]
+        vectors += [signed_zero_model(rng).to_vector() for _ in range(3)]
+        model = LineDetectorModel.from_vector(np.stack(vectors))
+        windows = Windows(ds.images)
+        assert_bytes_equal(batch_forward(model, windows), batch_forward(model, ds.images))
+        want = per_sample_grads(model, ds.images, ds.labels)
+        assert_bytes_equal(per_sample_grads(model, windows, ds.labels), want)
+
+    @pytest.mark.parametrize("runs", [(), (3,)])
+    def test_empty_stack(self, runs):
+        model = LineDetectorModel.from_vector(np.zeros((*runs, N_PARAMS)))
+        shapes = [a.shape for a in batch_forward(model, np.zeros((0, 8, 8)))]
+        assert shapes == [(*runs, 0), (*runs, 0, 2), (*runs, 0, 2, 3, 3)]
 
 
 class TestGradients:
@@ -410,12 +481,10 @@ class TestGatheredRows:
 
     @pytest.mark.parametrize("width", range(3, 14))
     @pytest.mark.parametrize("noise", [0.0, 0.2])
-    def test_small_blocks(self, monkeypatch, width, noise):
+    def test_every_width(self, width, noise):
         rng = np.random.default_rng(width + int(10 * noise))
         height = int(rng.integers(3, 14))
         ds = generate_lines(height, width, 20, 10, noise_std=noise, seed=width)
-        # four images per convolution block: the whole stack spans several blocks
-        monkeypatch.setattr(nn, "CONV_BLOCK", 4 * height * width)
         for model in (LineDetectorModel.init_random(width), signed_zero_model(rng)):
             self.check_subsets(model, ds, rng)
 
@@ -439,10 +508,11 @@ class TestGatheredRows:
                 assert_bytes_equal(want, per_sample_grads(alone, ds.images[rows], ds.labels[rows]))
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
-    def test_default_block(self, noise):
+    def test_many_images(self, noise):
         rng = np.random.default_rng(7)
         ds = generate_lines(13, 13, 110, 10, noise_std=noise, seed=8)
-        assert len(ds) * 13 * 13 > 2 * nn.CONV_BLOCK
+        # noisy, all but 18 of the 14,520 windows are distinct (clipping makes the 18 repeat)
+        assert Windows(ds.images).table.shape[1] == (14502 if noise else 7)
         self.check_subsets(signed_zero_model(rng), ds, rng)
 
 
@@ -574,6 +644,11 @@ MODEL = LineDetectorModel.init_random(0)
             "images must be a (B, H, W) stack, got shape (8, 8)",
         ),
         (
+            lambda: Windows(np.zeros((8, 8))),
+            "images must be a (B, H, W) stack, got shape (8, 8)",
+        ),
+        (lambda: Windows(np.zeros((1, 8, 2))), "images must be at least 3x3"),
+        (
             lambda: per_sample_grads(MODEL, np.zeros((8, 8)), [0]),
             "images must be a (B, H, W) stack, got shape (8, 8)",
         ),
@@ -593,6 +668,8 @@ MODEL = LineDetectorModel.init_random(0)
         "generate-lines-seed-fractional",
         "generate-lines-seed-negative",
         "batch-forward-one-image",
+        "windows-one-image",
+        "windows-undersized",
         "per-sample-grads-one-image",
         "per-sample-grads-4d",
     ],
