@@ -46,6 +46,7 @@ from .nn import (
     IDEAL_VERTICAL,
     LineDataset,
     LineDetectorModel,
+    Windows,
     batch_loss,
     generate_lines,
     per_sample_grads,
@@ -90,6 +91,7 @@ __all__ = [
     "IDEAL_VERTICAL",
     "LineDataset",
     "LineDetectorModel",
+    "Windows",
     "batch_loss",
     "generate_lines",
     "per_sample_grads",

@@ -394,17 +394,16 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
 
     ``groups`` is ``(distinct, inverse)`` from ``_train_setup``: the index
     of one sample of each distinct (image bytes, label) group, and each
-    sample's group. With the distinct pairs' images indexed once
-    (``nn.Windows``: each forward convolves their distinct 3x3 windows
-    only) and the runs' parameters on a leading run axis (see ``nn``),
-    the loop makes one ``per_sample_grads`` call over the distinct pairs
-    at the initial parameters, then one per step at those the step
-    produced. The step's eval loss is the mean of its losses
-    gathered at ``inverse``, and the next step's batch gathers its
-    gradients and features at rows ``inverse[idx]``. Each run gets the
-    bytes it gets alone, those of a fresh ``per_sample_grads`` of each
-    batch and of the whole dataset, since every per-sample value is
-    row-local (see ``nn``).
+    sample's group. The distinct pairs' images are indexed once, into the
+    ``nn.Windows`` that every forward of the call takes, and the runs'
+    parameters sit on a leading run axis (see ``nn``). So the loop makes
+    one ``per_sample_grads`` call over the distinct pairs at the initial
+    parameters, then one per step at those the step produced. The step's
+    eval loss is the mean of its losses gathered at ``inverse``, and the
+    next step's batch gathers its gradients and features at rows
+    ``inverse[idx]``. Each run gets the bytes it gets alone, those of a
+    fresh ``per_sample_grads`` of each batch and of the whole dataset, as
+    every per-sample value is row-local (see ``nn``).
 
     A run fails when its step or hook raises or its eval loss is not
     finite, and cuts the stack at itself: runs ``0 .. live-1`` go on.

@@ -5,19 +5,18 @@ with a sigmoid/binary-cross-entropy loss. 23 parameters total. Gradients
 are computed in closed form (reverse mode by hand), vectorized over the
 batch, with the max-pool gradient routed to the first argmax location.
 
-The images' 3x3 windows are indexed once per stack (``Windows``): a
-table of the byte-distinct windows, at most 7 for noise-free line images
-of any size, and each image's distinct windows in order. The convolution
-runs over the table only, as nine multiply-adds over its tap rows summed
-in the order numpy's einsum contraction uses, so each window's responses
-keep the einsum's bytes (see ``batch_forward``). Responses and argmax
-patches are gathered from the table at each image's index.
+The forward's only input is a stack's ``Windows``, built once per stack: a
+table of the byte-distinct 3x3 windows, at most 7 for noise-free line
+images of any size, and each image's distinct windows in order. The
+convolution runs over the table only, as nine multiply-adds over its tap
+rows summed in the order numpy's einsum contraction uses, so each window's
+responses keep the einsum's bytes (see ``batch_forward``). Responses and
+argmax patches are gathered from the table at each image's index.
 
 An image's logit, pooled features and argmax patches depend on that image
 alone, since the dense head (``_head``) is elementwise, and so do its loss
 and gradient under its label: ``per_sample_grads`` of a batch's distinct
-(image, label) pairs, gathered at each sample's row, is
-``per_sample_grads`` of the batch.
+(image, label) pairs, gathered at each sample's row, is that of the batch.
 
 A model's arrays may carry a leading axis of R runs (``from_vector`` of an
 (R, 23) matrix, ``to_vector`` back): ``batch_forward`` convolves with all
@@ -147,13 +146,13 @@ def generate_lines(
 class Windows:
     """The byte-distinct 3x3 windows of a (B, H, W) image stack, indexed per image.
 
-    ``table`` holds the D distinct windows tap-major, (9, D): row ``3*x + y``
-    is tap (x, y) of every window. Row b of the (B, M) ``index`` lists
-    image b's distinct windows in the order they first occur in its
-    row-major scan, padded with the row's first entry, so a row's first
-    maximum response is the image's. Windows are grouped by bytes: a
-    ``-0.0`` pixel keeps its window apart from ``0.0``. ``shape`` and
-    ``len`` are the stack's.
+    The forward's only input, built once per stack. ``table`` holds the D
+    distinct windows tap-major, (9, D): row ``3*x + y`` is tap (x, y) of
+    every window. Row b of the (B, M) ``index`` lists image b's distinct
+    windows in the order they first occur in its row-major scan, padded
+    with the row's first entry, so a row's first maximum response is the
+    image's. Windows are grouped by bytes: a ``-0.0`` pixel keeps its
+    window apart from ``0.0``. ``shape`` and ``len`` are the stack's.
     """
 
     def __init__(self, images):
@@ -197,18 +196,17 @@ def _conv(table: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarra
     return resp
 
 
-def batch_forward(model: LineDetectorModel, images):
-    """Logits, pooled features, and argmax patches for a (B, H, W) stack of images.
+def batch_forward(model: LineDetectorModel, windows: Windows):
+    """Logits, pooled features, and argmax patches of a (B, H, W) stack's ``Windows``.
 
-    ``images`` is the stack or its ``Windows``; a stack is indexed here.
-    Returns (logits (B,), features (B, 2), patches (B, 2, 3, 3)) where
-    patches are the image windows at each filter's max response (the
-    first in row-major order), used for gradient routing. Each distinct
-    window is convolved once (``_conv`` of the table), its responses are
-    gathered at each image's index, and the patches read from the table at
-    the argmax. A stacked model's results carry its leading run axis:
-    (R, B), (R, B, 2) and (R, B, 2, 3, 3), from one ``_conv`` of all 2R
-    filters.
+    Any other input raises ``TypeError``. Returns (logits (B,), features
+    (B, 2), patches (B, 2, 3, 3)) where patches are the image windows at
+    each filter's max response (the first in row-major order), used for
+    gradient routing. Each distinct window is convolved once (``_conv`` of
+    the table), its responses are gathered at each image's index, and the
+    patches read from the table at the argmax. A stacked model's results
+    carry its leading run axis: (R, B), (R, B, 2) and (R, B, 2, 3, 3), from
+    one ``_conv`` of all 2R filters.
 
     Each window's responses are byte-equal to numpy's
     ``einsum("bijxy,fxy->bfij", windows, filters) + bias`` for images at
@@ -223,7 +221,8 @@ def batch_forward(model: LineDetectorModel, images):
     reduces all 9 products in one loop in another order, and the responses
     may differ from it in the last bits. tests/test_nn.py checks both.
     """
-    windows = images if isinstance(images, Windows) else Windows(images)
+    if not isinstance(windows, Windows):
+        raise TypeError(f"images must be an nn.Windows, got {type(windows).__name__}")
     B = len(windows)
     runs = model.conv_bias.shape[:-1]  # () for one model, (R,) for a stack
     resp = _conv(windows.table, model.conv_filters.reshape(-1, 3, 3), model.conv_bias.reshape(-1))
@@ -243,24 +242,28 @@ def _head(model: LineDetectorModel, features: np.ndarray) -> np.ndarray:
     return features[..., 0] * w[..., 0] + features[..., 1] * w[..., 1] + b
 
 
-def per_sample_grads(model: LineDetectorModel, images, labels):
+def per_sample_grads(model: LineDetectorModel, windows: Windows, labels):
     """Loss, exact loss gradient (23 parameters) and features per sample.
 
-    ``images`` is a non-empty (B, H, W) stack, or its ``Windows``, which a
-    caller that forwards one stack many times builds once. Returns (losses
-    (B,), grads (B, 23), features (B, 2)); a stacked model's results carry
-    its leading run axis. Each row depends only on its own image and
-    label, so gathering rows of the results for distinct (image, label)
-    pairs gives the bytes of a call on the gathered pairs, for every run.
+    ``windows`` is a non-empty stack's ``Windows`` (else ``TypeError``),
+    ``labels`` its (B,) labels in [0, 1] (else ``ValueError``). Returns
+    (losses (B,), grads (B, 23), features (B, 2)); a stacked model's
+    results carry its leading run axis. Each row depends only on its own
+    image and label, so gathering rows of the results for distinct (image,
+    label) pairs gives the bytes of a call on the gathered pairs, per run.
 
     One ``exp(-|x|)`` of each logit x serves both the binary cross-entropy
     ``max(x, 0) - x*y + log1p(exp(-|x|))`` and the sigmoid, which is
     ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below.
     """
-    logits, features, patches = batch_forward(model, images)
+    logits, features, patches = batch_forward(model, windows)
     if logits.shape[-1] == 0:
         raise ValueError("batch must be non-empty")
     labels = np.asarray(labels, dtype=float)
+    if labels.shape != (len(windows),):
+        raise ValueError(f"labels must have shape ({len(windows)},), got {labels.shape}")
+    if not (labels.min() >= 0.0 and labels.max() <= 1.0):  # NaN fails both
+        raise ValueError("labels must be in [0, 1]")
     e = np.exp(-np.abs(logits))
     losses = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)
     dlogit = np.where(logits >= 0, 1.0, e) / (1.0 + e) - labels  # (..., B)
@@ -275,9 +278,9 @@ def per_sample_grads(model: LineDetectorModel, images, labels):
     return losses, grads, features
 
 
-def batch_loss(model: LineDetectorModel, images, labels):
-    """Mean binary cross-entropy of the batch: a float, or a list of one per run of a stack."""
-    return np.mean(per_sample_grads(model, images, labels)[0], axis=-1).tolist()
+def batch_loss(model: LineDetectorModel, windows: Windows, labels):
+    """Mean binary cross-entropy of a stack's ``Windows``: a float, or a list of one per run."""
+    return np.mean(per_sample_grads(model, windows, labels)[0], axis=-1).tolist()
 
 
 def template_alignment(model: LineDetectorModel) -> np.ndarray:

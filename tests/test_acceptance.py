@@ -35,7 +35,7 @@ from gradqueue import (
 )
 from gradqueue.clustering import ClusterAssignment
 from gradqueue.experiments import ExperimentConfig, run_qlen_demo, run_train_lines
-from gradqueue.nn import LineDetectorModel, generate_lines, per_sample_grads
+from gradqueue.nn import LineDetectorModel, Windows, generate_lines, per_sample_grads
 
 # configuration of the paired-training acceptance experiment (criterion 8);
 # k is derived as choose_k(100, 50) = 2, so the boosted run clusters
@@ -247,7 +247,7 @@ def test_criterion_07_gradients_match_finite_differences():
         theta = model.to_vector()
         for b in range(3):
             ds = generate_lines(8, 8, 3, 2, noise_std=0.1, seed=100 * seed + b)
-            _, grads, _ = per_sample_grads(model, ds.images, ds.labels)
+            _, grads, _ = per_sample_grads(model, Windows(ds.images), ds.labels)
             for i in range(len(ds)):
                 fd = fd_gradient(theta, ds.images[i], float(ds.labels[i]), h=h)
                 viol = np.max(np.abs(grads[i] - fd) - (1e-5 * np.abs(fd) + 1e-8))

@@ -316,6 +316,32 @@ class TestEvalReuse:
         monkeypatch.setattr(experiments, "_train_single", oracle_train_runs)
         assert repr(rows) == repr(run_train_lines(cfg).rows)
 
+    def count_windows(self, monkeypatch):
+        shapes = []
+        init = nn.Windows.__init__
+
+        def counting(windows, images):
+            shapes.append(np.shape(images))
+            init(windows, images)
+
+        monkeypatch.setattr(nn.Windows, "__init__", counting)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "shape, noise_std", [("B100", 0.0), ("MINIBATCH", 0.0), ("MINIBATCH", 0.1)]
+    )
+    def test_each_run_indexes_its_stack_once(self, monkeypatch, shape, noise_std):
+        # one nn.Windows of the distinct pairs' images per training call, whatever its steps
+        settings = dict(seed=2, noise_std=noise_std, **getattr(self, shape))
+        cfg = ExperimentConfig(**settings)
+        stack = (distinct_pairs(experiments._train_setup(cfg)[1]), cfg.height, cfg.width)
+        shapes = self.count_windows(monkeypatch)
+        run_train_lines(cfg)
+        assert shapes == [stack]
+        shapes.clear()
+        run_qlen_demo(ExperimentConfig(pattern="train", **settings))
+        assert shapes == [stack]
+
     def test_batch_of_every_image_out_of_order_is_gathered(self):
         # n rows but not the dataset's order: each batch is gathered in its own order
         cfg = ExperimentConfig(seed=5, k=2, **dict(self.B100, steps=12))
@@ -380,8 +406,8 @@ def oracle_train_single(model, dataset, groups, schedule, cfg, boost, k, cluster
 
     This is how ``_train_single`` ran before it called the library
     optimizers, with a fresh forward of each batch and of the whole
-    dataset; it ignores ``groups``. The library path must give the same
-    bytes.
+    dataset, each indexed into its own ``nn.Windows``; it ignores
+    ``groups``. The library path must give the same bytes.
     """
     theta = model.to_vector()
     momentum = np.zeros_like(theta)
@@ -393,7 +419,7 @@ def oracle_train_single(model, dataset, groups, schedule, cfg, boost, k, cluster
     for step, idx in enumerate(schedule):
         images, labels = dataset.images[idx], dataset.labels[idx]
         m = nn.LineDetectorModel.from_vector(theta)
-        _, grads, feats = nn.per_sample_grads(m, images, labels)
+        _, grads, feats = nn.per_sample_grads(m, nn.Windows(images), labels)
         raw = grads.mean(axis=0)
         if boost and queue.warmed_up:
             stats = queue.stats()
@@ -417,7 +443,7 @@ def oracle_train_single(model, dataset, groups, schedule, cfg, boost, k, cluster
         queue.push(raw)
 
         m = nn.LineDetectorModel.from_vector(theta)
-        loss = nn.batch_loss(m, dataset.images, dataset.labels)
+        loss = nn.batch_loss(m, nn.Windows(dataset.images), dataset.labels)
         align = nn.template_alignment(m)
         history.append((loss, align[0], align[1]))
     return history

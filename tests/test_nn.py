@@ -38,7 +38,7 @@ def batch_grad(model, images, labels):
     """Gradient of the mean loss, accumulated directly over the batch."""
     images = np.asarray(images, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    logits, features, patches = batch_forward(model, images)
+    logits, features, patches = batch_forward(model, Windows(images))
     dlogit = (reference_sigmoid(logits) - labels) / images.shape[0]  # (B,)
     grads = np.empty(N_PARAMS)
     grads[:18] = np.einsum(
@@ -53,7 +53,7 @@ def batch_grad(model, images, labels):
 def sample_loss(theta, image, label):
     """Scalar loss for one sample, for the finite-difference oracle."""
     model = LineDetectorModel.from_vector(theta)
-    logit = float(batch_forward(model, image[None])[0][0])
+    logit = float(batch_forward(model, Windows(image[None]))[0][0])
     # stable binary cross-entropy on the sigmoid of the logit
     return max(logit, 0.0) - logit * label + np.log1p(np.exp(-abs(logit)))
 
@@ -121,7 +121,7 @@ class TestForward:
             dense_weights=np.array([1.0, 1.0]),
             dense_bias=0.25,
         )
-        logits, features, _ = batch_forward(model, np.zeros((1, 8, 8)))
+        logits, features, _ = batch_forward(model, Windows(np.zeros((1, 8, 8))))
         np.testing.assert_array_equal(features[0], [0.0, 0.0])
         assert logits[0] == 0.25
 
@@ -134,7 +134,7 @@ class TestForward:
         )
         img = np.zeros((8, 8))
         img[:, 4] = 1.0
-        _, features, _ = batch_forward(model, img[None])
+        _, features, _ = batch_forward(model, Windows(img[None]))
         assert features[0, 1] == pytest.approx(6.0)  # three rows of +2
 
     def test_ideal_horizontal_filter_on_row(self):
@@ -146,13 +146,13 @@ class TestForward:
         )
         img = np.zeros((8, 8))
         img[3, :] = 1.0
-        _, features, _ = batch_forward(model, img[None])
+        _, features, _ = batch_forward(model, Windows(img[None]))
         assert features[0, 0] == pytest.approx(6.0)
 
     def test_undersized_image_rejected(self):
         model = LineDetectorModel.init_random(0)
         with pytest.raises(ValueError):
-            batch_forward(model, np.zeros((1, 2, 5)))
+            batch_forward(model, Windows(np.zeros((1, 2, 5))))
 
 
 def einsum_forward(model, images):
@@ -316,7 +316,7 @@ def test_patches_are_the_argmax_windows(H, W):
         for bad in (np.nan, np.inf, -np.inf):
             images[rng.random(images.shape) < 0.05] = bad
         with np.errstate(invalid="ignore"):  # the head's product of NaN features
-            _, _, patches = batch_forward(model, images)
+            _, _, patches = batch_forward(model, Windows(images))
             arg = np.argmax(tap_forward(model, images)[0], axis=2).T
         windows = sliding_window_view(images, (3, 3), axis=(1, 2)).reshape(B, -1, 3, 3)
         want = windows[np.arange(B)[:, None], arg]
@@ -347,7 +347,7 @@ class TestWindows:
         a[1, 1] = 1.0  # window (0, 0)
         a[2, 5], a[3, 6] = 1.0, 0.5  # window (1, 4), which the 0.5 at tap (2, 2) sets apart
         images = np.stack([a, a[::-1, ::-1]])
-        _, features, patches = batch_forward(model, images)
+        _, features, patches = batch_forward(model, Windows(images))
         assert features.tolist() == [[1.0, 1.0], [1.0, 1.0]]
         assert patches[0, 0].tobytes() == a[0:3, 0:3].tobytes()
         assert patches[1, 0].tobytes() == images[1, 1:4, 0:3].tobytes()
@@ -358,22 +358,10 @@ class TestWindows:
         assert windows.table.shape == (9, 1) and windows.index.tolist() == [[0]] * 3
         assert np.shape(windows) == (3, 4, 6) and len(windows) == 3
 
-    @pytest.mark.parametrize("noise", [0.0, 0.2])
-    def test_stack_and_index_give_the_same_bytes(self, noise):
-        rng = np.random.default_rng(13)
-        ds = generate_lines(7, 9, 12, 6, noise_std=noise, seed=4)
-        vectors = [LineDetectorModel.init_random(5).to_vector()]
-        vectors += [signed_zero_model(rng).to_vector() for _ in range(3)]
-        model = LineDetectorModel.from_vector(np.stack(vectors))
-        windows = Windows(ds.images)
-        assert_bytes_equal(batch_forward(model, windows), batch_forward(model, ds.images))
-        want = per_sample_grads(model, ds.images, ds.labels)
-        assert_bytes_equal(per_sample_grads(model, windows, ds.labels), want)
-
     @pytest.mark.parametrize("runs", [(), (3,)])
     def test_empty_stack(self, runs):
         model = LineDetectorModel.from_vector(np.zeros((*runs, N_PARAMS)))
-        shapes = [a.shape for a in batch_forward(model, np.zeros((0, 8, 8)))]
+        shapes = [a.shape for a in batch_forward(model, Windows(np.zeros((0, 8, 8))))]
         assert shapes == [(*runs, 0), (*runs, 0, 2), (*runs, 0, 2, 3, 3)]
 
 
@@ -382,7 +370,7 @@ class TestGradients:
         for seed in range(3):
             model = LineDetectorModel.init_random(seed)
             ds = generate_lines(8, 8, 4, 2, noise_std=0.1, seed=seed + 50)
-            _, grads, _ = per_sample_grads(model, ds.images, ds.labels)
+            _, grads, _ = per_sample_grads(model, Windows(ds.images), ds.labels)
             theta = model.to_vector()
             for i in range(len(ds)):
                 fd = fd_gradient(theta, ds.images[i], float(ds.labels[i]))
@@ -391,7 +379,7 @@ class TestGradients:
     def test_single_sample_batch(self):
         model = LineDetectorModel.init_random(1)
         ds = generate_lines(8, 8, 1, 0, seed=2)
-        losses, grads, _ = per_sample_grads(model, ds.images, ds.labels)
+        losses, grads, _ = per_sample_grads(model, Windows(ds.images), ds.labels)
         np.testing.assert_allclose(batch_grad(model, ds.images, ds.labels), grads[0])
         assert losses.shape == (1,)
 
@@ -400,32 +388,33 @@ class TestGradients:
         ds = generate_lines(8, 8, 1, 1, seed=3)
         images = np.stack([ds.images[0], ds.images[1], ds.images[0]])
         labels = np.array([0, 1, 0])
-        _, grads, _ = per_sample_grads(model, images, labels)
+        _, grads, _ = per_sample_grads(model, Windows(images), labels)
         np.testing.assert_array_equal(grads[0], grads[2])
 
     def test_mean_grad_equals_grad_of_mean_loss(self):
         for seed in range(3):
             model = LineDetectorModel.init_random(seed + 7)
             ds = generate_lines(8, 8, 10, 4, noise_std=0.05, seed=seed)
-            _, grads, _ = per_sample_grads(model, ds.images, ds.labels)
+            _, grads, _ = per_sample_grads(model, Windows(ds.images), ds.labels)
             direct = batch_grad(model, ds.images, ds.labels)
             np.testing.assert_allclose(grads.mean(axis=0), direct, rtol=1e-12, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         model = LineDetectorModel.init_random(0)
         with pytest.raises(ValueError):
-            per_sample_grads(model, np.zeros((0, 8, 8)), np.zeros(0))
+            per_sample_grads(model, Windows(np.zeros((0, 8, 8))), np.zeros(0))
 
     def test_batch_loss_is_the_mean_sample_loss(self):
         model = LineDetectorModel.init_random(4)
         ds = generate_lines(8, 8, 9, 3, noise_std=0.1, seed=5)
-        losses, _, _ = per_sample_grads(model, ds.images, ds.labels)
-        assert batch_loss(model, ds.images, ds.labels) == np.mean(losses)
+        windows = Windows(ds.images)
+        losses, _, _ = per_sample_grads(model, windows, ds.labels)
+        assert batch_loss(model, windows, ds.labels) == np.mean(losses)
         rng = np.random.default_rng(4)
         vectors = np.stack([model.to_vector(), signed_zero_model(rng).to_vector()])
-        stacked = batch_loss(LineDetectorModel.from_vector(vectors), ds.images, ds.labels)
+        stacked = batch_loss(LineDetectorModel.from_vector(vectors), windows, ds.labels)
         models = map(LineDetectorModel.from_vector, vectors)
-        assert repr(stacked) == repr([batch_loss(m, ds.images, ds.labels) for m in models])
+        assert repr(stacked) == repr([batch_loss(m, windows, ds.labels) for m in models])
 
     def test_loss_and_sigmoid_match_the_references(self):
         # one exp(-|x|) per logit gives the bytes of the sign-branch sigmoid and the BCE;
@@ -438,7 +427,7 @@ class TestGradients:
         model = LineDetectorModel.from_vector(vectors)
         for label in (0, 1):
             with np.errstate(invalid="ignore"):  # inf - inf at an infinite logit
-                losses, grads, _ = per_sample_grads(model, np.zeros((1, 3, 3)), [label])
+                losses, grads, _ = per_sample_grads(model, Windows(np.zeros((1, 3, 3))), [label])
                 want = reference_bce(logits, float(label))
             assert losses[:, 0].tobytes() == want.tobytes()
             assert grads[:, 0, 22].tobytes() == (reference_sigmoid(logits) - label).tobytes()
@@ -448,15 +437,14 @@ class TestGradients:
         for seed in (0, 1, 2):
             model = LineDetectorModel.init_random(seed)
             ds = generate_lines(8, 8, 20, 10, noise_std=0.0, seed=seed)
+            windows = Windows(ds.images)
             theta = model.to_vector()
             losses = []
             for _ in range(50):
                 m = LineDetectorModel.from_vector(theta)
-                losses.append(batch_loss(m, ds.images, ds.labels))
+                losses.append(batch_loss(m, windows, ds.labels))
                 theta = theta - 0.02 * batch_grad(m, ds.images, ds.labels)
-            losses.append(
-                batch_loss(LineDetectorModel.from_vector(theta), ds.images, ds.labels)
-            )
+            losses.append(batch_loss(LineDetectorModel.from_vector(theta), windows, ds.labels))
             assert all(loss >= 0.0 for loss in losses)
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -472,11 +460,11 @@ class TestGatheredRows:
     @staticmethod
     def check_subsets(model, ds, rng):
         n = len(ds)
-        out = per_sample_grads(model, ds.images, ds.labels)
+        out = per_sample_grads(model, Windows(ds.images), ds.labels)
         subsets = [rng.integers(0, n, size) for size in (1, 2, 2, n)]  # with repeats
         subsets += [np.array([n - 1]), np.full(2, rng.integers(n)), rng.permutation(n)]
         for rows in subsets:
-            want = per_sample_grads(model, ds.images[rows], ds.labels[rows])
+            want = per_sample_grads(model, Windows(ds.images[rows]), ds.labels[rows])
             assert_bytes_equal(gather(out, rows), want)
 
     @pytest.mark.parametrize("width", range(3, 14))
@@ -498,14 +486,16 @@ class TestGatheredRows:
             + [signed_zero_model(rng).to_vector() for _ in range(3)]
         )
         stacked = LineDetectorModel.from_vector(vectors)
-        out = per_sample_grads(stacked, ds.images, ds.labels)
+        windows = Windows(ds.images)
+        out = per_sample_grads(stacked, windows, ds.labels)
         for rows in (np.array([3]), np.array([len(ds) - 1]), np.array([2, 2]), np.array([0, 9])):
             together = gather(out, rows)
             for r, vec in enumerate(vectors):
                 alone = LineDetectorModel.from_vector(vec)
-                want = gather(per_sample_grads(alone, ds.images, ds.labels), rows)
+                want = gather(per_sample_grads(alone, windows, ds.labels), rows)
                 assert_bytes_equal([a[r] for a in together], want)
-                assert_bytes_equal(want, per_sample_grads(alone, ds.images[rows], ds.labels[rows]))
+                fresh = per_sample_grads(alone, Windows(ds.images[rows]), ds.labels[rows])
+                assert_bytes_equal(want, fresh)
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_many_images(self, noise):
@@ -622,6 +612,7 @@ class TestTemplateAlignment:
 
 
 MODEL = LineDetectorModel.init_random(0)
+FIVE_IMAGES = Windows(generate_lines(8, 8, 3, 2, seed=0).images)
 
 
 @pytest.mark.parametrize(
@@ -640,7 +631,7 @@ MODEL = LineDetectorModel.init_random(0)
         (lambda: generate_lines(8, 8, 2, 1, seed=1.5), "seed must be an integer, got 1.5"),
         (lambda: generate_lines(8, 8, 2, 1, seed=-1), "seed must be >= 0, got -1"),
         (
-            lambda: batch_forward(MODEL, np.zeros((8, 8))),
+            lambda: batch_forward(MODEL, Windows(np.zeros((8, 8)))),
             "images must be a (B, H, W) stack, got shape (8, 8)",
         ),
         (
@@ -649,13 +640,33 @@ MODEL = LineDetectorModel.init_random(0)
         ),
         (lambda: Windows(np.zeros((1, 8, 2))), "images must be at least 3x3"),
         (
-            lambda: per_sample_grads(MODEL, np.zeros((8, 8)), [0]),
+            lambda: per_sample_grads(MODEL, Windows(np.zeros((8, 8))), [0]),
             "images must be a (B, H, W) stack, got shape (8, 8)",
         ),
         (
-            lambda: per_sample_grads(MODEL, np.zeros((1, 1, 8, 8)), [0]),
+            lambda: per_sample_grads(MODEL, Windows(np.zeros((1, 1, 8, 8))), [0]),
             "images must be a (B, H, W) stack, got shape (1, 1, 8, 8)",
         ),
+        (
+            lambda: per_sample_grads(MODEL, FIVE_IMAGES, [1]),
+            "labels must have shape (5,), got (1,)",
+        ),
+        (
+            lambda: per_sample_grads(MODEL, FIVE_IMAGES, np.zeros((5, 5))),
+            "labels must have shape (5,), got (5, 5)",
+        ),
+        (lambda: per_sample_grads(MODEL, FIVE_IMAGES, 1), "labels must have shape (5,), got ()"),
+        (lambda: batch_loss(MODEL, FIVE_IMAGES, [0, 1]), "labels must have shape (5,), got (2,)"),
+        (lambda: per_sample_grads(MODEL, FIVE_IMAGES, [7] * 5), "labels must be in [0, 1]"),
+        (
+            lambda: per_sample_grads(MODEL, FIVE_IMAGES, [0, 1, -1, 0, 1]),
+            "labels must be in [0, 1]",
+        ),
+        (
+            lambda: per_sample_grads(MODEL, FIVE_IMAGES, [0, 1, np.nan, 0, 1]),
+            "labels must be in [0, 1]",
+        ),
+        (lambda: batch_loss(MODEL, FIVE_IMAGES, [np.nan] * 5), "labels must be in [0, 1]"),
     ],
     ids=[
         "from-vector-length",
@@ -672,9 +683,39 @@ MODEL = LineDetectorModel.init_random(0)
         "windows-undersized",
         "per-sample-grads-one-image",
         "per-sample-grads-4d",
+        "labels-one-for-five",
+        "labels-matrix",
+        "labels-scalar",
+        "batch-loss-labels-two-for-five",
+        "labels-seven",
+        "labels-negative",
+        "labels-one-nan",
+        "batch-loss-labels-all-nan",
     ],
 )
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("forward", [batch_forward, per_sample_grads, batch_loss])
+@pytest.mark.parametrize(
+    "images",
+    [np.zeros((2, 8, 8)), np.zeros((2, 8, 8)).tolist(), np.zeros((1, 1, 8, 8))],
+    ids=["stack", "nested-list", "4d"],
+)
+def test_raw_stacks_are_refused(forward, images):
+    # the forward's one input is a Windows index: a raw stack is refused, not indexed
+    args = (MODEL, images) if forward is batch_forward else (MODEL, images, [0, 1])
+    with pytest.raises(TypeError) as exc:
+        forward(*args)
+    assert str(exc.value) == f"images must be an nn.Windows, got {type(images).__name__}"
+
+
+def test_labels_in_the_unit_interval_are_accepted():
+    # soft labels and both ends: a defined binary cross-entropy
+    labels = np.array([0.0, 1.0, 0.25, 1.0, 0.0])
+    losses, grads, _ = per_sample_grads(MODEL, FIVE_IMAGES, labels)
+    assert losses.shape == (5,) and grads.shape == (5, N_PARAMS)
+    assert np.isfinite(losses).all() and np.isfinite(grads).all()
