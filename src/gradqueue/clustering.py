@@ -9,9 +9,10 @@ would give alone: kmeans++ draws every centroid from one ``random()``, so
 all restarts are seeded together from one generator call
 (``_kmeans_pp_init``), and the Lloyd iterations of the distinct starts are
 batched (``_lloyd``). Every point-to-centroid squared distance goes
-through ``_sq_dists``, one feature column at a time in the order of
-numpy's einsum. Features must be finite. ``aggregate`` sorts the samples
-by cluster once and reduces each cluster's rows.
+through ``_sq_dists``: squares added in feature order. Every centroid is
+its members' mean: member sums row after row from 0.0, over the count.
+Features must be finite. ``aggregate`` sorts the samples by cluster once
+and reduces each cluster's rows.
 """
 
 from __future__ import annotations
@@ -48,26 +49,16 @@ class ClusterAssignment:
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(..., k, B) squared distances; ``centroids`` is (..., k, f), leading axes are restarts.
 
-    Each feature adds one squared column difference, B long. The squares
-    add in the order ``np.einsum("bkf,bkf->bk")`` uses on a contiguous f
-    axis with numpy's baseline x86-64 SIMD (a vector of two lanes, multiply
-    then add), so the bytes are the einsum's: lane 0 sums the even features
-    and lane 1 the odd ones; in each full round of 8 features a lane adds
-    its 4 squares last to first, the remaining ones in order; the two lanes
-    add last.
+    Squares added in feature order: each feature's squared column difference,
+    B long, is added to the sum of the features before it.
     """
-    f = X.shape[1]
-    full = f - f % 8
-    order = [r + t for r in range(0, full, 8) for t in (6, 7, 4, 5, 2, 3, 0, 1)]
-    lanes = [None, None]
-    for j in order + list(range(full, f)):
+    total = X[:, 0] - centroids[..., 0, None]
+    total *= total
+    for j in range(1, X.shape[1]):
         d = X[:, j] - centroids[..., j, None]
         d *= d
-        if lanes[j % 2] is None:
-            lanes[j % 2] = d
-        else:
-            lanes[j % 2] += d
-    return lanes[0] if lanes[1] is None else np.add(*lanes, out=lanes[0])
+        total += d
+    return total
 
 
 def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -96,13 +87,13 @@ def _objectives(X: np.ndarray, ids: np.ndarray, centroids: np.ndarray) -> np.nda
 
 
 def _check_labels(labels, B: int, k: int) -> np.ndarray:
-    """``labels`` as an array, refused unless they are B integers in [0, k)."""
+    """``labels`` as intp, refused unless they are B integers in [0, k)."""
     labels = np.asarray(labels)
     if labels.shape != (B,):
         raise ValueError(f"label shape {labels.shape} does not match the {B} samples")
     if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= k)).any():
         raise ValueError(f"cluster labels must be integers in [0, {k})")
-    return labels
+    return labels.astype(np.intp, copy=False)  # uint64 plus int64 cluster offsets is float64
 
 
 def kmeans_objective(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
@@ -147,12 +138,13 @@ def _kmeans_pp_init(
 
 
 def _repair_empty(X, labels, centroids, k):
-    """Reseed each empty centroid at the point farthest from its assigned centroid.
+    """Reseed each empty cluster, in index order, at the sample farthest from its centroid.
 
-    No cluster gives up its last member, so no reseed point is taken twice, and
-    one is always found: while one of k <= B clusters is empty, some has two.
+    Equal distances take the first sample, and no cluster gives up its last
+    member, so no reseed point is taken twice, and one is always found:
+    while one of k <= B clusters is empty, some has two. The returned
+    labels leave no cluster empty.
     """
-    repaired = False
     for j in range(k):
         if np.any(labels == j):
             continue
@@ -162,8 +154,7 @@ def _repair_empty(X, labels, centroids, k):
         far = int(np.argmax(dist))
         centroids[j] = X[far]
         labels[far] = j
-        repaired = True
-    return labels, centroids, repaired
+    return labels, centroids
 
 
 def _cluster_ids(labels: np.ndarray, k: int) -> np.ndarray:
@@ -172,27 +163,17 @@ def _cluster_ids(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _update_centroids(X, ids, counts, centroids):
-    """Move every centroid to its members' mean; an empty cluster's centroid stays.
+    """Move every centroid to its members' mean; every cluster has a member.
 
     ``ids`` are the (R * B,) ``_cluster_ids`` of the labels, ``counts`` their
-    bincount and centroids (R, k, f). Each mean adds the members in the
-    order ``X[labels == j].mean(axis=0)`` does: one row after another when
-    f > 1, pairwise along the single column when f = 1. For f > 1 that is
-    one bincount over the bins ``id * f + column``, each bin's rows in order.
+    bincount and centroids (R, k, f). Member sums row after row from 0.0,
+    over the count: one bincount over the bins ``id * f + column``, laid out
+    column by column, which keeps each bin's rows in order.
     """
     R, k, f = centroids.shape
-    if f > 1:  # laid out column by column, which keeps each bin's row order
-        bins = (ids * f + np.arange(f)[:, None]).ravel()
-        weights = np.empty((f, R, X.shape[0]))
-        weights[...] = X.T[:, None]
-        sums = np.bincount(bins, weights=weights.ravel(), minlength=R * k * f).reshape(R * k, f)
-    else:
-        x = np.tile(X[:, 0], R)[np.argsort(ids, kind="stable")]
-        ends = np.cumsum(counts)
-        sums = np.array([x[e - c : e].sum() for e, c in zip(ends, counts)])[:, None]
-    means = centroids.reshape(R * k, f).copy()
-    np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
-    return means.reshape(R, k, f)
+    bins = (ids * f + np.arange(f)[:, None]).ravel()
+    sums = np.bincount(bins, weights=np.repeat(X.T, R, axis=0).ravel(), minlength=R * k * f)
+    return sums.reshape(R, k, f) / counts.reshape(R, k, 1)
 
 
 def _lloyd(X, k, starts):
@@ -235,12 +216,11 @@ def _lloyd(X, k, starts):
         counts = np.bincount(ids, minlength=rs.size * k).reshape(-1, k)
         reseeded = []
         if not counts.all():
-            for i in np.flatnonzero((counts == 0).any(axis=1)):
-                new[i], centroids[rs[i]], repaired = _repair_empty(X, new[i], centroids[rs[i]], k)
-                if repaired:
-                    reseeded.append(i)
-                    counts[i] = np.bincount(new[i], minlength=k)
-                    ids[i * B : (i + 1) * B] = new[i] + i * k
+            reseeded = np.flatnonzero((counts == 0).any(axis=1))
+            for i in reseeded:
+                new[i], centroids[rs[i]] = _repair_empty(X, new[i], centroids[rs[i]], k)
+                counts[i] = np.bincount(new[i], minlength=k)
+                ids[i * B : (i + 1) * B] = new[i] + i * k
         converged = (new == labels[at]).all(axis=1)
         converged[reseeded] = False
         labels[at] = new
@@ -311,10 +291,11 @@ def kmeans(
     out the budget would give.
 
     Features must be a (B, f) matrix with f >= 1, features and
-    ``init_centroids`` finite, and ``seed`` an integer >= 0. Squared distances add per feature column in the order of numpy's
-    einsum (``_sq_dists``), and the nearest centroid is the first of equals,
-    as ``argmin`` picks it. A distance or objective that overflows is inf,
-    with no warning; seeding then raises.
+    ``init_centroids`` finite, and ``seed`` an integer >= 0. Squares are
+    added in feature order (``_sq_dists``), member sums row after row from
+    0.0, and the nearest centroid is the first of equals, as ``argmin``
+    picks it. A distance or objective that overflows is inf, with no
+    warning; seeding then raises.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0:
@@ -377,8 +358,7 @@ def aggregate(
     rows = G[np.argsort(labels, kind="stable")]  # each cluster's members, in order
     total = np.zeros(G.shape[1])
     end = 0
-    # intp first: bincount refuses uint64 under numpy < 2.3; the range check makes it safe
-    for pop in np.bincount(labels.astype(np.intp, copy=False), minlength=assignment.k).tolist():
+    for pop in np.bincount(labels, minlength=assignment.k).tolist():
         end += pop
         if pop:
             total += pop * delta_rho(np.add.reduce(rows[end - pop : end], axis=0) / pop, stats, cfg)

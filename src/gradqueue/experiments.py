@@ -366,18 +366,16 @@ def run_momentum_sim(cfg: ExperimentConfig) -> RunResult:
 
 
 def _batch_schedule(n: int, batch_size: int, steps: int, rng: np.random.Generator):
-    """Per-step sample indices, drawn once and shared by paired runs."""
+    """Per-step sample indices, drawn once and shared by paired runs.
+
+    A batch smaller than the dataset takes the next ``batch_size`` indices of
+    back-to-back permutations, as few as the steps use up.
+    """
     if batch_size >= n:
         idx = np.arange(n)
         return [idx] * steps
-    schedule = []
-    order = np.array([], dtype=int)
-    for _ in range(steps):
-        while order.size < batch_size:
-            order = np.concatenate([order, rng.permutation(n)])
-        schedule.append(order[:batch_size])
-        order = order[batch_size:]
-    return schedule
+    order = np.concatenate([rng.permutation(n) for _ in range(-(-steps * batch_size // n))])
+    return order[: steps * batch_size].reshape(steps, batch_size)
 
 
 def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: ExperimentConfig, runs):

@@ -19,7 +19,7 @@ from gradqueue import (
     kmeans_objective,
 )
 from gradqueue import clustering
-from gradqueue.clustering import _kmeans_pp_init, _repair_empty
+from gradqueue.clustering import _kmeans_pp_init
 
 
 def brute_force_best_objective(X, k):
@@ -361,12 +361,37 @@ class TestChooseK:
 
 # ---------------------------------------------------------------------------
 # oracle: each restart's Lloyd loop run on its own, which the batched loop
-# in kmeans must match bit for bit
+# in kmeans must match bit for bit. Squares are added in feature order, and
+# each cluster's mean is its member rows added one after another from 0.0
 
 
 def _oracle_sq_dists(X, centroids):
-    diff = X[:, None, :] - centroids[None, :, :]
-    return np.einsum("bkf,bkf->bk", diff, diff)
+    """(B, k) squared distances, one feature's squares after another."""
+    total = np.zeros((X.shape[0], centroids.shape[0]))
+    for j in range(X.shape[1]):
+        total += (X[:, j, None] - centroids[None, :, j]) ** 2
+    return total
+
+
+def _oracle_mean(rows):
+    return sum(rows, np.zeros(rows.shape[1])) / len(rows)
+
+
+def _oracle_reseed(X, labels, centroids, k):
+    """Each empty cluster, in index order, takes the first farthest sample.
+
+    A sample's distance is to its own centroid, and only samples whose
+    cluster keeps a member are taken.
+    """
+    labels, centroids = labels.copy(), centroids.copy()
+    for j in range(k):
+        if np.any(labels == j):
+            continue
+        own = _oracle_sq_dists(X, centroids)[np.arange(len(X)), labels]
+        spare = (labels[:, None] == labels[None, :]).sum(axis=1) > 1
+        far = np.flatnonzero(spare & (own == own[spare].max()))[0]
+        centroids[j], labels[far] = X[far], j
+    return labels, centroids
 
 
 def _oracle_objective(X, labels, centroids):
@@ -379,17 +404,14 @@ def _oracle_lloyd(X, k, centroids, max_iters):
     history = []
     for _ in range(max_iters):
         new_labels = np.argmin(_oracle_sq_dists(X, centroids), axis=1)
-        new_labels, centroids, repaired = _repair_empty(X, new_labels, centroids, k)
-        if not repaired and labels is not None and np.array_equal(new_labels, labels):
+        reseeded = len(np.unique(new_labels)) < k
+        if reseeded:
+            new_labels, centroids = _oracle_reseed(X, new_labels, centroids, k)
+        if not reseeded and labels is not None and np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-        centroids = np.stack(
-            [
-                X[labels == j].mean(axis=0) if np.any(labels == j) else centroids[j]
-                for j in range(k)
-            ]
-        )
+        centroids = np.stack([_oracle_mean(X[labels == j]) for j in range(k)])
         history.append(_oracle_objective(X, labels, centroids))
     else:
         labels = np.argmin(_oracle_sq_dists(X, centroids), axis=1)
@@ -435,7 +457,7 @@ def feature_sets(f, rng):
 
 
 class TestBatchedRestarts:
-    # f >= 8 reaches the einsum's rounds of 8 features in the distance sum
+    # f = 1 sums long columns, and f >= 3 adds a third square to the distances
     @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 8, 9, 16, 17])
     @pytest.mark.parametrize("n_init", [1, 10])
     def test_matches_per_restart_loop(self, monkeypatch, f, n_init):
@@ -736,7 +758,7 @@ class TestSeedingTogether:
 
 
 class TestDistances:
-    def test_sq_dists_bytes_equal_the_einsum(self):
+    def test_sq_dists_bytes_equal_the_feature_order_sum(self):
         rng = np.random.default_rng(41)
         for f in range(1, 21):
             for _ in range(20):
@@ -782,6 +804,48 @@ class TestDistances:
                 for X in (sets["collapsed"], sets["two_points"], np.zeros((30, f))):
                     for k in (1, 2, 3, 5):
                         kmeans(X, k, seed=k)
+
+
+class TestReseed:
+    """``_repair_empty`` on its own: the rule the oracle's reseed restates."""
+
+    def reseed(self, X, labels, centroids):
+        X, centroids = np.array(X, dtype=float), np.array(centroids, dtype=float)
+        return clustering._repair_empty(X, np.array(labels), centroids, len(centroids))
+
+    def test_two_empty_clusters_filled_in_index_order(self):
+        # cluster 2 takes the farthest sample (3.0, at 9 from 0.0), then cluster 3
+        # the farthest left (12.0, at 4 from 10.0)
+        labels, centroids = self.reseed(
+            [[0], [1], [3], [10], [12]], [0, 0, 0, 1, 1], [[0], [10], [100], [200]]
+        )
+        assert labels.tolist() == [0, 0, 2, 1, 3]
+        assert centroids.ravel().tolist() == [0.0, 10.0, 3.0, 12.0]
+
+    def test_a_single_member_keeps_its_point(self):
+        # 100.0 is the farthest from its centroid, but it is cluster 1's only member
+        labels, centroids = self.reseed([[0], [100], [1], [2]], [0, 1, 0, 0], [[0], [50], [7]])
+        assert labels.tolist() == [0, 1, 0, 2]
+        assert centroids.ravel().tolist() == [0.0, 50.0, 2.0]
+
+    def test_equal_distances_take_the_first_sample(self):
+        labels, centroids = self.reseed([[-1], [1], [0], [5]], [0, 0, 0, 1], [[0], [5], [9]])
+        assert labels.tolist() == [2, 0, 0, 1]
+        assert centroids.ravel().tolist() == [0.0, 5.0, -1.0]
+
+    def test_no_cluster_left_empty(self):
+        rng = np.random.default_rng(45)
+        for _ in range(300):
+            B, f = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            k = int(rng.integers(1, B + 1))
+            X = np.round(rng.normal(size=(B, f)), int(rng.integers(0, 3)))  # ties
+            labels = rng.integers(0, int(rng.integers(1, k + 1)), size=B)
+            centroids = rng.normal(size=(k, f))
+            want = _oracle_reseed(X, labels, centroids, k)
+            got = clustering._repair_empty(X, labels.copy(), centroids.copy(), k)
+            assert np.bincount(got[0], minlength=k).min() >= 1
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestNonFiniteFeatures:
@@ -887,6 +951,12 @@ def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dtype", ["int8", "int32", "int64", "uint8", "uint32", "uint64", "uintp"])
+def test_objective_of_any_integer_labels(dtype):
+    # [0, 0, 1] puts (1, 1) at sqrt(2) from (0, 0) and the others on their centroids
+    assert objective(np.array([0, 0, 1], dtype=getattr(np, dtype))) == 2.0
 
 
 @pytest.mark.parametrize("two", [np.int64(2), np.int32(2), np.uint8(2)])

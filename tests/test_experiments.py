@@ -1,5 +1,6 @@
 import enum
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -194,6 +195,20 @@ class TestMomentumSim:
         assert out.read_bytes() == first
 
 
+def lazy_batch_schedule(n, batch_size, steps, rng):
+    """The batch schedule drawn one permutation at a time, as a step runs short."""
+    if batch_size >= n:
+        return [np.arange(n)] * steps
+    schedule = []
+    order = np.array([], dtype=int)
+    for _ in range(steps):
+        while order.size < batch_size:
+            order = np.concatenate([order, rng.permutation(n)])
+        schedule.append(order[:batch_size])
+        order = order[batch_size:]
+    return schedule
+
+
 class TestTrainLines:
     def test_degenerate_pair_identical(self, tmp_path):
         out = tmp_path / "train.csv"
@@ -250,6 +265,17 @@ class TestTrainLines:
         r1 = run_train_lines(cfg)
         r2 = run_train_lines(cfg)
         assert r1.rows == r2.rows
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 100, 200])
+    def test_batch_schedule_draws_as_the_lazy_loop(self, n):
+        for batch_size, steps in product((1, 3, 7, 19, 20, 40, 99), (1, 2, 5, 33, 200)):
+            ours, oracle = np.random.default_rng(n + steps), np.random.default_rng(n + steps)
+            got = experiments._batch_schedule(n, batch_size, steps, ours)
+            want = lazy_batch_schedule(n, batch_size, steps, oracle)
+            assert len(got) == steps
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert ours.bit_generator.state == oracle.bit_generator.state
 
     def test_adam_variant(self):
         cfg = ExperimentConfig(
