@@ -190,6 +190,8 @@ def lemma2_phi(L: int, rho: float) -> float:
     if L < 3:
         raise ValueError("queue length L must be >= 3")
     _integer("queue length L", L)
+    if not rho >= 1.0:  # written so that NaN fails the check
+        raise ValueError("rho must be >= 1")
     return max(1.0 / math.sqrt(L - 1), 1.0 / rho)
 
 
@@ -235,6 +237,8 @@ def threshold_boosted(N: int, params: LemmaParams) -> float:
     Equals (beta * gamma0_{N-1}) / rho, always below ``threshold_plain``
     for rho > 1; the gap approaches rho^2 as L/N goes to zero.
     """
+    if N < 3:
+        raise ValueError("N must be >= 3")
     if params.L >= N - 1:
         raise ValueError(
             f"bound requires L < N - 1 (got L={params.L}, N={N})"

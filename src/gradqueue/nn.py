@@ -8,10 +8,10 @@ batch, with the max-pool gradient routed to the first argmax location.
 The forward's only input is a stack's ``Windows``, built once per stack: a
 table of the byte-distinct 3x3 windows, at most 7 for noise-free line
 images of any size, and each image's distinct windows in order. The
-convolution runs over the table only, as nine multiply-adds over its tap
-rows summed in the order numpy's einsum contraction uses, so each window's
-responses keep the einsum's bytes (see ``batch_forward``). Responses and
-argmax patches are gathered from the table at each image's index.
+convolution runs over the table only: a window's response adds its nine tap
+products in row-major tap order, starting from the first, and then the bias,
+at every image size (see ``_conv``). Responses and argmax patches are
+gathered from the table at each image's index.
 
 An image's logit, pooled features and argmax patches depend on that image
 alone, since the dense head (``_head``) is elementwise, and so do its loss
@@ -180,18 +180,19 @@ class Windows:
 
 
 def _conv(table: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """(F, D) responses of F 3x3 filters plus their biases at a (9, D) table of windows."""
-    resp, r, t = np.empty((3, len(filters), table.shape[1]))
-    # like the einsum, no floating-point warnings at non-finite pixels
+    """(F, D) responses of F 3x3 filters plus their biases at a (9, D) table of windows.
+
+    Each response is ``((w[0]*p[0] + w[1]*p[1]) + ... + w[8]*p[8]) + b`` over taps
+    ``3*x + y`` in order: the sum starts from the first product, so it is -0.0 when
+    every product and the bias are -0.0.
+    """
+    taps = filters.reshape(len(filters), 9, 1)
+    resp, t = np.empty((2, len(filters), table.shape[1]))
+    # no floating-point warnings at non-finite pixels
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in range(3):
-            taps = table[3 * x : 3 * x + 3]
-            np.multiply(taps[0], filters[:, x, 0, None], out=r)
-            np.multiply(taps[2], filters[:, x, 2, None], out=t)
-            r += t
-            np.multiply(taps[1], filters[:, x, 1, None], out=t)
-            r += t
-            np.add(resp if x else 0.0, r, out=resp)
+        np.multiply(table[0], taps[:, 0], out=resp)
+        for k in range(1, 9):
+            resp += np.multiply(table[k], taps[:, k], out=t)
         resp += bias[:, None]
     return resp
 
@@ -206,20 +207,8 @@ def batch_forward(model: LineDetectorModel, windows: Windows):
     the table), its responses are gathered at each image's index, and the
     patches read from the table at the argmax. A stacked model's results
     carry its leading run axis: (R, B), (R, B, 2) and (R, B, 2, 3, 3), from
-    one ``_conv`` of all 2R filters.
-
-    Each window's responses are byte-equal to numpy's
-    ``einsum("bijxy,fxy->bfij", windows, filters) + bias`` for images at
-    least 4 pixels wide, because the tap sums add in the einsum's order.
-    Kernel row x is ``(w[x,0]*p[x,0] + w[x,2]*p[x,2]) + w[x,1]*p[x,1]``:
-    einsum, built for 128-bit SIMD (the x86-64 baseline), reduces the
-    contiguous 3-long y axis in two lanes, lane 0 taking products 0 and 2
-    and lane 1 product 1, and adds the lanes last. The three rows are then
-    added in order to a sum that starts at +0.0, as einsum accumulates into
-    a zeroed output (so a -0.0 row sum turns +0.0). Width-3 images are the
-    exception: with one output column the 3x3 window is contiguous, einsum
-    reduces all 9 products in one loop in another order, and the responses
-    may differ from it in the last bits. tests/test_nn.py checks both.
+    one ``_conv`` of all 2R filters. A window's response adds its nine tap
+    products in row-major tap order, from the first, and then the bias.
     """
     if not isinstance(windows, Windows):
         raise TypeError(f"images must be an nn.Windows, got {type(windows).__name__}")
@@ -255,6 +244,9 @@ def per_sample_grads(model: LineDetectorModel, windows: Windows, labels):
     One ``exp(-|x|)`` of each logit x serves both the binary cross-entropy
     ``max(x, 0) - x*y + log1p(exp(-|x|))`` and the sigmoid, which is
     ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below.
+    ``exp`` and ``log1p`` run in longdouble and round to float64: numpy has no
+    SIMD loop for them there, so their bytes do not depend on the CPU features
+    numpy dispatches on (they do on the C library's ``expl``/``log1pl``).
     """
     logits, features, patches = batch_forward(model, windows)
     if logits.shape[-1] == 0:
@@ -264,8 +256,9 @@ def per_sample_grads(model: LineDetectorModel, windows: Windows, labels):
         raise ValueError(f"labels must have shape ({len(windows)},), got {labels.shape}")
     if not (labels.min() >= 0.0 and labels.max() <= 1.0):  # NaN fails both
         raise ValueError("labels must be in [0, 1]")
-    e = np.exp(-np.abs(logits))
-    losses = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)
+    e = np.exp(-np.abs(logits).astype(np.longdouble)).astype(float)
+    softplus = np.log1p(e.astype(np.longdouble)).astype(float)
+    losses = np.maximum(logits, 0.0) - logits * labels + softplus
     dlogit = np.where(logits >= 0, 1.0, e) / (1.0 + e) - labels  # (..., B)
 
     weights = model.dense_weights[..., None, :]  # (..., 1, 2)

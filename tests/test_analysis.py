@@ -514,6 +514,11 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         (lambda: boosted_batch_mean(CASE, 0.0), "rho must be > 0, got 0.0"),
         (lambda: boosted_batch_mean(CASE, -2.0), "rho must be > 0, got -2.0"),
         (lambda: boosted_batch_mean(CASE, math.nan), "rho must be > 0, got nan"),
+        # a rho below 1 would grow the repeated value, not damp it
+        (lambda: lemma2_phi(4, 0.5), "rho must be >= 1"),
+        (lambda: lemma2_phi(4, math.nan), "rho must be >= 1"),
+        (lambda: lemma2_phi(4, 0), "rho must be >= 1"),
+        (lambda: threshold_boosted(2, LemmaParams(0.9, 3.0, 0)), "N must be >= 3"),
     ],
     ids=[
         "lemma-params-beta",
@@ -557,6 +562,10 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         "boosted-batch-mean-rho-zero",
         "boosted-batch-mean-rho-negative",
         "boosted-batch-mean-rho-nan",
+        "lemma2-rho-below-one",
+        "lemma2-rho-nan",
+        "lemma2-rho-zero",
+        "threshold-boosted-N",
     ],
 )
 def test_refusal_messages(call, message):

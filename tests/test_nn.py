@@ -19,19 +19,28 @@ from gradqueue import (
 from gradqueue.nn import N_PARAMS, Windows, _conv, batch_forward, batch_loss
 
 
+def exp_ld(x):
+    """``exp`` computed in longdouble and rounded to float64."""
+    return np.exp(np.asarray(x, dtype=np.longdouble)).astype(float)
+
+
 def reference_sigmoid(x):
     """The logistic function, each sign branch computed on its own entries."""
     out = np.empty_like(x, dtype=float)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
+    out[pos] = 1.0 / (1.0 + exp_ld(-x[pos]))
+    ex = exp_ld(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
 
 
 def reference_bce(logits, labels):
-    """Binary cross-entropy of a logit, ``max(x,0) - x*y + log(1 + exp(-|x|))``."""
-    return np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
+    """Binary cross-entropy of a logit, ``max(x,0) - x*y + log(1 + exp(-|x|))``.
+
+    ``exp`` and ``log1p`` each run in longdouble and round to float64.
+    """
+    softplus = np.log1p(exp_ld(-np.abs(logits)).astype(np.longdouble)).astype(float)
+    return np.maximum(logits, 0.0) - logits * labels + softplus
 
 
 def batch_grad(model, images, labels):
@@ -155,15 +164,22 @@ class TestForward:
             batch_forward(model, Windows(np.zeros((1, 2, 5))))
 
 
-def einsum_forward(model, images):
-    """The einsum convolution the tap sums must reproduce: (responses, logits, features, patches).
+def oracle_forward(model, images):
+    """The convolution at every window position: (responses, logits, features, patches).
 
-    Responses are (2, B, (H-2)*(W-2)), filter-major like ``_conv``.
+    Each response adds the nine tap products in row-major tap order, from
+    the first, and then the bias. Responses are (2, B, (H-2)*(W-2)),
+    filter-major like ``_conv``.
     """
     B, H, W = images.shape
     windows = sliding_window_view(images, (3, 3), axis=(1, 2))
-    resp = np.einsum("bijxy,fxy->bfij", windows, model.conv_filters)
-    resp = resp + model.conv_bias[None, :, None, None]
+    taps = windows.reshape(B, 1, H - 2, W - 2, 9)
+    weights = model.conv_filters.reshape(1, 2, 1, 1, 9)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 and overflow give NaN, inf
+        resp = taps[..., 0] * weights[..., 0]
+        for k in range(1, 9):
+            resp = resp + taps[..., k] * weights[..., k]
+        resp = resp + model.conv_bias[None, :, None, None]
     flat = resp.reshape(B, 2, -1)
     arg = np.argmax(flat, axis=2)
     features = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
@@ -225,39 +241,42 @@ def assert_bytes_equal(got, want):
 
 
 class TestConvMatchesEinsum:
-    """The tap sums reproduce the einsum convolution byte for byte (signed zeros included)."""
+    """The table's tap sums equal the tap-order oracle byte for byte (signed zeros included)."""
 
-    SIDES = (4, 5, 6, 7, 8, 12)
+    SIDES = (3, 4, 5, 6, 7, 8, 12)
 
     @pytest.mark.parametrize("kind", ["random", "lines", "noisy"])
     @pytest.mark.parametrize("B", [1, 20, 100, 200])
     def test_byte_equal(self, kind, B):
         rng = np.random.default_rng(B)
-        for H in (3,) + self.SIDES:
+        for H in self.SIDES:
             for W in self.SIDES:
                 model = signed_zero_model(rng)
                 images = conv_images(kind, B, H, W, rng)
-                assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+                assert_bytes_equal(tap_forward(model, images), oracle_forward(model, images))
 
     def test_signed_zero_sums(self):
-        # every product -0.0: einsum's sum starts at +0.0
+        # the sum starts from the first product: when every product and the bias are -0.0
+        # (images 0 and 1), the response is -0.0; a +0.0 product (-0.0 pixels of image 2
+        # times -0.0 taps, in every window) makes it +0.0
         model = LineDetectorModel.from_vector(np.zeros(N_PARAMS))
         model.conv_filters[:] = -0.0
         model.conv_bias[:] = -0.0
         images = np.ones((3, 5, 6))
         images[1] = 0.0
         images[2, ::2] = -0.0
-        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
-        assert not np.signbit(tap_forward(model, images)[0]).any()
+        assert_bytes_equal(tap_forward(model, images), oracle_forward(model, images))
+        resp = tap_forward(model, images)[0]
+        assert np.signbit(resp[:, :2]).all() and not np.signbit(resp[:, 2]).any()
 
     def test_large_images(self):
         rng = np.random.default_rng(7)
         model = signed_zero_model(rng)
         images = rng.random((3, 95, 97))  # 26,505 distinct windows
-        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+        assert_bytes_equal(tap_forward(model, images), oracle_forward(model, images))
 
-    def test_non_finite_pixels_warn_as_little_as_einsum(self):
-        # einsum sets no floating-point flags
+    def test_non_finite_pixels_warn_nothing(self):
+        # inf * 0 and overflowing products raise no floating-point warning
         rng = np.random.default_rng(8)
         model = signed_zero_model(rng)
         model.conv_filters[:, 0, 1] = 0.0
@@ -269,31 +288,13 @@ class TestConvMatchesEinsum:
         model.conv_filters[:, 2, 2] = 1e10
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = einsum_forward(model, images)
+            want = oracle_forward(model, images)
             got = tap_forward(model, images)
         assert_bytes_equal(got, want)
 
-    @pytest.mark.parametrize("kind", ["random", "lines", "noisy"])
-    def test_width_three_within_rounding(self, kind):
-        # a one-column einsum reduces each window in one 9-element loop in
-        # another order; each order's error is within 5 eps of the sum of
-        # the magnitudes (9 products, 9 additions), so they differ by <= 10 eps
-        rng = np.random.default_rng(3)
-        for H in (3,) + self.SIDES:
-            for B in (1, 20, 200):
-                model = signed_zero_model(rng)
-                images = conv_images(kind, B, H, 3, rng)
-                got, want = tap_forward(model, images), einsum_forward(model, images)
-                windows = sliding_window_view(np.abs(images), (3, 3), axis=(1, 2))
-                magnitude = np.einsum("bijxy,fxy->fbij", windows, np.abs(model.conv_filters))
-                magnitude = magnitude.reshape(got[0].shape) + np.abs(model.conv_bias)[:, None, None]
-                tol = 10 * np.finfo(float).eps * magnitude
-                assert np.all(np.abs(got[0] - want[0]) <= tol)
-                assert np.all(np.abs(got[2] - want[2]) <= tol.max(axis=2).T)
-
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
-        shape=st.tuples(st.integers(1, 30), st.integers(3, 12), st.integers(4, 12)),
+        shape=st.tuples(st.integers(1, 30), st.integers(3, 12), st.integers(3, 12)),
         data=st.data(),
         filters=hnp.arrays(float, (2, 3, 3), elements=st.floats(-1e3, 1e3)),
         bias=hnp.arrays(float, 2, elements=st.floats(-1e3, 1e3)),
@@ -301,7 +302,7 @@ class TestConvMatchesEinsum:
     def test_byte_equal_property(self, shape, data, filters, bias):
         images = data.draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3)))
         model = LineDetectorModel(filters, bias, np.array([0.5, -1.5]), 0.25)
-        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+        assert_bytes_equal(tap_forward(model, images), oracle_forward(model, images))
 
 
 @pytest.mark.parametrize("H", range(3, 9))
@@ -335,7 +336,7 @@ class TestWindows:
         assert windows.index[0].tolist() == [windows.index[0, 0]] * 5
         # zero filters tie every window at +0.0: the first, with the -0.0 at tap (1, 1), wins
         model = LineDetectorModel.from_vector(np.zeros(N_PARAMS))
-        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+        assert_bytes_equal(tap_forward(model, images), oracle_forward(model, images))
         patches = batch_forward(model, windows)[2]
         assert np.signbit(patches[1, :, 1, 1]).all() and np.signbit(patches).sum() == 2
 
@@ -351,7 +352,7 @@ class TestWindows:
         assert features.tolist() == [[1.0, 1.0], [1.0, 1.0]]
         assert patches[0, 0].tobytes() == a[0:3, 0:3].tobytes()
         assert patches[1, 0].tobytes() == images[1, 1:4, 0:3].tobytes()
-        assert_bytes_equal(tap_forward(model, images), einsum_forward(model, images))
+        assert_bytes_equal(tap_forward(model, images), oracle_forward(model, images))
 
     def test_equal_windows_give_one_column(self):
         windows = Windows(np.full((3, 4, 6), 0.25))

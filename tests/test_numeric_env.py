@@ -1,8 +1,10 @@
-"""Training bytes do not depend on the BLAS build: train-lines under several OpenBLAS cores.
+"""Training bytes do not depend on the BLAS build or on numpy's SIMD dispatch.
 
-Each core runs in its own subprocess, with ``OPENBLAS_CORETYPE`` set only in
-that child's environment. The CSV bodies (the rows after the ``#`` header)
-must be equal under every core.
+Each setting runs in its own subprocess, with its environment variable set
+only in that child's environment: ``OPENBLAS_CORETYPE`` for several OpenBLAS
+cores, and ``NPY_DISABLE_CPU_FEATURES`` for numpy with every dispatched CPU
+feature turned off (its baseline loops only). The CSV bodies (the rows after
+the ``#`` header) must be equal under every setting.
 """
 
 import os
@@ -11,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gradqueue
@@ -27,21 +30,21 @@ from gradqueue.cli import main
 for i, run in enumerate(sys.argv[1:]):
     assert main([*run.split(), "--output", f"{i}.csv"]) == 0
 """
+SETTINGS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 
-def bodies(core, cwd):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    if core is not None:
-        env["OPENBLAS_CORETYPE"] = core
+def bodies(cwd, runs=RUNS, **setting):
+    env = {k: v for k, v in os.environ.items() if k not in SETTINGS}
+    env.update(setting)
     src = str(Path(gradqueue.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
     cwd.mkdir()
     subprocess.run(
-        [sys.executable, "-c", CHILD, *RUNS], cwd=cwd, env=env, check=True, capture_output=True
+        [sys.executable, "-c", CHILD, *runs], cwd=cwd, env=env, check=True, capture_output=True
     )
     return [
         [line for line in (cwd / f"{i}.csv").read_text().splitlines() if not line.startswith("#")]
-        for i in range(len(RUNS))
+        for i in range(len(runs))
     ]
 
 
@@ -49,7 +52,20 @@ def bodies(core, cwd):
     platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS cores are x86-64"
 )
 def test_csv_bodies_equal_under_every_openblas_core(tmp_path):
-    want = bodies(CORES[0], tmp_path / "default")
+    want = bodies(tmp_path / "default")
     assert all(len(rows) > 20 for rows in want)  # the column header and one row per step
     for core in CORES[1:]:
-        assert bodies(core, tmp_path / core) == want, core
+        assert bodies(tmp_path / core, OPENBLAS_CORETYPE=core) == want, core
+
+
+def test_csv_bodies_equal_without_simd_dispatch(tmp_path):
+    # the names differ between numpy versions and builds, so they are read from numpy
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    features = umath.__cpu_dispatch__
+    if not features:
+        pytest.skip("this numpy build dispatches on no CPU feature")
+    runs = [*RUNS, "qlen-demo --pattern train --steps 30"]
+    want = bodies(tmp_path / "default", runs)
+    assert all(len(rows) > 20 for rows in want)
+    got = bodies(tmp_path / "baseline", runs, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    assert got == want, features
