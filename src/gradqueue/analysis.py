@@ -50,6 +50,7 @@ class SparseSignalSpec:
         if not self.N >= 3:  # written so that NaN fails the check
             raise ValueError(f"sparse period N must be >= 3, got {self.N}")
         _integer("sparse period N", self.N)
+        _check_finite(self, "C", "u")
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,14 @@ class BatchCompositionCase:
             raise ValueError(f"p + q must equal B ({self.p} + {self.q} != {self.B})")
         for name in ("B", "p", "q"):  # stored as ints: numpy integer arithmetic could wrap
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        _check_finite(self, "eq_q", "eq_p")
+
+
+def _check_finite(spec, *names: str) -> None:
+    """Refuse a NaN or infinite field of spec, naming it."""
+    for name in names:
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
 
 
 def _check_beta(beta: float) -> None:

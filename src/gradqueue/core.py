@@ -8,26 +8,20 @@ ones are dampened.
 
 The queue is a ring: one ``(capacity, dim)`` array allocated by the first
 push, so later pushes copy into a slot and allocate nothing. The moment
-kernel, ``GradQueue._block_moments``, computes the window's mean and std
-a column block (``_blocks``) at a time, with the sums and divisions
-``np.mean`` applies to the stacked window, oldest entry first; it is the
-one place that chooses how. numpy reduces a C-contiguous ``(n, c)`` array
-along axis 0 row by row when ``c >= 2``, starting from 0.0, but sums a
-single column pairwise. So a vector narrower than two blocks of
-``STATS_BLOCK`` columns is gathered and reduced by numpy, which keeps the
-pairwise sum of ``d == 1``; a wider one adds ring-row slices, then squared
-deviations, one row at a time: numpy's sums at any block width, so the
-width is free to fit the cache. The boost kernel, ``_boost_block``,
-follows it block by block: ``GradQueue._boosted_blocks`` runs both into
-block scratch for the optimizers' unhooked boosted step, and ``stats``
-and ``delta_rho`` into full-size arrays for a boost hook and library callers.
+kernel, ``_moments``, computes the window's mean and std a column block
+(``_blocks``) at a time, from ring-row slices: each column's sum starts
+from 0.0 and adds the entries oldest first, at every width, and so do the
+squared deviations. The block width only fits the cache; it moves no
+byte. The boost kernel, ``_boost_block``, follows it block by block:
+``GradQueue._boosted_blocks`` runs both into block scratch for the
+optimizers' unhooked boosted step, and ``stats`` and ``delta_rho`` into
+full-size arrays for a boost hook and library callers.
 
 Overflow: a column whose mean or variance overflows (entries beyond about
-1e154 in magnitude) is recomputed on its entries divided by their largest
-magnitude, and the results are scaled back. The overflowing columns of
-one block are gathered and reduced by numpy, so a lone one is summed
-pairwise. Other columns keep their bytes, and finite entries always give
-a finite mean and std.
+1e154 in magnitude) is recomputed by the same kernel on its entries
+divided by their largest magnitude, and the results are scaled back.
+Other columns keep their bytes, and finite entries always give a finite
+mean and std.
 """
 
 from __future__ import annotations
@@ -127,9 +121,9 @@ class GradQueue:
     how many of the most recent entries feed the statistics.
 
     Storage is a ring, one ``(capacity, dim)`` float64 array; a push into
-    a full queue overwrites the oldest slot. ``stats`` reduces it in
-    column blocks and rescales overflowing columns (see the module
-    docstring for why the blocks keep every byte).
+    a full queue overwrites the oldest slot. ``stats`` sums each column of
+    the window oldest entry first from 0.0, a column block at a time, and
+    rescales overflowing columns (see the module docstring).
     """
 
     def __init__(self, capacity: int):
@@ -141,7 +135,7 @@ class GradQueue:
         self._next = 0  # the slot the next push writes
         self._count = 0
         # ring slots in push order from any start: _slots[start : start + n]
-        self._slots = np.arange(2 * self.capacity) % self.capacity
+        self._slots = [i % self.capacity for i in range(2 * self.capacity)]
         self._effective_length = self.capacity
 
     def __len__(self) -> int:
@@ -193,12 +187,12 @@ class GradQueue:
         self._count = min(self._count + 1, self.capacity)
         return self
 
-    def _window_slots(self, n: int) -> np.ndarray:
+    def _window_slots(self, n: int) -> list[int]:
         """Ring slots of the newest n entries, oldest first."""
         start = (self._next - n) % self.capacity
         return self._slots[start : start + n]
 
-    def _stats_slots(self) -> np.ndarray:
+    def _stats_slots(self) -> list[int]:
         """Ring slots of the effective window, oldest first."""
         if not self._count:
             raise ValueError("statistics undefined for an empty queue")
@@ -211,87 +205,72 @@ class GradQueue:
         return self._ring[self._window_slots(self._count)]
 
     def stats(self) -> QueueStats:
-        """Population mean/std per coordinate over the effective window."""
+        """Population mean/std per coordinate over the effective window.
+
+        ``_moments`` computes them a column block at a time, summing each
+        column oldest entry first from 0.0.
+        """
         slots = self._stats_slots()
         mean, std, sq = np.empty(self._dim), np.empty(self._dim), np.empty(_widest(self._dim))
         for cols in _blocks(self._dim):
-            self._block_moments(slots, cols, mean[cols], std[cols], sq)
-        return QueueStats(mean=mean, std=std, sample_count=slots.size)
+            _moments([self._ring[s, cols] for s in slots], mean[cols], std[cols], sq)
+        return QueueStats(mean=mean, std=std, sample_count=len(slots))
 
     def _boosted_blocks(self, g: np.ndarray, cfg: BoostConfig):
         """Yield ``(cols, delta_rho(g, self.stats(), cfg)[cols])`` for each column block.
 
         ``g`` must be a vector ``_checked`` returned. Each block's moments
-        and boost go into block scratch, so no full-size statistics exist.
+        (``_moments``, the sums of ``stats``) and boost go into block
+        scratch, so no full-size statistics exist.
         """
         slots = self._stats_slots()
         mean, std, out = (np.empty(_widest(self._dim)) for _ in range(3))
         for cols in _blocks(self._dim):
             m, s, b = (a[: cols.stop - cols.start] for a in (mean, std, out))
-            self._block_moments(slots, cols, m, s, b)
+            _moments([self._ring[i, cols] for i in slots], m, s, b)
             # yield outside the kernels' np.errstate blocks, which would leak to the caller
             yield cols, _boost_block(g[cols], m, s, cfg.rho, b)
 
-    def _block_moments(self, slots, cols, mean, std, sq) -> None:
-        """The moment kernel: the window's mean and std of columns ``cols``, into block views.
 
-        ``slots`` are the window's ring slots, oldest first; ``sq`` is
-        scratch at least as wide as the block. A vector narrower than two
-        blocks is gathered and reduced by numpy; a wider one by ring rows.
-        """
-        if self._dim < 2 * STATS_BLOCK:  # one block: numpy sums a lone column pairwise
-            return _moments(self._ring.take(slots, axis=0), mean, std)
-        rows, n, sq = [self._ring[s, cols] for s in slots], slots.size, sq[: mean.size]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(rows[0], 0.0, out=mean)  # numpy's sum starts from 0.0
-            for row in rows[1:]:
-                np.add(mean, row, out=mean)
-            np.divide(mean, n, out=mean)
-            np.subtract(rows[0], mean, out=std)
-            np.multiply(std, std, out=std)
-            for row in rows[1:]:
-                np.subtract(row, mean, out=sq)
-                np.multiply(sq, sq, out=sq)
-                np.add(std, sq, out=std)
-            np.divide(std, n, out=std)
-        _finish(mean, std, lambda: self._ring[:, cols].take(slots, axis=0))
+def _moments(rows, mean: np.ndarray, std: np.ndarray, sq: np.ndarray) -> None:
+    """The moment kernel: population mean and std of each column of ``rows``, into mean and std.
 
-
-def _moments(window: np.ndarray, mean: np.ndarray, std: np.ndarray) -> None:
-    """Population mean and std of each column of a C-contiguous (n, c) window, into mean and std.
-
-    Each mean is the column sum divided by n, exactly what ``np.mean``
-    computes, without its Python wrapper.
+    ``rows`` are equal-width row vectors of finite entries, oldest first;
+    ``sq`` is scratch at least as wide. Each column's sum starts from 0.0
+    and adds the rows oldest first; the mean is that sum over n. The
+    squared deviations from the mean are summed the same way, over n, and
+    the std is their square root. A column whose variance overflows (its
+    mean may too) is recomputed on its entries divided by their largest
+    magnitude, and its mean and std are scaled back.
     """
-    n = window.shape[0]
+    n, sq = len(rows), sq[: mean.size]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.reduce(window, axis=0, out=mean)
-        mean /= n
-        np.add.reduce((window - mean) ** 2, axis=0, out=std)
-        std /= n
-    _finish(mean, std, lambda: window)
-
-
-def _finish(mean: np.ndarray, var: np.ndarray, gather) -> None:
-    """Turn the variances into stds in place, rescaling overflowing columns.
-
-    A column whose variance overflows (its mean may overflow too) is
-    recomputed on its entries divided by their largest magnitude, and its
-    mean and std are scaled back. ``gather()`` returns the C-contiguous
-    (n, c) window of the columns; it is called only then.
-    """
-    # with finite entries, a finite variance implies a finite mean
-    finite = np.isfinite(var)
-    np.sqrt(var, out=var)
-    if not finite.all():
-        overflow = ~finite
-        scaled = gather()[:, overflow]
-        scale = np.abs(scaled).max(axis=0)
-        scaled /= scale  # entries in [-1, 1]: their moments cannot overflow
-        m, std = np.empty((2, scale.size))
-        _moments(scaled, m, std)
+        np.add(rows[0], 0.0, out=mean)
+        for row in rows[1:]:
+            np.add(mean, row, out=mean)
+        np.divide(mean, n, out=mean)
+        # a square is never -0.0, so 0.0 plus the first one is the first one
+        np.subtract(rows[0], mean, out=std)
+        np.multiply(std, std, out=std)
+        for row in rows[1:]:
+            np.subtract(row, mean, out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(std, sq, out=std)
+        np.divide(std, n, out=std)
+    np.sqrt(std, out=std)
+    # with finite entries, a finite variance implies a finite mean, and none is NaN
+    overflow = np.isinf(std)
+    if overflow.any():
+        scaled = [row[overflow] for row in rows]
+        scale = np.abs(scaled[0])
+        for row in scaled[1:]:
+            np.maximum(scale, np.abs(row), out=scale)
+        for row in scaled:
+            row /= scale  # entries in [-1, 1]: their moments cannot overflow
+        m, s, scratch = np.empty((3, scale.size))
+        _moments(scaled, m, s, scratch)
         mean[overflow] = m * scale
-        var[overflow] = std * scale
+        std[overflow] = s * scale
 
 
 def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:

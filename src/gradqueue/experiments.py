@@ -474,9 +474,9 @@ def _train_setup(cfg: ExperimentConfig):
     there; grouping by label keeps equal images with different labels
     apart, as their losses and gradients differ.
     """
-    if cfg.steps < 1:
+    if _integer("steps", cfg.steps) < 1:
         raise ValueError("steps must be >= 1")
-    if cfg.batch_size < 1:
+    if _integer("batch_size", cfg.batch_size) < 1:
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     seeds = expand_seeds(cfg.seed)
     dataset = generate_lines(
@@ -499,6 +499,8 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     differs. Both runs advance together in one ``_train_single`` loop.
     Emits per-step loss and filter-template alignment for both.
     """
+    if cfg.k is not None:
+        _integer("k", cfg.k)
     seeds, dataset, groups, model, batch_size, schedule = _train_setup(cfg)
     k = cfg.k if cfg.k is not None else choose_k(batch_size, cfg.optimal_batch)
     if k < 1:
@@ -560,7 +562,7 @@ def _loss_feed(cfg: ExperimentConfig) -> list[float]:
 
 def run_qlen_demo(cfg: ExperimentConfig) -> RunResult:
     """Feed a loss sequence to the queue-length controller and log its output."""
-    if cfg.steps < 1:
+    if _integer("steps", cfg.steps) < 1:
         raise ValueError("steps must be >= 1")
     controller = QueueLengthController(
         window=cfg.window, min_length=cfg.min_length, max_length=cfg.max_length

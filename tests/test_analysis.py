@@ -519,6 +519,27 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         (lambda: lemma2_phi(4, math.nan), "rho must be >= 1"),
         (lambda: lemma2_phi(4, 0), "rho must be >= 1"),
         (lambda: threshold_boosted(2, LemmaParams(0.9, 3.0, 0)), "N must be >= 3"),
+        # a non-finite signal or group expectation would give NaN trajectories and boosts
+        (lambda: SparseSignalSpec(C=math.nan, u=-1.0, N=5), "C must be finite, got nan"),
+        (lambda: SparseSignalSpec(C=math.inf, u=-1.0, N=5), "C must be finite, got inf"),
+        (lambda: SparseSignalSpec(C=5.0, u=-math.inf, N=5), "u must be finite, got -inf"),
+        (lambda: SparseSignalSpec(C=5.0, u=math.nan, N=5), "u must be finite, got nan"),
+        (
+            lambda: BatchCompositionCase(B=10, p=9, q=1, eq_q=math.nan, eq_p=-0.1),
+            "eq_q must be finite, got nan",
+        ),
+        (
+            lambda: BatchCompositionCase(B=10, p=9, q=1, eq_q=-math.inf, eq_p=-0.1),
+            "eq_q must be finite, got -inf",
+        ),
+        (
+            lambda: BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=math.inf),
+            "eq_p must be finite, got inf",
+        ),
+        (
+            lambda: BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=math.nan),
+            "eq_p must be finite, got nan",
+        ),
     ],
     ids=[
         "lemma-params-beta",
@@ -566,6 +587,14 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         "lemma2-rho-nan",
         "lemma2-rho-zero",
         "threshold-boosted-N",
+        "sparse-signal-C-nan",
+        "sparse-signal-C-inf",
+        "sparse-signal-u-minus-inf",
+        "sparse-signal-u-nan",
+        "batch-composition-eq-q-nan",
+        "batch-composition-eq-q-minus-inf",
+        "batch-composition-eq-p-inf",
+        "batch-composition-eq-p-nan",
     ],
 )
 def test_refusal_messages(call, message):

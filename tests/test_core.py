@@ -53,7 +53,7 @@ def brute_force_stats(entries):
 
 
 class OracleQueue:
-    """The deque queue the ring replaced: stacks its window on every call."""
+    """The deque queue the ring replaced; its stats are plain loops over the window's entries."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -74,11 +74,17 @@ class OracleQueue:
         return np.stack(list(self._entries))
 
     def stats(self):
+        """The stated order: each column summed oldest entry first from 0.0, at every width."""
         n = min(self.effective_length, len(self._entries))
-        window = np.stack(list(self._entries)[-n:])
-        mean = window.mean(axis=0)
-        var = np.mean((window - mean) ** 2, axis=0)
-        return QueueStats(mean=mean, std=np.sqrt(var), sample_count=n)
+        window = list(self._entries)[-n:]
+        total = np.zeros(window[0].size)
+        for entry in window:
+            total = total + entry
+        mean = total / n
+        squares = np.zeros(mean.size)
+        for entry in window:
+            squares = squares + (entry - mean) * (entry - mean)
+        return QueueStats(mean=mean, std=np.sqrt(squares / n), sample_count=n)
 
 
 def oracle_delta_rho(g, stats, cfg):
@@ -111,7 +117,7 @@ def random_gradient(rng, dim, kind):
         return np.round(g, 1)
     if kind == "sparse":
         g[rng.random(dim) < 0.9] = 0.0
-    if kind == "signed_zeros":  # numpy's sums start from +0.0, so -0.0 columns sum to +0.0
+    if kind == "signed_zeros":  # the sums start from +0.0, so -0.0 columns sum to +0.0
         g[rng.random(dim) < 0.5] = -0.0
     return g
 
@@ -328,7 +334,7 @@ class TestDeltaRho:
 
 
 class TestRingMatchesDeque:
-    """The ring's blocked statistics are byte-equal to stacking the window."""
+    """The ring's blocked statistics are byte-equal to the oracle's oldest-first sums."""
 
     B = STATS_BLOCK
     EDGE_DIMS = (1, 2, B - 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 7)
@@ -353,8 +359,8 @@ class TestRingMatchesDeque:
     @pytest.mark.parametrize("dim", [1, 2 * STATS_BLOCK + 1, 3 * STATS_BLOCK + 7])
     @pytest.mark.parametrize("capacity", [9, 17])
     def test_long_single_column_window(self, dim, capacity):
-        # numpy sums a lone column pairwise, which a row-by-row sum of nine
-        # or more entries does not reproduce
+        # a lone column is summed oldest first like every other; numpy sums
+        # one pairwise, which differs from it on windows of 8 or more entries
         rng = np.random.default_rng(capacity)
         ring, oracle = GradQueue(capacity), OracleQueue(capacity)
         for _ in range(capacity + 4):
@@ -362,6 +368,9 @@ class TestRingMatchesDeque:
             ring.push(g)
             oracle.push(g)
         assert_same_queue(ring, oracle)
+        if dim == 1:  # this window tells the two orders apart
+            s, window = ring.stats(), ring.as_array()[:, 0]
+            assert (s.mean[0], s.std[0]) != (np.mean(window), np.std(window))
 
     def test_as_array_is_a_copy(self):
         q = GradQueue(capacity=2)
@@ -417,8 +426,9 @@ class TestOverflow:
         assert out[0] == pytest.approx(-1e200 * np.sqrt(2.0), rel=1e-14)  # z = sqrt(2)
 
     def test_single_column_partial_sums_of_opposite_sign(self):
-        # a lone column is summed pairwise: with these 16 entries one partial
-        # sum overflows to +inf and another to -inf, and the plain mean is NaN
+        # summed oldest first, the running sum overflows to +inf at the second
+        # entry and stays there, so the plain variance is inf and the column is
+        # rescaled (numpy's pairwise sum would reach +inf and -inf, and NaN)
         s = self.queue(([[1.5e308]] * 4 + [[-1.5e308]] * 4) * 2).stats()
         np.testing.assert_array_equal(s.mean, [0.0])
         np.testing.assert_array_equal(s.std, [1.5e308])
@@ -475,11 +485,15 @@ class TestBlockedHostileInputs:
 
     @staticmethod
     def rescaled_moments(col):
-        """The overflow rescale of one column, reduced as numpy reduces a lone column."""
+        """The overflow rescale of one column, its scaled entries summed oldest first from 0.0."""
         scale = np.abs(col).max()
-        scaled = col / scale
-        m = scaled.mean()
-        return m * scale, np.sqrt(np.mean((scaled - m) ** 2)) * scale
+        scaled, total, squares = col / scale, 0.0, 0.0
+        for x in scaled:
+            total = total + x
+        m = total / col.size
+        for x in scaled:
+            squares = squares + (x - m) * (x - m)
+        return m * scale, np.sqrt(squares / col.size) * scale
 
     @pytest.mark.parametrize("capacity", [3, 9])
     def test_overflow_in_two_blocks_and_on_an_edge(self, capacity):

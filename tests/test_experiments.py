@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import math
 from itertools import product
@@ -558,6 +559,18 @@ class TestLibraryStepPipeline:
             run_train_lines(ExperimentConfig(k=26, batch_size=25, **self.SMALL))
         assert str(exc.value) == "k=26 exceeds the batch size 25"
 
+    @pytest.mark.parametrize(
+        "field, value", [("steps", 2.5), ("batch_size", 2.5), ("k", 2.5), ("steps", 3.0), ("k", math.nan)]
+    )
+    def test_non_integer_settings_refused_on_entry(self, field, value, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(experiments, "_train_single", no_training)
+        with pytest.raises(ValueError) as exc:
+            run_train_lines(ExperimentConfig(**{**self.SMALL, field: value}))
+        assert str(exc.value) == f"{field} must be an integer, got {value}"
+
 
 class TestQlenDemo:
     def test_decreasing_feed_hits_max(self):
@@ -587,6 +600,15 @@ class TestQlenDemo:
     def test_unknown_pattern(self):
         with pytest.raises(ValueError, match="pattern"):
             run_qlen_demo(ExperimentConfig(pattern="zigzag"))
+
+    @pytest.mark.parametrize(
+        "pattern, field", [("staged", "steps"), ("train", "steps"), ("train", "batch_size")]
+    )
+    def test_non_integer_settings_refused(self, pattern, field):
+        cfg = ExperimentConfig(pattern=pattern, steps=25, p=12, q=4, batch_size=16)
+        with pytest.raises(ValueError) as exc:
+            run_qlen_demo(dataclasses.replace(cfg, **{field: 2.5}))
+        assert str(exc.value) == f"{field} must be an integer, got 2.5"
 
 
 class TestZetaTable:

@@ -36,6 +36,10 @@ GOLDEN = {
     "momentum-sim --steps 500 --N 7 --C 9 --capacity 4": (
         "3389040e9b900ec92ff9a558f449f1a37a0bb35aaf7e08e201fa4d94428dbd4b"
     ),
+    # a one-coordinate window of 9 entries: its sums run oldest first from 0.0, not pairwise
+    "momentum-sim --steps 400 --N 20 --capacity 9 --C 2.7 --u -1.3": (
+        "2db87b5deaecf243c29eee29d81236a211470921f75b40aade7b8cd6c1504e78"
+    ),
     "zeta-table": "bce14c0d653544c22d8043883cd50cd40147e081777bda2d284a9774a35bea01",
     "qlen-demo --steps 300": "70c6da1fe1c6e66b97ca92332dd989aaf3dae2c453a0d3bcbed7dc490145ee71",
     "qlen-demo --pattern train --steps 30": (

@@ -356,10 +356,16 @@ def reference_step(kind, state, g, cfg, stats=GradQueue.stats):
 
 
 def stacked_stats(queue):
-    """The window's moments as ``np.mean`` reduces the stacked window, without the moment kernel."""
+    """The window's moments summed oldest entry first from 0.0, without the moment kernel."""
     window = queue.as_array()[-min(queue.effective_length, len(queue)) :]
-    mean = window.mean(axis=0)
-    return QueueStats(mean, np.sqrt(np.mean((window - mean) ** 2, axis=0)), len(window))
+    total = np.zeros(window.shape[1])
+    for entry in window:
+        total = total + entry
+    mean = total / len(window)
+    squares = np.zeros(mean.size)
+    for entry in window:
+        squares = squares + (entry - mean) * (entry - mean)
+    return QueueStats(mean, np.sqrt(squares / len(window)), len(window))
 
 
 def same_bytes(a, b):
@@ -545,13 +551,14 @@ class TestFusedBoostedStep:
         )
         assert np.isfinite(state.queue.stats().std[B + 9])  # the window still holds the huge entries
 
-    # vectors of one block take the same path; their moments are gathered and reduced by numpy
+    # vectors of one block take the same path and the same sums
 
     @pytest.mark.parametrize("dim", [1, 2, 23])
     @pytest.mark.parametrize("capacity", [3, 9, 17])
     @pytest.mark.parametrize("kind, state_cls, step", KINDS)
     def test_one_block_short_window(self, dim, capacity, kind, state_cls, step):
-        # at d = 1 numpy sums a window of 8 or more entries pairwise, which a row-by-row sum does not
+        # the oracle sums oldest first at every width; at d = 1 numpy's pairwise
+        # sum would differ from it on the windows of 8 or more entries
         opt = cfg(boost=True, lr=0.01)
         grads = self.grads(dim, 2 * capacity + 3, seed=dim + capacity)
         state = self.run_pair(
