@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoostConfig, GradQueue, _integer, delta_rho
+from .core import BoostConfig, GradQueue, _check_rho, _integer, delta_rho
 
 __all__ = [
     "SparseSignalSpec",
@@ -30,8 +30,6 @@ __all__ = [
     "threshold_plain",
     "threshold_plain_reported",
     "threshold_boosted",
-    "geometric_sum",
-    "period_sum",
     "zeta",
     "boosted_batch_mean",
     "batch_error_case",
@@ -68,8 +66,7 @@ class LemmaParams:
     def __post_init__(self):
         # written so that NaN fails every check
         _check_beta(self.beta)
-        if not self.rho >= 1.0:
-            raise ValueError("rho must be >= 1")
+        _check_rho(self.rho)
         if not self.L >= 0:
             raise ValueError("queue length L must be non-negative")
         _integer("queue length L", self.L)
@@ -139,6 +136,9 @@ def simulate_momentum(spec: SparseSignalSpec, beta: float, steps: int) -> np.nda
     if steps < 1:
         raise ValueError("steps must be >= 1")
     steps = _integer("steps", steps)
+    # OptimizerConfig's rule: beta = 0 is plain SGD, whose trajectory is the signal itself
+    if not 0.0 <= beta < 1.0:  # written so that NaN fails the check
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
     C, u, N = spec.C, spec.u, spec.N
     out = []
     m = 0.0
@@ -199,8 +199,7 @@ def lemma2_phi(L: int, rho: float) -> float:
     if L < 3:
         raise ValueError("queue length L must be >= 3")
     _integer("queue length L", L)
-    if not rho >= 1.0:  # written so that NaN fails the check
-        raise ValueError("rho must be >= 1")
+    _check_rho(rho)
     return max(1.0 / math.sqrt(L - 1), 1.0 / rho)
 
 
@@ -366,6 +365,8 @@ def zeta(case: BatchCompositionCase) -> float:
 
 def boosted_batch_mean(case: BatchCompositionCase, rho: float) -> float:
     """Batch mean after scaling the rare group by rho and the rest by 1/rho."""
+    if math.isinf(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
     if not rho > 0.0:  # zeta is often below 1; written so that NaN fails the check
         raise ValueError(f"rho must be > 0, got {rho}")
     return (case.q * rho * case.eq_q + case.p * case.eq_p / rho) / case.B

@@ -21,10 +21,6 @@ _RUNNERS = {
 _FIELDS = dataclasses.fields(ExperimentConfig)
 # config field -> its flag: --<field> with "-" for "_", unless the field names its own
 _OPTIONS = {f.name: f.metadata["flag"] or "--" + f.name.replace("_", "-") for f in _FIELDS}
-# value flag -> config field; a bool field is a switch and takes no value
-_FLAG_FIELDS = {_OPTIONS[f.name]: f.name for f in _FIELDS if f.type != "bool"}
-# every long option of the parser, among which an abbreviation must be unique
-_LONG_OPTIONS = ("--help", "--config", *_OPTIONS.values())
 
 
 def _field_type(name: str):
@@ -75,28 +71,25 @@ def _reads_as_float(token: str) -> bool:
     return True
 
 
-def _value_flag(token: str) -> bool:
-    """Whether argparse reads ``token`` as a value flag: its full name or a unique prefix."""
-    if token in _FLAG_FIELDS:
-        return True
-    matches = [o for o in _LONG_OPTIONS if o.startswith(token)] if token.startswith("--") else []
-    return len(matches) == 1 and matches[0] in _FLAG_FIELDS
+def _long_flag(token: str) -> bool:
+    """Whether ``token`` names a long option, in full or by a prefix, without an ``=value``."""
+    return token.startswith("--") and len(token) > 2 and "=" not in token
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse a command line; a value flag takes a negative number in any float form.
 
     argparse reads ``-1`` and ``-1.5`` as values but ``-1e-3`` as an option,
-    so a value flag followed by a token that starts with ``-`` and reads as
-    a float is first joined to it: ``--alpha -1e-3`` parses as ``--alpha=-1e-3``.
-    A value flag is its full name or, as argparse allows, a prefix of exactly
-    one long option (``--alp``); an ambiguous prefix is left for argparse to
-    reject.
+    so a token that starts with ``-`` and reads as a float is first joined
+    to a long flag just before it: ``--alpha -1e-3`` parses as
+    ``--alpha=-1e-3``. argparse alone then resolves the flag's full name or
+    prefix (``--alp``), refuses an ambiguous prefix, and refuses a switch
+    given a value (``--adam=-1e-3``).
     """
     joined = []
     for token in sys.argv[1:] if argv is None else argv:
         negative = token.startswith("-") and _reads_as_float(token)
-        if negative and joined and _value_flag(joined[-1]):
+        if negative and joined and _long_flag(joined[-1]):
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -26,6 +26,7 @@ mean and std.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,9 +69,20 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_rho(rho: float) -> None:
+    """The one rule for the boost clamp: rho is finite and >= 1."""
+    if math.isinf(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
+    if not rho >= 1.0:  # written so that NaN fails the check
+        raise ValueError("rho must be >= 1")
+
+
 @dataclass(frozen=True)
 class QueueStats:
-    """Per-coordinate population mean/std over the ``sample_count`` (>= 1) latest queue entries."""
+    """Per-coordinate population mean/std over the ``sample_count`` (>= 1) latest queue entries.
+
+    Both are finite, and std is non-negative.
+    """
 
     mean: np.ndarray
     std: np.ndarray
@@ -90,6 +102,8 @@ class QueueStats:
         # fmin skips NaN, so this refuses any negative coordinate
         if np.fmin.reduce(self.std, initial=0.0) < 0:
             raise ValueError("std coordinates must be non-negative")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValueError("mean and std must be finite")
         self.mean.setflags(write=False)
         self.std.setflags(write=False)
 
@@ -107,9 +121,7 @@ class BoostConfig:
     rho: float = 3.0
 
     def __post_init__(self):
-        # written so that NaN fails the check
-        if not self.rho >= 1.0:
-            raise ValueError(f"rho must be >= 1, got {self.rho}")
+        _check_rho(self.rho)
 
 
 class GradQueue:
@@ -287,9 +299,9 @@ def delta_rho(g, stats: QueueStats, cfg: BoostConfig) -> np.ndarray:
 
     The scale is ``clip(z, 1/rho, rho)``, computed a column block at a time
     by ``_boost_block``; it equals the two-sided rule, because z > 1 lies
-    above 1/rho and z <= 1 below rho. With finite statistics the result is
-    finite wherever rho * |g_i| is; a z that overflows to inf is clamped to
-    rho without a warning.
+    above 1/rho and z <= 1 below rho. ``QueueStats`` and ``BoostConfig``
+    hold finite values, so the result is finite wherever rho * |g_i| is; a
+    z that overflows to inf is clamped to rho without a warning.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != stats.mean.shape:

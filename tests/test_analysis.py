@@ -540,6 +540,19 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
             lambda: BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=math.nan),
             "eq_p must be finite, got nan",
         ),
+        (lambda: LemmaParams(beta=0.9, rho=math.inf, L=3), "rho must be finite, got inf"),
+        (lambda: LemmaParams(beta=0.9, rho=-math.inf, L=3), "rho must be finite, got -inf"),
+        (
+            lambda: lemma3_closed(SPEC, LemmaParams(0.9, math.inf, 3), 2),
+            "rho must be finite, got inf",
+        ),
+        (lambda: lemma2_phi(4, math.inf), "rho must be finite, got inf"),
+        (lambda: boosted_batch_mean(CASE, math.inf), "rho must be finite, got inf"),
+        (lambda: boosted_batch_mean(CASE, -math.inf), "rho must be finite, got -inf"),
+        (lambda: simulate_momentum(SPEC, math.nan, 4), "beta must lie in [0, 1), got nan"),
+        (lambda: simulate_momentum(SPEC, 1.5, 4), "beta must lie in [0, 1), got 1.5"),
+        (lambda: simulate_momentum(SPEC, 1.0, 4), "beta must lie in [0, 1), got 1.0"),
+        (lambda: simulate_momentum(SPEC, -0.5, 4), "beta must lie in [0, 1), got -0.5"),
     ],
     ids=[
         "lemma-params-beta",
@@ -595,6 +608,16 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         "batch-composition-eq-q-minus-inf",
         "batch-composition-eq-p-inf",
         "batch-composition-eq-p-nan",
+        "lemma-params-rho-inf",
+        "lemma-params-rho-minus-inf",
+        "lemma3-rho-inf",
+        "lemma2-rho-inf",
+        "boosted-batch-mean-rho-inf",
+        "boosted-batch-mean-rho-minus-inf",
+        "simulate-momentum-beta-nan",
+        "simulate-momentum-beta-above-one",
+        "simulate-momentum-beta-one",
+        "simulate-momentum-beta-negative",
     ],
 )
 def test_refusal_messages(call, message):

@@ -198,8 +198,10 @@ FLOAT_FLAG_PREFIXES = [flag[:n] for flag in FLOAT_FLAGS for n in range(3, len(fl
 @pytest.mark.parametrize("command", ["momentum-sim", "zeta-table"])
 def test_abbreviated_flags_take_exponent_form_negatives(command):
     # argparse takes a prefix of exactly one long option for that option
+    actions = cli.build_parser()._actions
+    long_options = [o for a in actions for o in a.option_strings if o.startswith("--")]
     for prefix in FLOAT_FLAG_PREFIXES:
-        options = [o for o in cli._LONG_OPTIONS if o.startswith(prefix)]
+        options = [o for o in long_options if o.startswith(prefix)]
         if prefix not in OLD_FLAGS and len(options) > 1:
             continue  # ambiguous: test_ambiguous_abbreviation_exits_2
         flag = prefix if prefix in OLD_FLAGS else options[0]
@@ -227,17 +229,35 @@ def test_named_abbreviations_match_their_equals_forms(spaced, field, value):
 @pytest.mark.parametrize("prefix", ["--eq-", "--eq", "--c", "--n", "--m", "--b"])
 @pytest.mark.parametrize("raw", ["-1e-3", "1"])
 def test_ambiguous_abbreviation_exits_2(prefix, raw, capsys):
-    # the spaced form is left unjoined, so argparse names the prefix alone
-    for argv, named in (([prefix, raw], prefix), ([f"{prefix}={raw}"], f"{prefix}={raw}")):
+    # a negative number is joined to the prefix before it, so argparse names the joined
+    # token; any other value stays a token of its own, and argparse names the prefix alone
+    spaced = f"{prefix}={raw}" if raw.startswith("-") else prefix
+    for argv, named in (([prefix, raw], spaced), ([f"{prefix}={raw}"], f"{prefix}={raw}")):
         with pytest.raises(SystemExit) as exc:
             cli.parse_args(["momentum-sim", *argv])
         assert exc.value.code == 2
         assert f"error: ambiguous option: {named} could match" in capsys.readouterr().err, argv
 
 
-def test_long_options_are_the_parsers():
-    options = {s for a in cli.build_parser()._actions for s in a.option_strings}
-    assert set(cli._LONG_OPTIONS) == {o for o in options if o.startswith("--")}
+@pytest.mark.parametrize("switch", ["--adam", "--no-boost", "--help", "--ad", "--no-", "--hel"])
+@pytest.mark.parametrize("raw", ["-1e-3", "-2.5E+1"])
+def test_switch_given_a_negative_number_exits_2(switch, raw, capsys):
+    # the number is joined to the switch before it, and argparse refuses a switch given a value
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["momentum-sim", switch, raw])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"ignored explicit argument '{raw}'" in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--conf"])
+def test_config_path_may_read_as_a_negative_number(flag, tmp_path, monkeypatch):
+    # --config is a value flag like any other, so a path such as -1e-3 is joined to it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-1e-3").write_text("steps=15\n")
+    args = cli.parse_args(["momentum-sim", flag, "-1e-3"])
+    assert args.config == "-1e-3"
+    assert cli.config_from_args(args).steps == 15
 
 
 def test_parser_is_built_once():
