@@ -93,6 +93,8 @@ class BatchCompositionCase:
             raise ValueError(f"p + q must equal B ({self.p} + {self.q} != {self.B})")
         for name in ("B", "p", "q"):  # stored as ints: numpy integer arithmetic could wrap
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.B > 2**53:  # so that B, p and q convert to floats exactly
+            raise ValueError(f"B must be <= 2**53, got {self.B}")
         _check_finite(self, "eq_q", "eq_p")
 
 
@@ -342,25 +344,32 @@ def simulate_lemma3_momentum(
     return out
 
 
+def _ldexp(name: str, value: float, e: int) -> float:
+    """value * 2**e, or a ValueError naming the function when that is not a finite float."""
+    if math.isfinite(value) and (not value or math.frexp(value)[1] + e <= 1024):
+        return math.ldexp(value, e)
+    raise ValueError(f"{name}: out of the float range")
+
+
 def zeta(case: BatchCompositionCase) -> float:
     """Boost magnitude at which the boosted batch mean recovers eq_q.
 
-    Larger root of z^2*q*eq_q - z*B*eq_q + p*eq_p = 0. Raises when eq_q
-    is zero or when the discriminant is negative (no real boost level can
-    lift the batch mean back to the rare expectation).
+    Larger root of z^2*q*eq_q - z*B*eq_q + p*eq_p = 0, with eq_q and eq_p
+    over the power of two that brings eq_q into [0.5, 1), which keeps the
+    roots. Raises when eq_q is zero, when |eq_p/eq_q| or the root
+    overflows, or when the discriminant is negative (no real boost level
+    can lift the batch mean back to the rare expectation).
     """
     if case.eq_q == 0.0:
         raise ValueError("eq_q must be nonzero")
-    a = case.q * case.eq_q
-    b = -case.B * case.eq_q
-    c = case.p * case.eq_p
+    e = math.frexp(case.eq_q)[1]
+    eq_q, eq_p = math.ldexp(case.eq_q, -e), _ldexp("zeta", case.eq_p if case.p else 0.0, -e)
+    a, b, c = case.q * eq_q, -case.B * eq_q, case.p * eq_p
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        raise ValueError(
-            "negative discriminant: no real boost magnitude recovers eq_q"
-        )
+        raise ValueError("negative discriminant: no real boost magnitude recovers eq_q")
     sq = math.sqrt(disc)
-    return max((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
+    return _ldexp("zeta", max((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)), 0)
 
 
 def boosted_batch_mean(case: BatchCompositionCase, rho: float) -> float:
@@ -369,7 +378,22 @@ def boosted_batch_mean(case: BatchCompositionCase, rho: float) -> float:
         raise ValueError(f"rho must be finite, got {rho}")
     if not rho > 0.0:  # zeta is often below 1; written so that NaN fails the check
         raise ValueError(f"rho must be > 0, got {rho}")
-    return (case.q * rho * case.eq_q + case.p * case.eq_p / rho) / case.B
+    return _boosted_mean(case, rho, "boosted_batch_mean")
+
+
+def _boosted_mean(case: BatchCompositionCase, rho: float, name: str) -> float:
+    """``boosted_batch_mean``, whose overflow raises a ValueError naming ``name``.
+
+    With rho = m * 2**k, eq_q * 2**k and eq_p / 2**k are first scaled by the
+    2**-e that brings the larger into [0.5, 1) (eq_p counts only when p > 0):
+    no step overflows, and a mean that the unscaled form gives as a normal
+    float keeps its bytes.
+    """
+    m, k = math.frexp(rho)
+    eq_p = case.eq_p if case.p else math.copysign(0.0, case.eq_p)
+    e = max((math.frexp(v)[1] + s for v, s in ((case.eq_q, k), (eq_p, -k)) if v), default=0)
+    eq_q, eq_p = math.ldexp(case.eq_q, k - e), math.ldexp(eq_p, -k - e)
+    return _ldexp(name, (case.q * m * eq_q + case.p * eq_p / m) / case.B, e)
 
 
 CASE2_RTOL = 1e-9  # how close |eq_q/eq_p| must be to p/q for full cancellation
@@ -378,18 +402,19 @@ CASE2_RTOL = 1e-9  # how close |eq_q/eq_p| must be to p/q for full cancellation
 def batch_error_case(case: BatchCompositionCase) -> tuple[float, float, int]:
     """Batch mean, its deviation from the rare expectation, and the case label.
 
-    Returns (E(g^b), e_k, label). E(g^b) = (q*eq_q + p*eq_p)/B and
-    e_k = |eq_q - E(g^b)|. Label 2 (full cancellation) needs opposing
-    signs and |eq_q/eq_p| equal to p/q within CASE2_RTOL; label 3 needs
-    opposing signs and a ratio below p/q; everything else is label 1.
+    Returns (E(g^b), e_k, label). E(g^b) = (q*eq_q + p*eq_p)/B, the
+    boosted batch mean at rho = 1, and e_k = |eq_q - E(g^b)|. Label 2 (full
+    cancellation) needs opposing signs and |eq_q/eq_p| equal to p/q within
+    CASE2_RTOL; label 3 needs opposing signs and a ratio below p/q;
+    everything else is label 1.
     """
-    e_gb = (case.q * case.eq_q + case.p * case.eq_p) / case.B
-    e_k = abs(case.eq_q - e_gb)
+    e_gb = _boosted_mean(case, 1.0, "batch_error_case")
+    e_k = _ldexp("batch_error_case", abs(case.eq_q - e_gb), 0)
     if case.p == 0 or case.eq_p == 0.0:
         return e_gb, e_k, 1
     ratio = abs(case.eq_q / case.eq_p)
     target = case.p / case.q
-    opposing = case.eq_q * case.eq_p < 0.0
+    opposing = min(case.eq_q, case.eq_p) < 0.0 < max(case.eq_q, case.eq_p)
     if opposing and math.isclose(ratio, target, rel_tol=CASE2_RTOL):
         return e_gb, e_k, 2
     if opposing and ratio < target:

@@ -7,16 +7,7 @@ import dataclasses
 import functools
 import sys
 
-from . import experiments
-from .experiments import ExperimentConfig, _parse_value, load_config_file
-
-_RUNNERS = {
-    "lemma-check": experiments.run_lemma_check,
-    "momentum-sim": experiments.run_momentum_sim,
-    "train-lines": experiments.run_train_lines,
-    "qlen-demo": experiments.run_qlen_demo,
-    "zeta-table": experiments.run_zeta_table,
-}
+from .experiments import COMMANDS, ExperimentConfig, _parse_value, load_config_file, takes
 
 _FIELDS = dataclasses.fields(ExperimentConfig)
 # config field -> its flag: --<field> with "-" for "_", unless the field names its own
@@ -37,7 +28,7 @@ def _field_type(name: str):
 
 def build_parser() -> argparse.ArgumentParser:
     commands = "".join(
-        f"\n  {name:<14}{run.__doc__.splitlines()[0].lower()}" for name, run in _RUNNERS.items()
+        f"\n  {name:<14}{run.__doc__.splitlines()[0].lower()}" for name, run in COMMANDS.items()
     )
     parser = argparse.ArgumentParser(
         prog="gradqueue",
@@ -46,14 +37,16 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("command", choices=_RUNNERS, metavar="command", help="listed below")
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help="listed below")
     parser.add_argument("--config", help="flat key=value config file; flags override it")
     for f in _FIELDS:
         if f.type == "bool":  # a switch away from the default
             kind = {"action": "store_false" if f.default else "store_true"}
         else:
             kind = {"type": _field_type(f.name)}
-        parser.add_argument(_OPTIONS[f.name], dest=f.name, help=f.metadata["help"], **kind)
+        readers = ", ".join(c for c in COMMANDS if f.name in takes(c))
+        help_text = f"{f.metadata['help']} ({readers})"
+        parser.add_argument(_OPTIONS[f.name], dest=f.name, help=help_text, **kind)
     return parser
 
 
@@ -97,10 +90,16 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file, if any, with every flag given on the command line applied over it."""
-    path = getattr(args, "config", None)
-    cfg = load_config_file(path) if path else ExperimentConfig()
+    """The config file, if any, with every flag given on the command line applied over it.
+
+    A flag or config key that the command does not take raises ``ValueError``.
+    """
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    unread = [_OPTIONS[name] for name in flags if name not in takes(args.command)]
+    if unread:
+        raise ValueError(f"{args.command} does not read {', '.join(unread)}")
+    path = getattr(args, "config", None)
+    cfg = load_config_file(path, args.command) if path else ExperimentConfig()
     return dataclasses.replace(cfg, **flags)
 
 
@@ -108,7 +107,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         cfg = config_from_args(args)
-        result = _RUNNERS[args.command](cfg)
+        result = COMMANDS[args.command](cfg)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

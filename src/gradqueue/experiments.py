@@ -1,14 +1,16 @@
 """Experiment runners behind the command-line interface.
 
 Each runner returns a RunResult with CSV-ready rows, a human-readable
-summary and an exit code (nonzero when a built-in check failed). Output
-files start with the full configuration as ``# key=value`` comment lines
-so every run is reproducible from its own artifact.
+summary and an exit code (nonzero when a built-in check failed). Each is
+registered in ``COMMANDS`` with the settings it reads: its only CLI options
+but ``--output``, and its CSV's ``# key=value`` header, so every run can be
+redone from its own file, which has the same bytes wherever it is written.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +41,7 @@ from .nn import batch_loss  # noqa: F401
 from .optimizers import AdamState, OptimizerConfig, SgdmState
 
 __all__ = [
+    "COMMANDS",
     "ExperimentConfig",
     "RunResult",
     "expand_seeds",
@@ -49,6 +52,7 @@ __all__ = [
     "run_train_lines",
     "run_qlen_demo",
     "run_zeta_table",
+    "takes",
 ]
 
 LEMMA_TOL = 1e-10
@@ -61,14 +65,14 @@ def _option(default, help_text: str, flag: str | None = None):
 
 @dataclass
 class ExperimentConfig:
-    """Every setting of a run; each field is the CLI option ``cli`` builds from it."""
+    """Every runner's settings; each field is the CLI option ``cli`` builds from it."""
 
     # optimizer
     learning_rate: float = _option(0.05, "learning rate", flag="--alpha")
     beta: float = _option(0.9, "momentum coefficient")
     rho: float = _option(3.0, "boost clamp constant")
     capacity: int = _option(3, "gradient queue length")
-    boost_enabled: bool = _option(True, "disable the boost in train-lines", flag="--no-boost")
+    boost_enabled: bool = _option(True, "disable the boost", flag="--no-boost")
     use_adam: bool = _option(False, "use Adam instead of SGDM", flag="--adam")
     k: int | None = _option(None, "cluster count (default: batch_size/optimal_batch)")
     # periodic test signal
@@ -89,14 +93,11 @@ class ExperimentConfig:
     window: int = _option(2, "loss window size")
     min_length: int = _option(3, "minimum effective queue length")
     max_length: int = _option(5, "maximum effective queue length")
-    pattern: str = _option("staged", "qlen-demo loss feed: decreasing|flat|staged|train")
+    pattern: str = _option("staged", "loss feed: decreasing|flat|staged|train")
     # custom batch composition for the zeta table
-    eq_q: float | None = _option(None, "rare-group expected gradient (zeta-table)")
-    eq_p: float | None = _option(None, "frequent-group expected gradient (zeta-table)")
+    eq_q: float | None = _option(None, "rare-group expected gradient")
+    eq_p: float | None = _option(None, "frequent-group expected gradient")
     output: str | None = _option(None, "CSV output path")
-
-    def provenance(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -134,19 +135,24 @@ def _parse_value(name: str, raw: str):
     return value
 
 
-def load_config_file(path) -> ExperimentConfig:
-    """Read flat key=value lines into an ExperimentConfig; errors name ``path:lineno``."""
+def load_config_file(path, command: str | None = None) -> ExperimentConfig:
+    """Read flat key=value lines into an ExperimentConfig; errors name ``path:lineno``.
+
+    Given a ``command``, a key it does not take (``takes``) is refused.
+    """
     settings = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             try:
                 if not sep:
                     raise ValueError(f"expected key=value, got {line!r}")
-                settings[key.strip()] = _parse_value(key.strip(), value)
+                settings[key] = _parse_value(key, value)
+                if command and key not in takes(command):
+                    raise ValueError(f"{command} does not read {key}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return ExperimentConfig(**settings)
@@ -186,17 +192,19 @@ def _format_column(cells: tuple) -> list[str] | tuple:
     return list(map(_COLUMN_FORMATS.get(kind, _fmt), cells))
 
 
-def write_csv(path, result: RunResult, cfg: ExperimentConfig) -> None:
+def write_csv(path, result: RunResult, cfg: ExperimentConfig, settings) -> None:
     """Write the provenance header, the column names and the rows.
 
-    Cells are formatted a column at a time (``_format_column``). A row
-    whose width differs from ``result.columns`` raises ``ValueError``
-    before the file is opened.
+    The header holds one ``# key=value`` line per field of ``cfg`` named
+    in ``settings``, in field order. Cells are formatted a column at a
+    time (``_format_column``). A row whose width differs from
+    ``result.columns`` raises ``ValueError`` before the file is opened.
     """
     width, rows = len(result.columns), result.rows
     if not set(map(len, rows)) <= {width}:
         raise ValueError(f"every row must have {width} cells, one per column")
-    lines = [f"# {k}={v}" for k, v in cfg.provenance().items()]
+    names = [f.name for f in dataclasses.fields(cfg) if f.name in settings]
+    lines = [f"# {name}={getattr(cfg, name)}" for name in names]
     lines.append(",".join(result.columns))
     if width:
         lines += map(",".join, zip(*map(_format_column, zip(*rows))))
@@ -206,26 +214,44 @@ def write_csv(path, result: RunResult, cfg: ExperimentConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _maybe_write(result: RunResult, cfg: ExperimentConfig) -> RunResult:
-    if cfg.output:
-        write_csv(cfg.output, result, cfg)
-    return result
+COMMANDS = {}  # command name -> its runner, in the order the CLI lists them
+# the settings that train-lines and qlen-demo --pattern train both read
+TRAINING = ("learning_rate", "beta", "use_adam", "steps", "seed", "height", "width", "p", "q")
+TRAINING += ("noise_std", "batch_size")
+
+
+def _command(name: str, *settings: str):
+    """Register a runner as command ``name`` that reads exactly the fields ``settings``.
+
+    The registered runner keeps them as ``.settings`` and writes its CSV to
+    ``cfg.output``, if that is set, with them as the header.
+    """
+
+    def register(run):
+        @functools.wraps(run)
+        def run_and_write(cfg: ExperimentConfig) -> RunResult:
+            result = run(cfg)
+            if cfg.output:
+                write_csv(cfg.output, result, cfg, settings)
+            return result
+
+        run_and_write.settings = settings
+        COMMANDS[name] = run_and_write
+        return run_and_write
+
+    return register
+
+
+def takes(command: str) -> tuple[str, ...]:
+    """The fields whose options ``command`` takes: those it reads, and ``output``."""
+    return (*COMMANDS[command].settings, "output")
 
 
 # ---------------------------------------------------------------------------
 # lemma-check
 
 
-def _check_row(name, params, closed, simulated, rel_errs: dict):
-    """One evaluated check's CSV row; its rel_err is appended to rel_errs[name]."""
-    abs_err = abs(closed - simulated)
-    denom = max(abs(closed), abs(simulated))
-    rel_err = abs_err / denom if denom > 0 else 0.0
-    status = "pass" if rel_err <= LEMMA_TOL else "fail"
-    rel_errs.setdefault(name, []).append(rel_err)
-    return [name, params, _fmt(closed), _fmt(simulated), _fmt(abs_err), _fmt(rel_err), status]
-
-
+@_command("lemma-check", "beta", "N")
 def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
     """Verify every closed form against its independent simulator.
 
@@ -238,6 +264,15 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
     rows = []
     rel_errs: dict[str, list[float]] = {}  # check family -> rel_err of each evaluated cell
 
+    def check(name, params, closed, simulated):
+        """Add one evaluated cell's row; its rel_err goes to rel_errs[name]."""
+        abs_err = abs(closed - simulated)
+        denom = max(abs(closed), abs(simulated))
+        rel_err = abs_err / denom if denom > 0 else 0.0
+        status = "pass" if rel_err <= LEMMA_TOL else "fail"
+        rel_errs.setdefault(name, []).append(rel_err)
+        rows.append([name, params, *map(_fmt, (closed, simulated, abs_err, rel_err)), status])
+
     # plain momentum closed form vs direct recurrence
     for beta in (0.5, 0.9, 0.99):
         for N in (3, 5, 9, 20):
@@ -245,15 +280,9 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
                 spec = SparseSignalSpec(C=C, u=u, N=N)
                 sim = simulate_momentum(spec, beta, steps=10 * N)
                 for k in range(1, 11):
-                    rows.append(
-                        _check_row(
-                            "momentum_closed_form",
-                            f"beta={beta} N={N} k={k} u={u} C={C}",
-                            lemma1_closed(spec, beta, k),
-                            sim[k * N - 1],
-                            rel_errs,
-                        )
-                    )
+                    cell = f"beta={beta} N={N} k={k} u={u} C={C}"
+                    closed = lemma1_closed(spec, beta, k)
+                    check("momentum_closed_form", cell, closed, sim[k * N - 1])
 
     # saturated-queue damping factor vs the real boost operator
     for L in (4, 5, 8, 17):
@@ -264,15 +293,7 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
                 queue.push([u])
             queue.push([C])
             boosted = delta_rho(np.array([u]), queue.stats(), BoostConfig(rho=rho))
-            rows.append(
-                _check_row(
-                    "saturated_queue_damping",
-                    f"L={L} rho={rho}",
-                    lemma2_phi(L, rho),
-                    float(boosted[0] / u),
-                    rel_errs,
-                )
-            )
+            check("saturated_queue_damping", f"L={L} rho={rho}", lemma2_phi(L, rho), boosted[0] / u)
 
     # boosted momentum closed form vs the substitution-rule simulator
     for L in (3, 4):
@@ -281,32 +302,16 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
                 params_nk = f"L={L} N={N} rho={rho}"
                 if L >= N - 1:
                     for k in range(1, 6):
-                        rows.append(
-                            [
-                                "boosted_momentum_closed_form",
-                                f"{params_nk} k={k}",
-                                "",
-                                "",
-                                "",
-                                "",
-                                "skip: regime requires L < N-1",
-                            ]
-                        )
+                        skip = ["", "", "", "", "skip: regime requires L < N-1"]
+                        rows.append(["boosted_momentum_closed_form", f"{params_nk} k={k}", *skip])
                     continue
                 spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
                 params = LemmaParams(beta=cfg.beta, rho=rho, L=L)
                 # one run serves every k, read at t = kN
                 sim = simulate_lemma3_momentum(spec, params, steps=5 * N)
                 for k in range(1, 6):
-                    rows.append(
-                        _check_row(
-                            "boosted_momentum_closed_form",
-                            f"{params_nk} k={k}",
-                            lemma3_closed(spec, params, k),
-                            sim[k * N - 1],
-                            rel_errs,
-                        )
-                    )
+                    cell, closed = f"{params_nk} k={k}", lemma3_closed(spec, params, k)
+                    check("boosted_momentum_closed_form", cell, closed, sim[k * N - 1])
 
     n_pass = sum(1 for r in rows if r[-1] == "pass")
     n_fail = sum(1 for r in rows if r[-1] == "fail")
@@ -321,20 +326,20 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
         f"lemma-check: {n_pass} pass, {n_fail} fail, {n_skip} skipped\n"
         f"worst rel_err: {worst}\n{bound_note}"
     )
-    result = RunResult(
+    return RunResult(
         columns=["check", "params", "closed", "simulated", "abs_err", "rel_err", "status"],
         rows=rows,
         summary=summary,
         exit_code=1 if n_fail else 0,
         extras={"n_pass": n_pass, "n_fail": n_fail, "n_skip": n_skip},
     )
-    return _maybe_write(result, cfg)
 
 
 # ---------------------------------------------------------------------------
 # momentum-sim
 
 
+@_command("momentum-sim", "steps", "N", "C", "u", "beta", "rho", "capacity")
 def run_momentum_sim(cfg: ExperimentConfig) -> RunResult:
     """Plain vs boosted momentum trajectories on the periodic test signal."""
     if cfg.steps < cfg.N:
@@ -355,10 +360,7 @@ def run_momentum_sim(cfg: ExperimentConfig) -> RunResult:
         f"qlen={cfg.capacity}; at t={last_period}: "
         f"plain={plain[last_period - 1]:.6g}, boosted={boosted[last_period - 1]:.6g}"
     )
-    return _maybe_write(
-        RunResult(columns=["t", "g_t", "m_plain", "m_boosted"], rows=rows, summary=summary),
-        cfg,
-    )
+    return RunResult(columns=["t", "g_t", "m_plain", "m_boosted"], rows=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +494,7 @@ def _train_setup(cfg: ExperimentConfig):
     return seeds, dataset, (distinct, inverse), model, batch_size, schedule
 
 
+@_command("train-lines", *TRAINING, "rho", "capacity", "boost_enabled", "k", "optimal_batch")
 def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     """Paired training runs (plain SGDM vs boosted) from one initialization.
 
@@ -519,22 +522,12 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
         f"final loss: sgdm={plain[-1][0]:.6g} gq={boosted[-1][0]:.6g}\n"
         f"final vertical-filter alignment: sgdm={plain[-1][2]:.4f} gq={boosted[-1][2]:.4f}"
     )
-    return _maybe_write(
-        RunResult(
-            columns=[
-                "step",
-                "loss_sgdm",
-                "loss_gq",
-                "align_f1_sgdm",
-                "align_f1_gq",
-                "align_f2_sgdm",
-                "align_f2_gq",
-            ],
-            rows=rows,
-            summary=summary,
-            extras={"final_plain": plain[-1], "final_boosted": boosted[-1], "k": k},
-        ),
-        cfg,
+    return RunResult(
+        columns=["step", "loss_sgdm", "loss_gq", "align_f1_sgdm", "align_f1_gq",
+                 "align_f2_sgdm", "align_f2_gq"],
+        rows=rows,
+        summary=summary,
+        extras={"final_plain": plain[-1], "final_boosted": boosted[-1], "k": k},
     )
 
 
@@ -560,6 +553,7 @@ def _loss_feed(cfg: ExperimentConfig) -> list[float]:
     raise ValueError(f"unknown pattern {cfg.pattern!r}")
 
 
+@_command("qlen-demo", *TRAINING, "window", "min_length", "max_length", "pattern")
 def run_qlen_demo(cfg: ExperimentConfig) -> RunResult:
     """Feed a loss sequence to the queue-length controller and log its output."""
     if _integer("steps", cfg.steps) < 1:
@@ -577,10 +571,7 @@ def run_qlen_demo(cfg: ExperimentConfig) -> RunResult:
         f"range=[{cfg.min_length}, {cfg.max_length}]; "
         f"observed lengths {min(lengths)}..{max(lengths)}"
     )
-    return _maybe_write(
-        RunResult(columns=["step", "loss", "effective_qlen"], rows=rows, summary=summary),
-        cfg,
-    )
+    return RunResult(columns=["step", "loss", "effective_qlen"], rows=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +589,7 @@ _DEFAULT_COMPOSITIONS = [
 ]
 
 
+@_command("zeta-table", "batch_size", "p", "q", "eq_q", "eq_p")
 def run_zeta_table(cfg: ExperimentConfig) -> RunResult:
     """Batch-composition error cases and the recovery boost magnitude."""
     if (cfg.eq_q is None) != (cfg.eq_p is None):
@@ -612,8 +604,7 @@ def run_zeta_table(cfg: ExperimentConfig) -> RunResult:
         case = BatchCompositionCase(B=B, p=p, q=q, eq_q=eq_q, eq_p=eq_p)
         e_gb, e_k, label = batch_error_case(case)
         try:
-            z = zeta(case)
-            z_out = z
+            z_out = zeta(case)
         except ValueError as exc:
             z_out = ""
             notes.append(f"B={B} p={p} q={q} eq_q={eq_q} eq_p={eq_p}: zeta blank ({exc})")
@@ -621,11 +612,8 @@ def run_zeta_table(cfg: ExperimentConfig) -> RunResult:
     summary = f"zeta-table: {len(rows)} compositions"
     if notes:
         summary += "\n" + "\n".join(notes)
-    return _maybe_write(
-        RunResult(
-            columns=["B", "p", "q", "E(g^q)", "E(g^p)", "E(g^b)", "e_k", "case", "zeta"],
-            rows=rows,
-            summary=summary,
-        ),
-        cfg,
+    return RunResult(
+        columns=["B", "p", "q", "E(g^q)", "E(g^p)", "E(g^b)", "e_k", "case", "zeta"],
+        rows=rows,
+        summary=summary,
     )

@@ -1,4 +1,7 @@
 import math
+import sys
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -452,6 +455,89 @@ class TestBatchErrorCases:
             BatchCompositionCase(B=10, p=10, q=0, eq_q=1.0, eq_p=1.0)
 
 
+# magnitudes from the smallest subnormal to the largest float, of both signs
+MAGNITUDES = [5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-150, 0.3, 1.0, 7.5, 1e150, 1e300, 1.7e308]
+GRADIENTS = [0.0] + [sign * m for m in MAGNITUDES for sign in (1.0, -1.0)]
+COMPOSITIONS = [(10, 9, 1), (100, 95, 5), (7, 3, 4), (1, 0, 1)]
+RHOS = [5e-324, 1e-300, 0.5, 3.0, 1e300, sys.float_info.max]
+FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def exact_sqrt(x: Fraction) -> Fraction:
+    """sqrt(x) to within 2**-200 of itself, for x >= 1."""
+    return Fraction(math.isqrt(x.numerator * x.denominator * 4**200), x.denominator * 2**200)
+
+
+class TestFiniteInputsOfAnyMagnitude:
+    """zeta, boosted_batch_mean and batch_error_case against exact rational arithmetic.
+
+    Each returns a value within 1e-12 of the exact one, relative to the
+    magnitudes it is formed from (a sum that cancels can lose the rest), or
+    raises a ValueError that names it, and only when the exact value, or for
+    zeta the ratio eq_p/eq_q, lies beyond the float range.
+    """
+
+    def assert_close(self, name, call, exact, scale):
+        try:
+            got = call()
+        except ValueError as exc:
+            assert str(exc) == f"{name}: out of the float range"
+            return False
+        tolerance = Fraction(1, 10**12) * scale + Fraction(2.0**-1074)
+        assert math.isfinite(got) and abs(Fraction(got) - exact) <= tolerance, (got, float(exact))
+        return True
+
+    @pytest.mark.parametrize("B, p, q", COMPOSITIONS)
+    def test_batch_error_case_and_boosted_batch_mean(self, B, p, q):
+        for eq_q, eq_p in product(GRADIENTS, GRADIENTS):
+            case = BatchCompositionCase(B=B, p=p, q=q, eq_q=eq_q, eq_p=eq_p)
+            rare, frequent = Fraction(eq_q), Fraction(eq_p)
+            e_gb = (q * rare + p * frequent) / B
+            size = (q * abs(rare) + p * abs(frequent)) / B
+            for value, exact, scale in ((0, e_gb, size), (1, abs(rare - e_gb), abs(rare) + size)):
+                if not self.assert_close(
+                    "batch_error_case", lambda: batch_error_case(case)[value], exact, scale
+                ):
+                    assert max(abs(e_gb), abs(rare - e_gb)) > FLOAT_MAX
+            for rho in RHOS:
+                r = Fraction(rho)
+                exact = (q * r * rare + p * frequent / r) / B
+                scale = (q * r * abs(rare) + p * abs(frequent) / r) / B
+                call = lambda: boosted_batch_mean(case, rho)  # noqa: E731
+                if not self.assert_close("boosted_batch_mean", call, exact, scale):
+                    assert abs(exact) > FLOAT_MAX
+
+    @pytest.mark.parametrize("B, p, q", COMPOSITIONS)
+    def test_zeta(self, B, p, q):
+        # opposite signs, or no frequent samples: the discriminant is at least B**2
+        for eq_q, eq_p in product(GRADIENTS, GRADIENTS):
+            if eq_q == 0.0 or (p and (eq_p == 0.0 or (eq_q > 0.0) == (eq_p > 0.0))):
+                continue
+            case = BatchCompositionCase(B=B, p=p, q=q, eq_q=eq_q, eq_p=eq_p)
+            ratio = Fraction(eq_p) / Fraction(eq_q) if p else Fraction(0)
+            exact = (B + exact_sqrt(B * B - 4 * q * p * ratio)) / (2 * q)
+            if not self.assert_close("zeta", lambda: zeta(case), exact, exact):
+                assert abs(ratio) * 8 * p * q > FLOAT_MAX
+
+    def test_the_cases_that_overflowed(self):
+        # the unscaled forms gave -inf, inf and nan here
+        case = BatchCompositionCase(B=10, p=9, q=1, eq_q=1e308, eq_p=-1e307)
+        assert batch_error_case(case) == (pytest.approx(1e306, rel=1e-15), 9.9e307, 1)
+        assert zeta(case) == pytest.approx((10 + math.sqrt(103.6)) / 2, rel=1e-15)
+        assert boosted_batch_mean(case, 2.0) == pytest.approx(1.55e307, rel=1e-15)
+        worked = BatchCompositionCase(B=100, p=95, q=5, eq_q=1.0, eq_p=-0.04)
+        with pytest.raises(ValueError, match="^boosted_batch_mean: out of the float range$"):
+            boosted_batch_mean(worked, 1e-320)
+        huge = BatchCompositionCase(B=10, p=9, q=1, eq_q=1e308, eq_p=-1e308)
+        with pytest.raises(ValueError, match="^batch_error_case: out of the float range$"):
+            batch_error_case(huge)  # e_k = 1.8e308
+
+    def test_opposing_signs_that_underflow_as_a_product(self):
+        # 1e-300 * -1e-300 rounds to -0.0, but the signs still oppose: |ratio| 1 < p/q 19
+        case = BatchCompositionCase(B=100, p=95, q=5, eq_q=1e-300, eq_p=-1e-300)
+        assert batch_error_case(case)[2] == 3
+
+
 SPEC = SparseSignalSpec(C=5.0, u=-1.0, N=5)
 PARAMS = LemmaParams(beta=0.9, rho=3.0, L=2)
 CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
@@ -524,6 +610,10 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         (lambda: SparseSignalSpec(C=math.inf, u=-1.0, N=5), "C must be finite, got inf"),
         (lambda: SparseSignalSpec(C=5.0, u=-math.inf, N=5), "u must be finite, got -inf"),
         (lambda: SparseSignalSpec(C=5.0, u=math.nan, N=5), "u must be finite, got nan"),
+        (
+            lambda: BatchCompositionCase(B=2**53 + 1, p=2**53, q=1, eq_q=1.0, eq_p=-0.1),
+            "B must be <= 2**53, got 9007199254740993",
+        ),
         (
             lambda: BatchCompositionCase(B=10, p=9, q=1, eq_q=math.nan, eq_p=-0.1),
             "eq_q must be finite, got nan",
@@ -604,6 +694,7 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         "sparse-signal-C-inf",
         "sparse-signal-u-minus-inf",
         "sparse-signal-u-nan",
+        "batch-composition-B-beyond-exact-floats",
         "batch-composition-eq-q-nan",
         "batch-composition-eq-q-minus-inf",
         "batch-composition-eq-p-inf",

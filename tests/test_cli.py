@@ -7,7 +7,7 @@ import pytest
 
 from gradqueue import cli
 from gradqueue.cli import main
-from gradqueue.experiments import ExperimentConfig
+from gradqueue.experiments import COMMANDS, TRAINING, ExperimentConfig, takes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,16 +44,37 @@ SAMPLES = {
     float: ["0.25", "-0.001", "1e-3", "2"],
     str: ["flat", "out/x.csv"],
 }
-COMMANDS = sorted(cli._RUNNERS)
+SWITCHES = {"--no-boost": "boost_enabled", "--adam": "use_adam"}
+FIELDS = {**SWITCHES, **{flag: field for flag, (field, _) in OLD_FLAGS.items()}}  # flag -> field
 
 
 def parse(argv):
     return cli.config_from_args(cli.build_parser().parse_args(argv))
 
 
+def readers(flag):
+    """The commands that take ``flag``, in the order the CLI lists them."""
+    return [command for command in COMMANDS if FIELDS[flag] in takes(command)]
+
+
+def test_each_command_takes_only_what_it_reads():
+    settings = {command: run.settings for command, run in COMMANDS.items()}
+    assert " ".join(settings) == "lemma-check momentum-sim train-lines qlen-demo zeta-table"
+    assert settings["lemma-check"] == ("beta", "N")
+    assert settings["momentum-sim"] == ("steps", "N", "C", "u", "beta", "rho", "capacity")
+    assert settings["zeta-table"] == ("batch_size", "p", "q", "eq_q", "eq_p")
+    shared = ("rho", "capacity", "boost_enabled", "k", "optimal_batch")
+    assert settings["train-lines"] == (*TRAINING, *shared)
+    assert settings["qlen-demo"] == (*TRAINING, "window", "min_length", "max_length", "pattern")
+    # 2 + 7 + 16 + 15 + 5 command-setting pairs, and --output on each command
+    assert [len(takes(command)) for command in COMMANDS] == [3, 8, 17, 16, 6]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_old_flag_parses_as_before(command):
     for flag, (field, ftype) in OLD_FLAGS.items():
+        if command not in readers(flag):
+            continue  # test_unread_option_exits_2
         for raw in SAMPLES[ftype]:
             cfg = parse([command, flag, raw])
             value = getattr(cfg, field)
@@ -61,20 +82,86 @@ def test_every_old_flag_parses_as_before(command):
             assert cfg == dataclasses.replace(ExperimentConfig(), **{field: value})
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_switches(command):
+@pytest.mark.parametrize(
+    "command, switches, flipped",
+    [
+        ("train-lines", ["--no-boost", "--adam"], {"boost_enabled": False, "use_adam": True}),
+        ("qlen-demo", ["--adam"], {"use_adam": True}),
+    ],
+)
+def test_switches(command, switches, flipped):
     assert parse([command]) == ExperimentConfig()
-    cfg = parse([command, "--no-boost", "--adam"])
-    assert cfg.boost_enabled is False and cfg.use_adam is True
-    assert cfg == dataclasses.replace(ExperimentConfig(), boost_enabled=False, use_adam=True)
+    assert parse([command, *switches]) == dataclasses.replace(ExperimentConfig(), **flipped)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_flags_override_the_config_file(command, tmp_path):
+@pytest.mark.parametrize(
+    "command, text, flags, want",
+    [
+        ("momentum-sim", "steps=10\nN=5\n", ["--steps", "15"], {"steps": 15, "N": 5}),
+        (
+            "train-lines",
+            "steps=10\nboost_enabled=true\nuse_adam=true\n",
+            ["--steps", "15", "--no-boost"],
+            {"steps": 15, "boost_enabled": False, "use_adam": True},
+        ),
+        ("lemma-check", "N=5\noutput=a.csv\n", ["--output", "b"], {"N": 5, "output": "b"}),
+    ],
+)
+def test_flags_override_the_config_file(command, text, flags, want, tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("steps=10\nN=5\nboost_enabled=true\nuse_adam=true\n")
-    cfg = parse([command, "--config", str(path), "--steps", "15", "--no-boost"])
-    assert (cfg.steps, cfg.N, cfg.boost_enabled, cfg.use_adam) == (15, 5, False, True)
+    path.write_text(text)
+    cfg = parse([command, "--config", str(path), *flags])
+    assert cfg == dataclasses.replace(ExperimentConfig(), **want)
+
+
+UNREAD = [  # every option a command does not take, with a value it would parse
+    (command, flag, [] if flag in SWITCHES else [SAMPLES[OLD_FLAGS[flag][1]][0]])
+    for command in COMMANDS
+    for flag in [*OLD_FLAGS, *SWITCHES]
+    if command not in readers(flag)
+]
+
+
+def test_unread_options_are_counted():
+    # 130 command-option pairs (5 commands, 26 fields) less the 50 that are taken
+    assert len(UNREAD) == 5 * 26 - 50
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD)
+def test_unread_option_exits_2(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, flag, *value, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {command} does not read {flag}\n"
+    assert not out.exists()
+
+
+def test_unread_options_are_all_named(capsys):
+    # a prefix is named by the option it resolves to, and options come in argv order
+    assert main(["--u", "2", "train-lines", "--steps", "2", "--eq-p", "1", "--C", "3"]) == 2
+    assert capsys.readouterr().err == "error: train-lines does not read --u, --eq-p, --C\n"
+    assert main(["lemma-check", "--ste", "9", "--N", "4"]) == 2
+    assert capsys.readouterr().err == "error: lemma-check does not read --steps\n"
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD)
+def test_unread_config_key_exits_2(command, flag, value, tmp_path, capsys):
+    field = FIELDS[flag]
+    path, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    path.write_text(f"# a comment\n\n{field} = {value[0] if value else 'false'}\n")
+    assert main([command, "--config", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: {command} does not read {field}\n"
+    assert not out.exists()
+
+
+def test_help_names_the_commands_that_take_each_option():
+    for action in cli.build_parser()._actions:
+        if action.dest in cli._OPTIONS:
+            names = ", ".join(c for c in COMMANDS if action.dest in takes(c))
+            assert action.help.endswith(f" ({names})"), action.option_strings
+    helps = {a.option_strings[-1]: a.help for a in cli.build_parser()._actions if a.option_strings}
+    assert helps["--N"] == "sparse period (lemma-check, momentum-sim)"
+    every = "(lemma-check, momentum-sim, train-lines, qlen-demo, zeta-table)"
+    assert helps["--output"].endswith(every)
 
 
 def test_options_are_the_old_ones():
@@ -88,9 +175,10 @@ def test_flags_may_come_before_the_command():
 
 
 def test_none_clears_an_optional_field():
-    cfg = parse(["train-lines", "--k", "none", "--eq-q", "None", "--output", " NONE "])
-    assert cfg.k is None and cfg.eq_q is None and cfg.output is None
-    assert parse(["zeta-table", "--k", "3", "--k", "none"]).k is None
+    cfg = parse(["train-lines", "--k", "none", "--output", " NONE "])
+    assert cfg.k is None and cfg.output is None
+    assert parse(["zeta-table", "--eq-q", "None", "--eq-p", "-1"]).eq_q is None
+    assert parse(["train-lines", "--k", "3", "--k", "none"]).k is None
 
 
 @pytest.mark.parametrize(
@@ -140,11 +228,12 @@ NON_FINITE = ["nan", "inf", "-inf", "1e999"]
 
 
 @pytest.mark.parametrize("raw", NON_FINITE)
-@pytest.mark.parametrize("flag", FLOAT_FLAGS)
-@pytest.mark.parametrize("command", ["momentum-sim", "train-lines", "zeta-table"])
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for flag in FLOAT_FLAGS for command in readers(flag)]
+)
 def test_non_finite_float_flag_exits_2(command, flag, raw, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    argv = [command, flag, raw, "--steps", "12", "--N", "3", "--output", str(out)]
+    argv = [command, flag, raw, "--output", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -158,8 +247,8 @@ def test_non_finite_float_in_config_file_exits_2(raw, tmp_path, capsys):
     path = tmp_path / "run.cfg"
     for flag in FLOAT_FLAGS:
         field = OLD_FLAGS[flag][0]
-        path.write_text(f"steps=12\n{field} = {raw}\n")
-        assert main(["momentum-sim", "--config", str(path)]) == 2
+        path.write_text(f"output=unwritten.csv\n{field} = {raw}\n")
+        assert main([readers(flag)[0], "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:2: {field} must be finite, got '{raw}'"), err
 
@@ -171,13 +260,16 @@ def test_non_finite_float_in_config_file_exits_2(raw, tmp_path, capsys):
         ["--eq-p", "-4e-2"],
         ["--u", "-1"],
         ["--beta", "-2.5E+1"],
-        ["--C", "-.5e2", "--eq-q", "-7e0"],
+        ["--C", "-.5e2", "--u", "-7e0"],
+        ["--eq-q", "-7e0", "--eq-p", "-.5e2"],
     ],
 )
 def test_negative_values_in_exponent_form(spaced):
     pairs = list(zip(spaced[::2], spaced[1::2]))
     joined = [f"{flag}={value}" for flag, value in pairs]
-    for command in COMMANDS:
+    commands = [c for c in COMMANDS if all(c in readers(flag) for flag, _ in pairs)]
+    assert commands
+    for command in commands:
         cfg = cli.config_from_args(cli.parse_args([command, *spaced]))
         assert cfg == cli.config_from_args(cli.parse_args([command, *joined]))
         assert cfg == parse([command, *joined])
@@ -195,9 +287,10 @@ def test_flags_keep_parsing_after_joins():
 FLOAT_FLAG_PREFIXES = [flag[:n] for flag in FLOAT_FLAGS for n in range(3, len(flag) + 1)]
 
 
-@pytest.mark.parametrize("command", ["momentum-sim", "zeta-table"])
-def test_abbreviated_flags_take_exponent_form_negatives(command):
-    # argparse takes a prefix of exactly one long option for that option
+@pytest.mark.parametrize("reader", [0, -1])
+def test_abbreviated_flags_take_exponent_form_negatives(reader):
+    # argparse takes a prefix of exactly one long option for that option, on the first and
+    # the last command that takes it
     actions = cli.build_parser()._actions
     long_options = [o for a in actions for o in a.option_strings if o.startswith("--")]
     for prefix in FLOAT_FLAG_PREFIXES:
@@ -205,36 +298,47 @@ def test_abbreviated_flags_take_exponent_form_negatives(command):
         if prefix not in OLD_FLAGS and len(options) > 1:
             continue  # ambiguous: test_ambiguous_abbreviation_exits_2
         flag = prefix if prefix in OLD_FLAGS else options[0]
+        command = readers(flag)[reader]
         cfg = cli.config_from_args(cli.parse_args([command, prefix, "-1e-3"]))
         assert cfg == cli.config_from_args(cli.parse_args([command, f"{prefix}=-1e-3"])), prefix
         assert getattr(cfg, OLD_FLAGS[flag][0]) == -1e-3, prefix
 
 
 @pytest.mark.parametrize(
-    "spaced, field, value",
+    "command, spaced, field, value",
     [
-        (["--alp", "-1e-3"], "learning_rate", -1e-3),
-        (["--eq-p", "-4e-2"], "eq_p", -4e-2),
-        (["--cap", "-3"], "capacity", -3),
-        (["--noi", "-2.5E+1", "--r", "-1e0"], "noise_std", -25.0),
+        ("train-lines", ["--alp", "-1e-3"], "learning_rate", -1e-3),
+        ("zeta-table", ["--eq-p", "-4e-2"], "eq_p", -4e-2),
+        ("momentum-sim", ["--cap", "-3"], "capacity", -3),
+        ("train-lines", ["--noi", "-2.5E+1", "--r", "-1e0"], "noise_std", -25.0),
     ],
 )
-def test_named_abbreviations_match_their_equals_forms(spaced, field, value):
+def test_named_abbreviations_match_their_equals_forms(command, spaced, field, value):
     joined = [f"{flag}={raw}" for flag, raw in zip(spaced[::2], spaced[1::2])]
-    cfg = cli.config_from_args(cli.parse_args(["momentum-sim", *spaced]))
-    assert cfg == cli.config_from_args(cli.parse_args(["momentum-sim", *joined]))
+    cfg = cli.config_from_args(cli.parse_args([command, *spaced]))
+    assert cfg == cli.config_from_args(cli.parse_args([command, *joined]))
     assert getattr(cfg, field) == value
 
 
-@pytest.mark.parametrize("prefix", ["--eq-", "--eq", "--c", "--n", "--m", "--b"])
+@pytest.mark.parametrize(
+    "command, prefix",
+    [
+        ("zeta-table", "--eq-"),
+        ("zeta-table", "--eq"),
+        ("momentum-sim", "--c"),
+        ("train-lines", "--n"),
+        ("qlen-demo", "--m"),
+        ("train-lines", "--b"),
+    ],
+)
 @pytest.mark.parametrize("raw", ["-1e-3", "1"])
-def test_ambiguous_abbreviation_exits_2(prefix, raw, capsys):
+def test_ambiguous_abbreviation_exits_2(command, prefix, raw, capsys):
     # a negative number is joined to the prefix before it, so argparse names the joined
     # token; any other value stays a token of its own, and argparse names the prefix alone
     spaced = f"{prefix}={raw}" if raw.startswith("-") else prefix
     for argv, named in (([prefix, raw], spaced), ([f"{prefix}={raw}"], f"{prefix}={raw}")):
         with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["momentum-sim", *argv])
+            cli.parse_args([command, *argv])
         assert exc.value.code == 2
         assert f"error: ambiguous option: {named} could match" in capsys.readouterr().err, argv
 
@@ -244,7 +348,7 @@ def test_ambiguous_abbreviation_exits_2(prefix, raw, capsys):
 def test_switch_given_a_negative_number_exits_2(switch, raw, capsys):
     # the number is joined to the switch before it, and argparse refuses a switch given a value
     with pytest.raises(SystemExit) as exc:
-        cli.parse_args(["momentum-sim", switch, raw])
+        cli.parse_args(["train-lines", switch, raw])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and f"ignored explicit argument '{raw}'" in err
@@ -292,6 +396,25 @@ def test_repeated_main_writes_the_same_bytes(tmp_path, capsys):
     assert stdout.count("worst rel_err: momentum_closed_form ") == 2
 
 
+RERUNS = [
+    ["lemma-check"],
+    ["momentum-sim", "--steps", "40"],
+    ["train-lines", "--steps", "3", "--p", "8", "--q", "2", "--batch-size", "10"],
+    ["qlen-demo", "--steps", "30"],
+    ["zeta-table"],
+]
+
+
+@pytest.mark.parametrize("argv", RERUNS, ids=lambda argv: argv[0])
+def test_reruns_to_different_paths_write_the_same_bytes(argv, tmp_path, capsys):
+    paths = [tmp_path / "a.csv", tmp_path / "elsewhere" / "b.csv"]
+    paths[1].parent.mkdir()
+    for path in paths:
+        assert main([*argv, "--output", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert b"output" not in paths[0].read_bytes()
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["zeta-table", "--output", str(tmp_path / "missing-dir" / "z.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -330,6 +453,16 @@ SMALL_TRAIN = ["--p", "8", "--q", "2", "--batch-size", "10"]
         (["zeta-table", "--eq-q", "1.0"], "eq_q and eq_p must be given together"),
         (["zeta-table", "--eq-p", "-0.5"], "eq_q and eq_p must be given together"),
         (["zeta-table", "--eq-q", "1.0", "--eq-p", "none"], "eq_q and eq_p must be given together"),
+        (
+            ["zeta-table", "--eq-q", "1", "--eq-p", "-1", "--p", str(10**400), "--q", "1"]
+            + ["--batch-size", str(10**400 + 1)],
+            f"B must be <= 2**53, got {10**400 + 1}",
+        ),
+        (  # e_k = 1.8e308; the unscaled forms wrote -inf, inf and nan
+            ["zeta-table", "--eq-q", "1e308", "--eq-p", "-1e308", "--p", "9", "--q", "1"]
+            + ["--batch-size", "10"],
+            "batch_error_case: out of the float range",
+        ),
     ],
 )
 def test_refused_settings_exit_2_before_writing(argv, message, tmp_path, capsys):
@@ -355,7 +488,7 @@ def readme_commands():
 def test_readme_lists_every_command_once():
     argvs = readme_commands()
     assert all(argv[0] == "gradqueue" for argv in argvs)
-    assert sorted(argv[1] for argv in argvs) == COMMANDS
+    assert sorted(argv[1] for argv in argvs) == sorted(COMMANDS)
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[1])
@@ -367,4 +500,8 @@ def test_readme_example_runs(argv, tmp_path, capsys):
     else:
         argv += ["--output", str(out)]
     assert main(argv) == 0
-    assert out.read_text().startswith("# learning_rate=")
+    # the header: the settings the command reads, in field order, and no output path
+    header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+    settings = COMMANDS[argv[0]].settings
+    reads = [f"# {f.name}" for f in dataclasses.fields(ExperimentConfig) if f.name in settings]
+    assert [line.partition("=")[0] for line in header] == reads

@@ -23,6 +23,7 @@ from gradqueue import (
 )
 from gradqueue.cli import main
 from gradqueue.experiments import (
+    COMMANDS,
     ExperimentConfig,
     expand_seeds,
     load_config_file,
@@ -83,6 +84,8 @@ class TestSeedsAndConfig:
         cfg = ExperimentConfig(steps=12, N=3, output=str(out))
         run_momentum_sim(cfg)
         provenance, header, rows = read_csv(out)
+        # the settings momentum-sim reads, in field order, and no output path
+        assert list(provenance) == ["beta", "rho", "capacity", "u", "C", "N", "steps"]
         assert provenance["steps"] == "12"
         assert provenance["rho"] == "3.0"
         assert header == ["t", "g_t", "m_plain", "m_boosted"]
@@ -644,6 +647,13 @@ class TestZetaTable:
         assert len(blanks) == 1
         assert "zeta blank" in result.summary
 
+    def test_largest_gradients_give_finite_cells(self):
+        # the unscaled forms wrote an infinite zeta here
+        cfg = ExperimentConfig(batch_size=10, p=9, q=1, eq_q=1e308, eq_p=-1e307)
+        (row,) = run_zeta_table(cfg).rows
+        assert all(math.isfinite(cell) for cell in row[5:7] + row[8:])
+        assert row[8] == pytest.approx((10 + math.sqrt(103.6)) / 2, rel=1e-15)
+
 
 class TestCli:
     def test_lemma_check_exit_zero(self, capsys):
@@ -701,14 +711,53 @@ class TestCli:
 
         out = tmp_path / "f.csv"
         result = RunResult(columns=["x"], rows=[[0.1 + 0.2]], summary="")
-        write_csv(out, result, ExperimentConfig())
+        write_csv(out, result, ExperimentConfig(), ())
         _, _, rows = read_csv(out)
         assert float(rows[0][0]) == 0.1 + 0.2  # repr round-trips exactly
 
 
-def reference_csv(path, result, cfg):
+# a value other than the default for every field but output
+NON_DEFAULT = dict(
+    learning_rate=0.02, beta=0.8, rho=2.0, capacity=4, boost_enabled=False, use_adam=True, k=1,
+    u=-2.0, C=7.0, N=5, steps=11, height=6, width=6, p=12, q=3, noise_std=0.1, seed=3,
+    batch_size=7, optimal_batch=5, window=3, min_length=2, max_length=6, pattern="flat",
+    eq_q=1.0, eq_p=-0.5,
+)
+# each runner at settings under which it reads every field it takes
+BASES = {
+    "lemma-check": {},
+    "momentum-sim": {"steps": 30},
+    "train-lines": {"steps": 3, "p": 8, "q": 2, "batch_size": 10},
+    "qlen-demo": {"pattern": "train", "steps": 3, "p": 8, "q": 2, "batch_size": 10},
+    "zeta-table": {"batch_size": 10, "p": 9, "q": 1, "eq_q": 2.0, "eq_p": -0.25},
+}
+UNREAD_FIELDS = [
+    (command, f.name)
+    for command, run in COMMANDS.items()
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in (*run.settings, "output")
+]
+
+
+def test_non_default_values_differ_from_the_defaults():
+    defaults = dataclasses.asdict(ExperimentConfig())
+    assert set(NON_DEFAULT) == set(defaults) - {"output"}
+    assert all(NON_DEFAULT[name] != defaults[name] for name in NON_DEFAULT)
+    assert len(UNREAD_FIELDS) == 5 * 25 - 45
+
+
+@pytest.mark.parametrize("command, name", UNREAD_FIELDS)
+def test_a_runner_reads_no_field_outside_its_settings(command, name):
+    # the settings table is complete: a field the runner does not list changes nothing
+    run, cfg = COMMANDS[command], ExperimentConfig(**BASES[command])
+    results = [run(cfg), run(dataclasses.replace(cfg, **{name: NON_DEFAULT[name]}))]
+    rows, summary, code = zip(*((repr(r.rows), r.summary, r.exit_code) for r in results))
+    assert rows[0] == rows[1] and summary[0] == summary[1] and code[0] == code[1] == 0
+
+
+def reference_csv(path, result, cfg, settings):
     """The per-cell writer ``write_csv`` replaced: ``_fmt`` on each cell of each row."""
-    lines = [f"# {k}={v}" for k, v in cfg.provenance().items()]
+    lines = [f"# {k}={v}" for k, v in dataclasses.asdict(cfg).items() if k in settings]
     lines.append(",".join(result.columns))
     for row in result.rows:
         lines.append(",".join(experiments._fmt(v) for v in row))
@@ -734,11 +783,11 @@ ODD_CELLS = [
 
 
 class TestWriteCsv:
-    def assert_same_bytes(self, tmp_path, columns, rows, cfg=None):
+    def assert_same_bytes(self, tmp_path, columns, rows, cfg=None, settings=("beta", "seed")):
         cfg = cfg or ExperimentConfig()
         result = experiments.RunResult(columns=columns, rows=rows, summary="")
-        write_csv(tmp_path / "got.csv", result, cfg)
-        reference_csv(tmp_path / "want.csv", result, cfg)
+        write_csv(tmp_path / "got.csv", result, cfg, settings)
+        reference_csv(tmp_path / "want.csv", result, cfg, settings)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         return got
@@ -774,7 +823,7 @@ class TestWriteCsv:
         out = tmp_path / "ragged.csv"
         result = experiments.RunResult(columns=["a", "b"], rows=rows, summary="")
         with pytest.raises(ValueError, match="every row must have 2 cells"):
-            write_csv(out, result, ExperimentConfig())
+            write_csv(out, result, ExperimentConfig(), ())
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -797,7 +846,10 @@ class TestWriteCsv:
     def test_runner_csvs_match_the_cell_writer(self, run, settings, tmp_path):
         cfg = ExperimentConfig(**settings)
         result = run(cfg)
-        self.assert_same_bytes(tmp_path, result.columns, result.rows, cfg)
+        self.assert_same_bytes(tmp_path, result.columns, result.rows, cfg, run.settings)
+        # the runner's own file is the same, written by it
+        run(dataclasses.replace(cfg, output=str(tmp_path / "own.csv")))
+        assert (tmp_path / "own.csv").read_bytes() == (tmp_path / "got.csv").read_bytes()
 
     def test_momentum_rows_are_the_trajectories(self):
         cfg = ExperimentConfig(steps=90, N=9, C=2.0)

@@ -1,8 +1,9 @@
 """Golden bytes: each CLI run's CSV, and lemma-check's stdout, equal pinned digests.
 
 A refactor that keeps behaviour keeps these bytes; one that changes a summation
-order, a format or a default does not. The runs write to a fixed relative path,
-because the CSV header records ``# output=<path>``. The digests were taken with
+order, a format or a default does not. The CSV header records the settings the
+command reads and not the output path, so the file's bytes do not depend on
+where it is written (tests/test_cli.py checks that). The digests were taken with
 numpy 2.4.6 and glibc 2.36 on x86-64. The training runs compute no BLAS product,
 and their ``exp``/``log1p`` run in longdouble, which numpy computes with the C
 library's ``expl``/``log1pl`` and no SIMD loop: neither the OpenBLAS kernel nor
@@ -18,32 +19,32 @@ from gradqueue.cli import main
 
 GOLDEN = {
     "train-lines --steps 200 --seed 0": (
-        "6cafe6eda9b3afe2bb1afbb7a9154de17c97cdfd415217c2f3fa681dd6e38515"
+        "6a98bece2181935610283a993f93cc05e97ffb44ffa12e07b454f59d34748555"
     ),
     "train-lines --height 12 --width 12 --p 190 --q 10 --batch-size 20 --optimal-batch 20"
-    " --steps 100 --seed 1": "0a552d77c6944d0d7a30b3c5909230d74d690f0015beb7131cd66449537dcc1c",
+    " --steps 100 --seed 1": "2be6eabf74a7bd9423ff6dea938d43cb70ec7d63f89e9213764deb98fcadb7c6",
     "train-lines --adam --steps 60 --k 3 --batch-size 40 --seed 2": (
-        "684d3b004469f93a85dc184c4b3ceca92f6c5b62c985238207037a40e5b9cb74"
+        "b6e444a5d3ba3a9f513f4b4b762dd88df549b7a10a28dac14a35a1c631b3331a"
     ),
     # one image per batch, and a dataset of one distinct image (two 3x3 images, one lit row)
     "train-lines --batch-size 1 --k 1": (
-        "98cccbaffed2f3388b88f90399b942536d1be66be26fd5001f3cfc89ed63b84a"
+        "c22e83e3cb73f204d9db15dafcfe692ef94f5a39aad1db964c3dee1b2d43fc2d"
     ),
     "train-lines --p 2 --q 0 --height 3 --width 3 --batch-size 2 --k 1": (
-        "05713ff747a67275de31cd8bc1ce610e28ef3779ec941e1cbc93a966ba970f1b"
+        "617a483521bc97e0039d062d73b61b4459a35a63e4f9b69335ec4442c7336bec"
     ),
-    "lemma-check": "b70ec962e6167fbef01cc0462733c25e377853a3ae7df1fc699345b65e822193",
+    "lemma-check": "153918980a38cebb6fc03b9218a6ef5b750e3f9cec7d78e827a8f07c2db9a3a2",
     "momentum-sim --steps 500 --N 7 --C 9 --capacity 4": (
-        "3389040e9b900ec92ff9a558f449f1a37a0bb35aaf7e08e201fa4d94428dbd4b"
+        "bc686c5f500a718db4a06e4d4558ac93ffaa9aaf1406c7003d0aa610160c0603"
     ),
     # a one-coordinate window of 9 entries: its sums run oldest first from 0.0, not pairwise
     "momentum-sim --steps 400 --N 20 --capacity 9 --C 2.7 --u -1.3": (
-        "2db87b5deaecf243c29eee29d81236a211470921f75b40aade7b8cd6c1504e78"
+        "9bf80e66f6a0f0041606e3835e4b1ea9bfad6c56b70e79d3221bf167e4fba0e6"
     ),
-    "zeta-table": "bce14c0d653544c22d8043883cd50cd40147e081777bda2d284a9774a35bea01",
-    "qlen-demo --steps 300": "70c6da1fe1c6e66b97ca92332dd989aaf3dae2c453a0d3bcbed7dc490145ee71",
+    "zeta-table": "756c74e7d2756d0934ef6e92d72e396b33b91079c33f12a0c4eeb7ba11d14082",
+    "qlen-demo --steps 300": "74546911791da5af59c2a46fddfbd932530fdd0e6663ad47be2a1f7141f18bce",
     "qlen-demo --pattern train --steps 30": (
-        "b63e47716235c46ff1db6df27a178176269632c6c4a1ceb89b920d89000f92e3"
+        "bda6227f97ff2766bd203e9ef98dc92efa1c0a8224d1d283bc09c31e00e94c5e"
     ),
 }
 LEMMA_CHECK_STDOUT = "fec7e1a11ddc1476812c7ebda20a005e09473dd215d234ef94f91dea317e1ebe"
