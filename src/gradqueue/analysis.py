@@ -5,6 +5,7 @@ value C every N steps and a repeating value u otherwise. The closed forms
 predict the momentum at the end of each period, with and without the
 boost operator; the simulators recompute the same quantities by running
 the recurrences directly, so each closed form has an independent check.
+Integer arguments are checked by ``core._at_least``, type before bound.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoostConfig, GradQueue, _check_rho, _integer, delta_rho
+from .core import BoostConfig, GradQueue, _at_least, _check_beta, _check_rho, delta_rho
 
 __all__ = [
     "SparseSignalSpec",
@@ -28,7 +29,6 @@ __all__ = [
     "lemma2_phi",
     "lemma3_closed",
     "threshold_plain",
-    "threshold_plain_reported",
     "threshold_boosted",
     "zeta",
     "boosted_batch_mean",
@@ -38,16 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SparseSignalSpec:
-    """Periodic scalar stream: value C at every N-th step, u otherwise."""
+    """Periodic scalar stream: value C at every N-th step (N >= 3), u otherwise."""
 
     C: float
     u: float
     N: int
 
     def __post_init__(self):
-        if not self.N >= 3:  # written so that NaN fails the check
-            raise ValueError(f"sparse period N must be >= 3, got {self.N}")
-        _integer("sparse period N", self.N)
+        object.__setattr__(self, "N", _at_least("N", self.N, 3))
         _check_finite(self, "C", "u")
 
 
@@ -55,8 +53,8 @@ class SparseSignalSpec:
 class LemmaParams:
     """Momentum/boost parameters for the closed-form analysis.
 
-    beta is the momentum coefficient, rho the boost clamp and L the queue
-    length.
+    beta is the momentum coefficient, rho the boost clamp and L (>= 0) the
+    queue length.
     """
 
     beta: float
@@ -64,12 +62,9 @@ class LemmaParams:
     L: int
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        _check_beta(self.beta)
+        _check_closed_beta(self.beta)
         _check_rho(self.rho)
-        if not self.L >= 0:
-            raise ValueError("queue length L must be non-negative")
-        _integer("queue length L", self.L)
+        object.__setattr__(self, "L", _at_least("L", self.L, 0))
 
 
 @dataclass(frozen=True)
@@ -87,12 +82,11 @@ class BatchCompositionCase:
     eq_p: float
 
     def __post_init__(self):
-        if self.B < 1 or self.q < 1 or self.p < 0:
-            raise ValueError("need B >= 1, q >= 1, p >= 0")
+        # stored as ints: numpy integer arithmetic could wrap
+        for name, low in (("B", 1), ("p", 0), ("q", 1)):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), low))
         if self.p + self.q != self.B:
             raise ValueError(f"p + q must equal B ({self.p} + {self.q} != {self.B})")
-        for name in ("B", "p", "q"):  # stored as ints: numpy integer arithmetic could wrap
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.B > 2**53:  # so that B, p and q convert to floats exactly
             raise ValueError(f"B must be <= 2**53, got {self.B}")
         _check_finite(self, "eq_q", "eq_p")
@@ -105,16 +99,21 @@ def _check_finite(spec, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
 
 
-def _check_beta(beta: float) -> None:
+def _check_closed_beta(beta: float) -> None:
+    """The closed forms' rule: beta in (0, 1), as ``_check_beta`` without plain SGD."""
     if not 0.0 < beta < 1.0:  # written so that NaN fails the check
         raise ValueError("beta must lie in (0, 1)")
 
 
+def _check_regime(L: int, N: int) -> None:
+    """Lemma 3's regime: the queue saturates between rare events, L < N - 1."""
+    if L >= N - 1:
+        raise ValueError(f"lemma 3 requires L < N - 1, got L={L}, N={N}")
+
+
 def sparse_signal(t: int, spec: SparseSignalSpec) -> float:
     """Value of the periodic stream at step t (t >= 1)."""
-    if t < 1:
-        raise ValueError("the stream starts at t = 1")
-    return spec.C if t % spec.N == 0 else spec.u
+    return spec.C if _at_least("t", t, 1) % spec.N == 0 else spec.u
 
 
 def geometric_sum(beta: float, x: int) -> float:
@@ -135,12 +134,8 @@ def simulate_momentum(spec: SparseSignalSpec, beta: float, steps: int) -> np.nda
 
     g_t is computed inline, as ``sparse_signal`` defines it.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    steps = _integer("steps", steps)
-    # OptimizerConfig's rule: beta = 0 is plain SGD, whose trajectory is the signal itself
-    if not 0.0 <= beta < 1.0:  # written so that NaN fails the check
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    steps = _at_least("steps", steps, 1)
+    _check_beta(beta)  # OptimizerConfig's rule: beta = 0 is plain SGD, the signal itself
     C, u, N = spec.C, spec.u, spec.N
     out = []
     m = 0.0
@@ -156,10 +151,8 @@ def lemma1_closed(spec: SparseSignalSpec, beta: float, k: int) -> float:
     m_{kN} = (sum_j beta^{jN}) * (u*beta*beta_{N-1} + C); matches
     ``simulate_momentum`` at t = k*N.
     """
-    if not k >= 1:  # written so that NaN fails the check
-        raise ValueError("k must be >= 1")
-    _integer("k", k)
-    _check_beta(beta)
+    k = _at_least("k", k, 1)
+    _check_closed_beta(beta)
     cycle = spec.u * beta * geometric_sum(beta, spec.N - 1) + spec.C
     return period_sum(beta, spec.N, k) * cycle
 
@@ -168,27 +161,13 @@ def threshold_plain(N: int, beta: float) -> float:
     """|C/u| bound above which plain momentum at t = kN follows sign(C).
 
     Equals beta * beta_{N-1}: the accumulated weight of the N-1 repeating
-    steps that the single rare step has to overcome.
+    steps that the single rare step has to overcome. Commonly tabulated
+    round values (2.44 at N=3, 5.51 at N=9 for beta=0.9) index the window
+    one step on: they are ``threshold_plain(N + 1, beta)``.
     """
-    if N < 3:
-        raise ValueError("N must be >= 3")
-    _integer("N", N)
-    _check_beta(beta)
+    N = _at_least("N", N, 3)
+    _check_closed_beta(beta)
     return beta * geometric_sum(beta, N - 1)
-
-
-def threshold_plain_reported(N: int, beta: float) -> float:
-    """Variant of ``threshold_plain`` with the window extended one step.
-
-    Computes beta * beta_N. Kept alongside the canonical bound because
-    commonly tabulated round values (2.44 at N=3, 5.51 at N=9 for
-    beta=0.9) follow this indexing.
-    """
-    if N < 3:
-        raise ValueError("N must be >= 3")
-    _integer("N", N)
-    _check_beta(beta)
-    return beta * geometric_sum(beta, N)
 
 
 def lemma2_phi(L: int, rho: float) -> float:
@@ -198,9 +177,7 @@ def lemma2_phi(L: int, rho: float) -> float:
     is exactly 1/sqrt(L-1), so the boost scales u by
     max(1/sqrt(L-1), 1/rho).
     """
-    if L < 3:
-        raise ValueError("queue length L must be >= 3")
-    _integer("queue length L", L)
+    L = _at_least("L", L, 3)
     _check_rho(rho)
     return max(1.0 / math.sqrt(L - 1), 1.0 / rho)
 
@@ -223,14 +200,9 @@ def lemma3_closed(spec: SparseSignalSpec, params: LemmaParams, k: int) -> float:
     rare value is still in the queue and by 1/rho afterwards (gamma
     term); each rare step contributes rho*C.
     """
-    if not k >= 1:  # written so that NaN fails the check
-        raise ValueError("period index k must be >= 1")
-    _integer("period index k", k)
+    k = _at_least("k", k, 1)
     N = spec.N
-    if params.L >= N - 1:
-        raise ValueError(
-            f"closed form requires L < N - 1 (got L={params.L}, N={N})"
-        )
+    _check_regime(params.L, N)
     phi = lemma2_phi(params.L, params.rho)
     head, tail = _gamma_head_tail(N, params)
     gamma0 = head + tail
@@ -247,13 +219,8 @@ def threshold_boosted(N: int, params: LemmaParams) -> float:
     Equals (beta * gamma0_{N-1}) / rho, always below ``threshold_plain``
     for rho > 1; the gap approaches rho^2 as L/N goes to zero.
     """
-    if N < 3:
-        raise ValueError("N must be >= 3")
-    if params.L >= N - 1:
-        raise ValueError(
-            f"bound requires L < N - 1 (got L={params.L}, N={N})"
-        )
-    _integer("N", N)
+    N = _at_least("N", N, 3)
+    _check_regime(params.L, N)
     head, tail = _gamma_head_tail(N, params)
     return params.beta * (head + tail) / params.rho
 
@@ -265,7 +232,7 @@ def simulate_gq_momentum(
 ) -> np.ndarray:
     """Boosted momentum trajectory computed mechanistically.
 
-    Feeds the periodic stream through a real queue of capacity L and the
+    Feeds the periodic stream through a real queue of capacity L (>= 1) and the
     real boost operator; each step accumulates m_t = beta*m_{t-1} +
     boosted(g_t) and then pushes the raw g_t. The boost is the identity
     until the queue is ``warmed_up`` (min(3, L) entries, the optimizer
@@ -281,11 +248,8 @@ def simulate_gq_momentum(
     later step reuses b_t = b_{t-N}, and the momentum is accumulated in
     step order as before.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    steps = _integer("steps", steps)
-    if params.L < 1:
-        raise ValueError("the mechanistic simulation needs L >= 1")
+    steps = _at_least("steps", steps, 1)
+    _at_least("L", params.L, 1)
     queue = GradQueue(capacity=params.L)
     cfg = BoostConfig(rho=params.rho)
     N = spec.N
@@ -317,14 +281,9 @@ def simulate_lemma3_momentum(
     first L repeating steps contribute phi*u (rare value still queued),
     the rest u/rho. Every rare step contributes rho*C.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    steps = _integer("steps", steps)
+    steps = _at_least("steps", steps, 1)
     N = spec.N
-    if params.L >= N - 1:
-        raise ValueError(
-            f"substitution rules require L < N - 1 (got L={params.L}, N={N})"
-        )
+    _check_regime(params.L, N)
     phi = lemma2_phi(params.L, params.rho)
     beta, rho, L = params.beta, params.rho, params.L
     out = np.empty(steps)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoostConfig, QueueStats, _integer, delta_rho
+from .core import BoostConfig, QueueStats, _at_least, delta_rho
 
 __all__ = [
     "ClusterAssignment",
@@ -303,16 +303,11 @@ def kmeans(
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     B = X.shape[0]
-    k = _integer("k", k)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    k = _at_least("k", k, 1)
     if k > B:
         raise ValueError(f"k={k} exceeds the number of samples B={B}")
-    n_init = _integer("n_init", n_init)
-    if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
-    if _integer("seed", seed) < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n_init = _at_least("n_init", n_init, 1)
+    seed = _at_least("seed", seed, 0)
 
     if init_centroids is not None:
         starts = np.asarray(init_centroids, dtype=float)[None]
@@ -367,6 +362,6 @@ def aggregate(
 
 def choose_k(batch_size: int, optimal_batch: int) -> int:
     """Cluster count as the rounded ratio of batch size to the optimal size."""
-    if _integer("batch_size", batch_size) < 1 or _integer("optimal_batch", optimal_batch) < 1:
-        raise ValueError("batch_size and optimal_batch must be positive")
+    batch_size = _at_least("batch_size", batch_size, 1)
+    optimal_batch = _at_least("optimal_batch", optimal_batch, 1)
     return max(1, round(batch_size / optimal_batch))

@@ -69,6 +69,20 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _at_least(name: str, value, low: int) -> int:
+    """value as an int >= low: the one rule for a bounded integer setting, type before range."""
+    value = _integer(name, value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _check_beta(beta: float) -> None:
+    """The one rule for a momentum coefficient: beta in [0, 1), where 0 is plain SGD."""
+    if not 0.0 <= beta < 1.0:  # written so that NaN fails the check
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+
+
 def _check_rho(rho: float) -> None:
     """The one rule for the boost clamp: rho is finite and >= 1."""
     if math.isinf(rho):
@@ -89,9 +103,7 @@ class QueueStats:
     sample_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_count", _integer("sample_count", self.sample_count))
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        object.__setattr__(self, "sample_count", _at_least("sample_count", self.sample_count, 1))
         # read-only views: the caller's arrays stay writable, and nothing is copied
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)).view())
         object.__setattr__(self, "std", np.atleast_1d(np.asarray(self.std, float)).view())
@@ -139,9 +151,7 @@ class GradQueue:
     """
 
     def __init__(self, capacity: int):
-        self.capacity = _integer("capacity", capacity)
-        if self.capacity < 1:
-            raise ValueError("capacity must be a positive integer")
+        self.capacity = _at_least("capacity", capacity, 1)
         self._ring: np.ndarray | None = None
         self._dim: int | None = None
         self._next = 0  # the slot the next push writes
@@ -345,13 +355,9 @@ class QueueLengthController:
     """
 
     def __init__(self, window: int = 2, min_length: int = 3, max_length: int = 5):
-        self.window = _integer("window", window)
-        self.min_length = _integer("min_length", min_length)
-        self.max_length = _integer("max_length", max_length)
-        if self.window < 1:
-            raise ValueError("window must be a positive integer")
-        if not 1 <= self.min_length <= self.max_length:
-            raise ValueError("need 1 <= min_length <= max_length")
+        self.window = _at_least("window", window, 1)
+        self.min_length = _at_least("min_length", min_length, 1)
+        self.max_length = _at_least("max_length", max_length, self.min_length)
         if self.window > self.max_length:
             raise ValueError("window must not exceed max_length")
         self.loss_history: deque[float] = deque(maxlen=self.window)

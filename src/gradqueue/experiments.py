@@ -20,6 +20,7 @@ from .analysis import (
     BatchCompositionCase,
     LemmaParams,
     SparseSignalSpec,
+    _check_regime,
     batch_error_case,
     lemma1_closed,
     lemma2_phi,
@@ -29,12 +30,11 @@ from .analysis import (
     simulate_momentum,
     sparse_signal,
     threshold_plain,
-    threshold_plain_reported,
     zeta,
 )
 from . import optimizers
 from .clustering import aggregate, choose_k, kmeans
-from .core import BoostConfig, GradQueue, QueueLengthController, _integer, delta_rho
+from .core import BoostConfig, GradQueue, QueueLengthController, _at_least, delta_rho
 from .nn import LineDetectorModel, Windows, generate_lines, per_sample_grads, template_alignment
 # bound here although unused: perfbench/tracing.py wraps it by name
 from .nn import batch_loss  # noqa: F401
@@ -160,9 +160,7 @@ def load_config_file(path, command: str | None = None) -> ExperimentConfig:
 
 def expand_seeds(master: int) -> dict[str, int]:
     """Deterministically derive dataset/init/clustering seeds from one master seed."""
-    if _integer("seed", master) < 0:
-        raise ValueError(f"seed must be >= 0, got {master}")
-    children = np.random.SeedSequence(master).spawn(3)
+    children = np.random.SeedSequence(_at_least("seed", master, 0)).spawn(3)
     names = ("dataset", "init", "clustering")
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
@@ -300,7 +298,9 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
         for N in (5, 9, 20):
             for rho in (2.0, 3.0, 5.0):
                 params_nk = f"L={L} N={N} rho={rho}"
-                if L >= N - 1:
+                try:
+                    _check_regime(L, N)
+                except ValueError:
                     for k in range(1, 6):
                         skip = ["", "", "", "", "skip: regime requires L < N-1"]
                         rows.append(["boosted_momentum_closed_form", f"{params_nk} k={k}", *skip])
@@ -319,7 +319,7 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
     bound_note = (
         f"plain |C/u| bound at beta={cfg.beta}, N={cfg.N}: "
         f"{threshold_plain(cfg.N, cfg.beta):.6g} "
-        f"(one-step-extended variant {threshold_plain_reported(cfg.N, cfg.beta):.6g})"
+        f"(one-step-extended variant {threshold_plain(cfg.N + 1, cfg.beta):.6g})"
     )
     worst = ", ".join(f"{name} {np.max(errs):.3g}" for name, errs in rel_errs.items())
     summary = (
@@ -342,9 +342,8 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
 @_command("momentum-sim", "steps", "N", "C", "u", "beta", "rho", "capacity")
 def run_momentum_sim(cfg: ExperimentConfig) -> RunResult:
     """Plain vs boosted momentum trajectories on the periodic test signal."""
-    if cfg.steps < cfg.N:
-        raise ValueError("steps must be at least N")
     spec = SparseSignalSpec(C=cfg.C, u=cfg.u, N=cfg.N)
+    _at_least("steps", cfg.steps, spec.N)
     params = LemmaParams(beta=cfg.beta, rho=cfg.rho, L=cfg.capacity)
     plain = simulate_momentum(spec, cfg.beta, cfg.steps)
     boosted = simulate_gq_momentum(spec, params, cfg.steps)
@@ -380,6 +379,7 @@ def _batch_schedule(n: int, batch_size: int, steps: int, rng: np.random.Generato
     return order[: steps * batch_size].reshape(steps, batch_size)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: ExperimentConfig, runs):
     """Training runs in lockstep (SGDM or Adam); each run's per-step (loss, align_f1, align_f2).
 
@@ -412,7 +412,9 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     once no run is left, or at the end; a later run can never supply it,
     and no history is returned, so the cut changes no result. Of runs
     (plain, boosted), the plain one's error is raised, as when they ran
-    one after the other.
+    one after the other. A divergence error names rho only for a run that
+    boosts, and is all a diverging run reports: overflow and invalid-value
+    warnings are off for the call.
     """
     boost_cfg = BoostConfig(rho=cfg.rho)
     opt_cfgs = [OptimizerConfig(cfg.learning_rate, cfg.beta, boost_cfg, b) for b, _, _ in runs]
@@ -449,9 +451,10 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
         losses = np.mean(np.take(losses, inverse, axis=-1), axis=-1).tolist()
         for r, loss in enumerate(losses):
             if not np.isfinite(loss):
+                boost = f"rho={cfg.rho}, boost=True" if runs[r][0] else "boost=False"
                 live, error = r, RuntimeError(
                     f"divergence: non-finite loss at step {step + 1} "
-                    f"(lr={cfg.learning_rate}, rho={cfg.rho}, boost={runs[r][0]})"
+                    f"(lr={cfg.learning_rate}, {boost})"
                 )
                 break
         if not live:
@@ -476,10 +479,7 @@ def _train_setup(cfg: ExperimentConfig):
     there; grouping by label keeps equal images with different labels
     apart, as their losses and gradients differ.
     """
-    if _integer("steps", cfg.steps) < 1:
-        raise ValueError("steps must be >= 1")
-    if _integer("batch_size", cfg.batch_size) < 1:
-        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    _at_least("batch_size", cfg.batch_size, 1)
     seeds = expand_seeds(cfg.seed)
     dataset = generate_lines(
         cfg.height, cfg.width, cfg.p, cfg.q, cfg.noise_std, seeds["dataset"]
@@ -502,12 +502,11 @@ def run_train_lines(cfg: ExperimentConfig) -> RunResult:
     differs. Both runs advance together in one ``_train_single`` loop.
     Emits per-step loss and filter-template alignment for both.
     """
+    _at_least("steps", cfg.steps, 1)
     if cfg.k is not None:
-        _integer("k", cfg.k)
+        _at_least("k", cfg.k, 1)
     seeds, dataset, groups, model, batch_size, schedule = _train_setup(cfg)
     k = cfg.k if cfg.k is not None else choose_k(batch_size, cfg.optimal_batch)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if k > batch_size:
         raise ValueError(f"k={k} exceeds the batch size {batch_size}")
 
@@ -555,9 +554,11 @@ def _loss_feed(cfg: ExperimentConfig) -> list[float]:
 
 @_command("qlen-demo", *TRAINING, "window", "min_length", "max_length", "pattern")
 def run_qlen_demo(cfg: ExperimentConfig) -> RunResult:
-    """Feed a loss sequence to the queue-length controller and log its output."""
-    if _integer("steps", cfg.steps) < 1:
-        raise ValueError("steps must be >= 1")
+    """Feed a loss sequence to the queue-length controller and log its output.
+
+    Only ``pattern="train"`` reads the training block beyond ``steps``.
+    """
+    _at_least("steps", cfg.steps, 1)
     controller = QueueLengthController(
         window=cfg.window, min_length=cfg.min_length, max_length=cfg.max_length
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _integer
+from .core import _at_least
 
 __all__ = [
     "IDEAL_HORIZONTAL",
@@ -114,22 +114,20 @@ def generate_lines(
     """p images with one random full row lit, q with one random full column.
 
     Pixels are in [0, 1]; optional additive Gaussian noise is clipped back
-    into range. A size or seed that is not an integer, a negative seed, or
-    a negative or non-finite ``noise_std`` raises ``ValueError``.
-    Deterministic for a fixed seed.
+    into range. A size, count or seed that is not an integer or lies below
+    its bound (3 for a size, 0 for a count or the seed; ``core._at_least``),
+    p + q below 1, or a negative or non-finite ``noise_std`` raises
+    ``ValueError``. Deterministic for a fixed seed.
     """
-    height, width = _integer("height", height), _integer("width", width)
-    p, q = _integer("p", p), _integer("q", q)
-    if height < 3 or width < 3:
-        raise ValueError("images must be at least 3x3")
-    if p < 0 or q < 0 or p + q < 1:
-        raise ValueError("need non-negative counts with p + q >= 1")
+    height, width = _at_least("height", height, 3), _at_least("width", width, 3)
+    p, q = _at_least("p", p, 0), _at_least("q", q, 0)
+    if p + q < 1:
+        raise ValueError("need p + q >= 1")
     if noise_std < 0.0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     if not np.isfinite(noise_std):
         raise ValueError(f"noise_std must be finite, got {noise_std}")
-    if _integer("seed", seed) < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n = p + q
     images = np.zeros((n, height, width))

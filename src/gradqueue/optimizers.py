@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # delta_rho is not called here; it stays importable because perfbench's tracer wraps it by module
-from .core import BoostConfig, GradQueue, _blocks, _widest, delta_rho  # noqa: F401
+from .core import BoostConfig, GradQueue, _blocks, _check_beta, _widest, delta_rho  # noqa: F401
 
 __all__ = ["OptimizerConfig", "SgdmState", "AdamState", "sgdm_step", "adam_step"]
 
@@ -58,8 +58,7 @@ class OptimizerConfig:
         # written so that NaN fails every check
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+        _check_beta(self.beta)
         if not isinstance(self.boost, BoostConfig):
             raise ValueError(f"boost must be a BoostConfig, got {self.boost!r}")
 

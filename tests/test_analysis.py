@@ -26,7 +26,6 @@ from gradqueue import (
     sparse_signal,
     threshold_boosted,
     threshold_plain,
-    threshold_plain_reported,
     zeta,
 )
 from gradqueue import analysis
@@ -105,8 +104,9 @@ class TestThresholds:
         assert threshold_plain(9, 0.9) == pytest.approx(5.12579511, rel=1e-9)
 
     def test_reported_variant_values(self):
-        assert threshold_plain_reported(3, 0.9) == pytest.approx(2.439, rel=1e-9)
-        assert threshold_plain_reported(9, 0.9) == pytest.approx(5.51321560, rel=1e-8)
+        # commonly tabulated round values (2.44 at N=3, 5.51 at N=9) index the window one step on
+        assert threshold_plain(4, 0.9) == pytest.approx(2.439, rel=1e-9)
+        assert threshold_plain(10, 0.9) == pytest.approx(5.51321560, rel=1e-8)
 
     def test_small_beta_limit(self):
         assert threshold_plain(5, 1e-12) == pytest.approx(0.0, abs=1e-11)
@@ -548,33 +548,31 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
     [
         (lambda: LemmaParams(beta=1.0, rho=3.0, L=2), "beta must lie in (0, 1)"),
         (lambda: LemmaParams(beta=0.9, rho=0.5, L=2), "rho must be >= 1"),
-        (lambda: LemmaParams(beta=0.9, rho=3.0, L=-1), "queue length L must be non-negative"),
-        (lambda: lemma3_closed(SPEC, PARAMS, 0), "period index k must be >= 1"),
-        (lambda: simulate_momentum(SPEC, 0.9, 0), "steps must be >= 1"),
-        (lambda: simulate_gq_momentum(SPEC, PARAMS, 0), "steps must be >= 1"),
-        (lambda: simulate_lemma3_momentum(SPEC, PARAMS, 0), "steps must be >= 1"),
+        (lambda: LemmaParams(beta=0.9, rho=3.0, L=-1), "L must be >= 0, got -1"),
+        (lambda: lemma3_closed(SPEC, PARAMS, 0), "k must be >= 1, got 0"),
+        (lambda: simulate_momentum(SPEC, 0.9, 0), "steps must be >= 1, got 0"),
+        (lambda: simulate_gq_momentum(SPEC, PARAMS, 0), "steps must be >= 1, got 0"),
+        (lambda: simulate_lemma3_momentum(SPEC, PARAMS, 0), "steps must be >= 1, got 0"),
         (
             lambda: simulate_gq_momentum(SPEC, LemmaParams(beta=0.9, rho=3.0, L=0), 5),
-            "the mechanistic simulation needs L >= 1",
+            "L must be >= 1, got 0",
         ),
-        (lambda: lemma1_closed(SPEC, 0.9, 0), "k must be >= 1"),
-        (lambda: threshold_plain(2, 0.9), "N must be >= 3"),
-        (lambda: threshold_plain_reported(2, 0.9), "N must be >= 3"),
+        (lambda: lemma1_closed(SPEC, 0.9, 0), "k must be >= 1, got 0"),
+        (lambda: threshold_plain(2, 0.9), "N must be >= 3, got 2"),
         # NaN compares False both ways, so each check is written to fail on it
         (lambda: LemmaParams(beta=0.9, rho=math.nan, L=2), "rho must be >= 1"),
         (lambda: threshold_boosted(9, LemmaParams(0.9, math.nan, 3)), "rho must be >= 1"),
-        (lambda: LemmaParams(beta=0.9, rho=3.0, L=math.nan), "queue length L must be non-negative"),
-        (lambda: lemma3_closed(SPEC, PARAMS, math.nan), "period index k must be >= 1"),
-        (lambda: lemma1_closed(SPEC, 0.9, math.nan), "k must be >= 1"),
-        (lambda: SparseSignalSpec(C=5.0, u=-1.0, N=math.nan), "sparse period N must be >= 3, got nan"),
-        # a fractional period, queue length or period index is refused after the range checks
-        (lambda: SparseSignalSpec(5.0, -1.0, 9.5), "sparse period N must be an integer, got 9.5"),
-        (lambda: LemmaParams(0.9, 3.0, 3.5), "queue length L must be an integer, got 3.5"),
+        (lambda: LemmaParams(beta=0.9, rho=3.0, L=math.nan), "L must be an integer, got nan"),
+        (lambda: lemma3_closed(SPEC, PARAMS, math.nan), "k must be an integer, got nan"),
+        (lambda: lemma1_closed(SPEC, 0.9, math.nan), "k must be an integer, got nan"),
+        (lambda: SparseSignalSpec(C=5.0, u=-1.0, N=math.nan), "N must be an integer, got nan"),
+        # a fractional period, queue length or period index is refused before the range checks
+        (lambda: SparseSignalSpec(5.0, -1.0, 9.5), "N must be an integer, got 9.5"),
+        (lambda: LemmaParams(0.9, 3.0, 3.5), "L must be an integer, got 3.5"),
         (lambda: lemma1_closed(SPEC, 0.9, 1.5), "k must be an integer, got 1.5"),
-        (lambda: lemma3_closed(SPEC, PARAMS, 2.5), "period index k must be an integer, got 2.5"),
-        (lambda: lemma2_phi(3.5, 3.0), "queue length L must be an integer, got 3.5"),
+        (lambda: lemma3_closed(SPEC, PARAMS, 2.5), "k must be an integer, got 2.5"),
+        (lambda: lemma2_phi(3.5, 3.0), "L must be an integer, got 3.5"),
         (lambda: threshold_plain(9.5, 0.9), "N must be an integer, got 9.5"),
-        (lambda: threshold_plain_reported(9.5, 0.9), "N must be an integer, got 9.5"),
         (lambda: threshold_boosted(9.5, PARAMS), "N must be an integer, got 9.5"),
         (lambda: threshold_plain(math.nan, 0.9), "N must be an integer, got nan"),
         # fractional counts and step counts, likewise
@@ -595,8 +593,6 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         (lambda: lemma1_closed(SPEC, math.nan, 2), "beta must lie in (0, 1)"),
         (lambda: threshold_plain(9, 1.0), "beta must lie in (0, 1)"),
         (lambda: threshold_plain(9, math.nan), "beta must lie in (0, 1)"),
-        (lambda: threshold_plain_reported(9, 1.0), "beta must lie in (0, 1)"),
-        (lambda: threshold_plain_reported(9, math.nan), "beta must lie in (0, 1)"),
         (lambda: boosted_batch_mean(CASE, 0.0), "rho must be > 0, got 0.0"),
         (lambda: boosted_batch_mean(CASE, -2.0), "rho must be > 0, got -2.0"),
         (lambda: boosted_batch_mean(CASE, math.nan), "rho must be > 0, got nan"),
@@ -604,7 +600,7 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         (lambda: lemma2_phi(4, 0.5), "rho must be >= 1"),
         (lambda: lemma2_phi(4, math.nan), "rho must be >= 1"),
         (lambda: lemma2_phi(4, 0), "rho must be >= 1"),
-        (lambda: threshold_boosted(2, LemmaParams(0.9, 3.0, 0)), "N must be >= 3"),
+        (lambda: threshold_boosted(2, LemmaParams(0.9, 3.0, 0)), "N must be >= 3, got 2"),
         # a non-finite signal or group expectation would give NaN trajectories and boosts
         (lambda: SparseSignalSpec(C=math.nan, u=-1.0, N=5), "C must be finite, got nan"),
         (lambda: SparseSignalSpec(C=math.inf, u=-1.0, N=5), "C must be finite, got inf"),
@@ -655,7 +651,6 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         "simulate-gq-momentum-L",
         "lemma1-k",
         "threshold-plain-N",
-        "threshold-plain-reported-N",
         "lemma-params-rho-nan",
         "threshold-boosted-rho-nan",
         "lemma-params-L-nan",
@@ -668,7 +663,6 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         "lemma3-k-fractional",
         "lemma2-L-fractional",
         "threshold-plain-N-fractional",
-        "threshold-plain-reported-N-fractional",
         "threshold-boosted-N-fractional",
         "threshold-plain-N-nan",
         "batch-composition-B-fractional",
@@ -681,8 +675,6 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         "lemma1-beta-nan",
         "threshold-plain-beta-one",
         "threshold-plain-beta-nan",
-        "threshold-plain-reported-beta-one",
-        "threshold-plain-reported-beta-nan",
         "boosted-batch-mean-rho-zero",
         "boosted-batch-mean-rho-negative",
         "boosted-batch-mean-rho-nan",
@@ -726,7 +718,6 @@ def test_numpy_integer_sizes_accepted(nine):
     )
     assert lemma2_phi(nine // 3, 3.0) == lemma2_phi(3, 3.0)
     assert threshold_plain(nine, 0.9) == threshold_plain(9, 0.9)
-    assert threshold_plain_reported(nine, 0.9) == threshold_plain_reported(9, 0.9)
     assert threshold_boosted(nine, params) == threshold_boosted(9, LemmaParams(0.9, 3.0, 3))
     spec9, params3 = SparseSignalSpec(5.0, -1.0, 9), LemmaParams(0.9, 3.0, 3)
     steps = nine * 2  # 18, of the same numpy type

@@ -426,11 +426,14 @@ SMALL_TRAIN = ["--p", "8", "--q", "2", "--batch-size", "10"]
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["train-lines", "--steps", "0", *SMALL_TRAIN], "steps must be >= 1"),
-        (["train-lines", "--steps", "-4", *SMALL_TRAIN], "steps must be >= 1"),
-        (["qlen-demo", "--steps", "0"], "steps must be >= 1"),
-        (["qlen-demo", "--steps", "-1", "--pattern", "flat"], "steps must be >= 1"),
-        (["qlen-demo", "--steps", "0", "--pattern", "train", *SMALL_TRAIN], "steps must be >= 1"),
+        (["train-lines", "--steps", "0", *SMALL_TRAIN], "steps must be >= 1, got 0"),
+        (["train-lines", "--steps", "-4", *SMALL_TRAIN], "steps must be >= 1, got -4"),
+        (["qlen-demo", "--steps", "0"], "steps must be >= 1, got 0"),
+        (["qlen-demo", "--steps", "-1", "--pattern", "flat"], "steps must be >= 1, got -1"),
+        (
+            ["qlen-demo", "--steps", "0", "--pattern", "train", *SMALL_TRAIN],
+            "steps must be >= 1, got 0",
+        ),
         (["train-lines", "--steps", "2", "--k", "0", *SMALL_TRAIN], "k must be >= 1, got 0"),
         (["train-lines", "--steps", "2", "--k", "-3", *SMALL_TRAIN], "k must be >= 1, got -3"),
         (

@@ -903,11 +903,11 @@ def objective(labels):
             lambda: kmeans_objective(OBJECTIVE_X, np.array([0, 0, 1]), np.zeros((1, 2, 2))),
             "centroids of shape (1, 2, 2) are not a (k, f) matrix for features of shape (3, 2)",
         ),
-        (lambda: kmeans(np.zeros((4, 2)), 0), "k must be a positive integer"),
+        (lambda: kmeans(np.zeros((4, 2)), 0), "k must be >= 1, got 0"),
         (lambda: kmeans(np.zeros((4, 2)), 5), "k=5 exceeds the number of samples B=4"),
         (lambda: kmeans(np.zeros((4, 2)), 2.5), "k must be an integer, got 2.5"),
         (lambda: kmeans(np.zeros((4, 2)), math.nan), "k must be an integer, got nan"),
-        (lambda: kmeans(np.zeros((4, 2)), False), "k must be a positive integer"),
+        (lambda: kmeans(np.zeros((4, 2)), False), "k must be >= 1, got 0"),
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=0), "n_init must be >= 1, got 0"),
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=-3), "n_init must be >= 1, got -3"),
         (lambda: kmeans(np.zeros((4, 2)), 2, n_init=2.5), "n_init must be an integer, got 2.5"),
@@ -915,7 +915,7 @@ def objective(labels):
         (lambda: kmeans(np.zeros((4, 2)), 2, seed=1.5), "seed must be an integer, got 1.5"),
         (lambda: choose_k(100, 2.5), "optimal_batch must be an integer, got 2.5"),
         (lambda: choose_k(100.0, 50), "batch_size must be an integer, got 100.0"),
-        (lambda: choose_k(0, 128), "batch_size and optimal_batch must be positive"),
+        (lambda: choose_k(0, 128), "batch_size must be >= 1, got 0"),
     ],
     ids=[
         "features-1d",

@@ -865,6 +865,8 @@ ONES = np.ones(2)
         (lambda: QueueLengthController(window=2.5), "window must be an integer, got 2.5"),
         (lambda: QueueLengthController(min_length=3.5), "min_length must be an integer, got 3.5"),
         (lambda: QueueLengthController(max_length=5.5), "max_length must be an integer, got 5.5"),
+        (lambda: QueueLengthController(2, 5, 3), "max_length must be >= 5, got 3"),
+        (lambda: QueueLengthController(6, 3, 5), "window must not exceed max_length"),
         (lambda: QueueStats(ONES, ONES, 2.5), "sample_count must be an integer, got 2.5"),
         (lambda: QueueStats(ONES, ONES, None), "sample_count must be an integer, got None"),
         (lambda: QueueStats(ONES, ONES, -1), "sample_count must be >= 1, got -1"),
@@ -879,6 +881,8 @@ ONES = np.ones(2)
         "controller-window",
         "controller-min-length",
         "controller-max-length",
+        "controller-max-below-min",
+        "controller-window-above-max",
         "stats-count-fraction",
         "stats-count-none",
         "stats-count-negative",

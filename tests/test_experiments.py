@@ -240,18 +240,16 @@ class TestTrainLines:
         ]
         assert len(rows) == 5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
         cfg = ExperimentConfig(learning_rate=50.0, steps=400, p=12, q=4, batch_size=16)
         with pytest.raises(RuntimeError, match="divergence"):
             run_train_lines(cfg)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "learning_rate, message",
         [
             # both arms diverge, the boosted one first (at step 83): the plain arm's error
-            (50.0, "divergence: non-finite loss at step 106 (lr=50.0, rho=3.0, boost=False)"),
+            (50.0, "divergence: non-finite loss at step 106 (lr=50.0, boost=False)"),
             # only the boosted arm diverges
             (5.0, "divergence: non-finite loss at step 172 (lr=5.0, rho=3.0, boost=True)"),
         ],
@@ -889,7 +887,6 @@ class TestLockstep:
             assert len(alone) == cfg.steps
             assert repr(history) == repr(alone)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lowest_index_failure_is_raised(self):
         # alone, the boosted run diverges at step 83 and the plain run at step 106
         cfg = ExperimentConfig(learning_rate=50.0, steps=400, p=12, q=4, batch_size=16)
@@ -899,7 +896,6 @@ class TestLockstep:
             with pytest.raises(RuntimeError, match=f"at step {step} "):
                 experiments._train_single(*args, runs)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_leaves_the_stack(self, monkeypatch):
         # alone, the boosted run diverges at step 172 and the plain run trains on to step 400
         cfg = ExperimentConfig(learning_rate=5.0, steps=400, p=12, q=4, batch_size=16)
@@ -928,7 +924,6 @@ class TestLockstep:
         assert three[0::3] == three[2::3] == solo[:171]
         assert one == solo[171:]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "fails",  # run index: the 0-based step at which its hook raises, or "diverges"
         [{0: 50}, {2: "diverges"}, {3: 100}, {1: "diverges", 2: 171}, {1: 171, 2: "diverges"},

@@ -623,7 +623,7 @@ FIVE_IMAGES = Windows(generate_lines(8, 8, 3, 2, seed=0).images)
             lambda: LineDetectorModel.from_vector(np.zeros(N_PARAMS - 1)),
             f"expected a vector of {N_PARAMS} parameters",
         ),
-        (lambda: generate_lines(8, 8, 0, 0), "need non-negative counts with p + q >= 1"),
+        (lambda: generate_lines(8, 8, 0, 0), "need p + q >= 1"),
         (lambda: generate_lines(8.0, 8, 2, 1), "height must be an integer, got 8.0"),
         (lambda: generate_lines(8, 2.5, 2, 1), "width must be an integer, got 2.5"),
         (lambda: generate_lines(8, 8, 2.5, 1), "p must be an integer, got 2.5"),
