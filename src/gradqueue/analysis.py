@@ -53,8 +53,8 @@ class SparseSignalSpec:
 class LemmaParams:
     """Momentum/boost parameters for the closed-form analysis.
 
-    beta is the momentum coefficient, rho the boost clamp and L (>= 0) the
-    queue length.
+    beta is the momentum coefficient (``core._check_beta``: [0, 1), where
+    0 is plain SGD), rho the boost clamp and L (>= 0) the queue length.
     """
 
     beta: float
@@ -62,7 +62,7 @@ class LemmaParams:
     L: int
 
     def __post_init__(self):
-        _check_closed_beta(self.beta)
+        _check_beta(self.beta)
         _check_rho(self.rho)
         object.__setattr__(self, "L", _at_least("L", self.L, 0))
 
@@ -99,12 +99,6 @@ def _check_finite(spec, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
 
 
-def _check_closed_beta(beta: float) -> None:
-    """The closed forms' rule: beta in (0, 1), as ``_check_beta`` without plain SGD."""
-    if not 0.0 < beta < 1.0:  # written so that NaN fails the check
-        raise ValueError("beta must lie in (0, 1)")
-
-
 def _check_regime(L: int, N: int) -> None:
     """Lemma 3's regime: the queue saturates between rare events, L < N - 1."""
     if L >= N - 1:
@@ -117,25 +111,18 @@ def sparse_signal(t: int, spec: SparseSignalSpec) -> float:
 
 
 def geometric_sum(beta: float, x: int) -> float:
-    """beta_x = (beta^x - 1) / (beta - 1), the partial geometric sum."""
-    return (beta**x - 1.0) / (beta - 1.0)
-
-
-def period_sum(beta: float, N: int, k: int) -> float:
-    """Sum of beta^(j*N) for j = 0 .. k-1 (zero when k = 0)."""
-    if k <= 0:
-        return 0.0
-    bN = beta**N
-    return (bN**k - 1.0) / (bN - 1.0)
+    """beta_x, the sum of beta^j for j < x: +0.0, not -0.0, at x = 0, as it subtracts from 1."""
+    return (1.0 - beta**x) / (1.0 - beta)
 
 
 def simulate_momentum(spec: SparseSignalSpec, beta: float, steps: int) -> np.ndarray:
     """Plain momentum trajectory m_t = beta*m_{t-1} + g_t, m_0 = 0.
 
-    g_t is computed inline, as ``sparse_signal`` defines it.
+    g_t is computed inline, as ``sparse_signal`` defines it. At beta = 0,
+    plain SGD, the trajectory is the signal itself.
     """
     steps = _at_least("steps", steps, 1)
-    _check_beta(beta)  # OptimizerConfig's rule: beta = 0 is plain SGD, the signal itself
+    _check_beta(beta)
     C, u, N = spec.C, spec.u, spec.N
     out = []
     m = 0.0
@@ -152,9 +139,9 @@ def lemma1_closed(spec: SparseSignalSpec, beta: float, k: int) -> float:
     ``simulate_momentum`` at t = k*N.
     """
     k = _at_least("k", k, 1)
-    _check_closed_beta(beta)
+    _check_beta(beta)
     cycle = spec.u * beta * geometric_sum(beta, spec.N - 1) + spec.C
-    return period_sum(beta, spec.N, k) * cycle
+    return geometric_sum(beta**spec.N, k) * cycle
 
 
 def threshold_plain(N: int, beta: float) -> float:
@@ -163,10 +150,11 @@ def threshold_plain(N: int, beta: float) -> float:
     Equals beta * beta_{N-1}: the accumulated weight of the N-1 repeating
     steps that the single rare step has to overcome. Commonly tabulated
     round values (2.44 at N=3, 5.51 at N=9 for beta=0.9) index the window
-    one step on: they are ``threshold_plain(N + 1, beta)``.
+    one step on: they are ``threshold_plain(N + 1, beta)``. At beta = 0,
+    plain SGD, the bound is 0.
     """
     N = _at_least("N", N, 3)
-    _check_closed_beta(beta)
+    _check_beta(beta)
     return beta * geometric_sum(beta, N - 1)
 
 
@@ -209,7 +197,7 @@ def lemma3_closed(spec: SparseSignalSpec, params: LemmaParams, k: int) -> float:
     gamma = phi * head + tail
     beta, rho = params.beta, params.rho
     first = beta ** (N * (k - 1)) * (spec.u * beta * gamma0 + rho * spec.C)
-    rest = period_sum(beta, N, k - 1) * (spec.u * beta * gamma + rho * spec.C)
+    rest = geometric_sum(beta**N, k - 1) * (spec.u * beta * gamma + rho * spec.C)
     return first + rest
 
 

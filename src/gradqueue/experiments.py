@@ -257,8 +257,14 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
     skipped, not failed. The exit code is nonzero when any cell fails.
     The closed forms are looked up in this module at call time, so a test
     that replaces ``lemma1_closed`` or ``lemma3_closed`` here sees the
-    harness catch the corrupted form.
+    harness catch the corrupted form. The summary's bound note comes
+    first, so a bad ``N`` or ``beta`` is refused before any cell runs.
     """
+    bound_note = (
+        f"plain |C/u| bound at beta={cfg.beta}, N={cfg.N}: "
+        f"{threshold_plain(cfg.N, cfg.beta):.6g} "
+        f"(one-step-extended variant {threshold_plain(cfg.N + 1, cfg.beta):.6g})"
+    )
     rows = []
     rel_errs: dict[str, list[float]] = {}  # check family -> rel_err of each evaluated cell
 
@@ -316,11 +322,6 @@ def run_lemma_check(cfg: ExperimentConfig) -> RunResult:
     n_pass = sum(1 for r in rows if r[-1] == "pass")
     n_fail = sum(1 for r in rows if r[-1] == "fail")
     n_skip = len(rows) - n_pass - n_fail
-    bound_note = (
-        f"plain |C/u| bound at beta={cfg.beta}, N={cfg.N}: "
-        f"{threshold_plain(cfg.N, cfg.beta):.6g} "
-        f"(one-step-extended variant {threshold_plain(cfg.N + 1, cfg.beta):.6g})"
-    )
     worst = ", ".join(f"{name} {np.max(errs):.3g}" for name, errs in rel_errs.items())
     summary = (
         f"lemma-check: {n_pass} pass, {n_fail} fail, {n_skip} skipped\n"
@@ -344,6 +345,7 @@ def run_momentum_sim(cfg: ExperimentConfig) -> RunResult:
     """Plain vs boosted momentum trajectories on the periodic test signal."""
     spec = SparseSignalSpec(C=cfg.C, u=cfg.u, N=cfg.N)
     _at_least("steps", cfg.steps, spec.N)
+    _at_least("capacity", cfg.capacity, 1)
     params = LemmaParams(beta=cfg.beta, rho=cfg.rho, L=cfg.capacity)
     plain = simulate_momentum(spec, cfg.beta, cfg.steps)
     boosted = simulate_gq_momentum(spec, params, cfg.steps)
@@ -390,7 +392,7 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     that boosts clusters the batch by its features (``kmeans``) and
     aggregates the boosted cluster means (``aggregate``). That step is a
     run's only work of its own: one mean of the stacked gradients gives
-    the batch means, one ``template_alignment`` call the live runs' scores.
+    the batch means, one ``template_alignment`` call the runs' scores.
 
     ``groups`` is ``(distinct, inverse)`` from ``_train_setup``: the index
     of one sample of each distinct (image bytes, label) group, and each
@@ -406,15 +408,11 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     every per-sample value is row-local (see ``nn``).
 
     A run fails when its step or hook raises or its eval loss is not
-    finite, and cuts the stack at itself: runs ``0 .. live-1`` go on.
-    Steps run in index order up to the first that raises, and the eval
-    cuts at the first non-finite loss. The lowest-index failure is raised
-    once no run is left, or at the end; a later run can never supply it,
-    and no history is returned, so the cut changes no result. Of runs
-    (plain, boosted), the plain one's error is raised, as when they ran
-    one after the other. A divergence error names rho only for a run that
-    boosts, and is all a diverging run reports: overflow and invalid-value
-    warnings are off for the call.
+    finite. The call raises the first failure it meets, in the order it
+    runs (each step's updates in run order, then its eval losses in run
+    order), and trains no further. A divergence error names rho only for
+    a run that boosts, and is all a diverging run reports: overflow and
+    invalid-value warnings are off for the call.
     """
     boost_cfg = BoostConfig(rho=cfg.rho)
     opt_cfgs = [OptimizerConfig(cfg.learning_rate, cfg.beta, boost_cfg, b) for b, _, _ in runs]
@@ -424,7 +422,6 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
     distinct, inverse = groups
     images, labels = Windows(dataset.images[distinct]), dataset.labels[distinct]
     histories = [[] for _ in runs]
-    live, error = len(runs), None  # runs 0 .. live-1 stay stacked; what the first cut run raised
     m = LineDetectorModel.from_vector([s.params for s in states])
     _, grads, feats = per_sample_grads(m, images, labels)
     for step, idx in enumerate(schedule):
@@ -438,34 +435,20 @@ def _train_single(model: LineDetectorModel, dataset, groups, schedule, cfg: Expe
                 return aggregate(run_grads, assignment, stats, boost_cfg)
 
             hook = cluster_boost if k > 1 else None
-            try:
-                step_fn(states[r], g, opt_cfgs[r], boost=hook)
-            except Exception as exc:
-                live, error = r, exc
-                break
-        if not live:
-            break
+            step_fn(states[r], g, opt_cfgs[r], boost=hook)
 
-        m = LineDetectorModel.from_vector([s.params for s in states[:live]])
+        m = LineDetectorModel.from_vector([s.params for s in states])
         losses, grads, feats = per_sample_grads(m, images, labels)
         losses = np.mean(np.take(losses, inverse, axis=-1), axis=-1).tolist()
-        for r, loss in enumerate(losses):
+        for (boosts, _, _), loss in zip(runs, losses):
             if not np.isfinite(loss):
-                boost = f"rho={cfg.rho}, boost=True" if runs[r][0] else "boost=False"
-                live, error = r, RuntimeError(
+                boost = f"rho={cfg.rho}, boost=True" if boosts else "boost=False"
+                raise RuntimeError(
                     f"divergence: non-finite loss at step {step + 1} "
                     f"(lr={cfg.learning_rate}, {boost})"
                 )
-                break
-        if not live:
-            break
-        if live < len(losses):  # the cut runs' rows leave the stack
-            m = LineDetectorModel.from_vector([s.params for s in states[:live]])
-            grads, feats = grads[:live], feats[:live]
         for history, loss, align in zip(histories, losses, template_alignment(m)):
             history.append((loss, align[0], align[1]))
-    if error is not None:
-        raise error
     return histories
 
 

@@ -86,7 +86,7 @@ class TestPlainMomentum:
         assert lemma1_closed(SparseSignalSpec(C=0.0, u=0.0, N=5), 0.9, 3) == 0.0
 
     def test_closed_form_matches_simulation_grid(self):
-        for beta in (0.5, 0.9, 0.99):
+        for beta in (0.0, 0.5, 0.9, 0.99):
             for N in (3, 5, 9, 20):
                 for u, C in ((-1.0, 5.0), (-1.0, 50.0), (1.0, -10.0)):
                     spec = SparseSignalSpec(C=C, u=u, N=N)
@@ -180,18 +180,20 @@ class TestBoostedMomentum:
         expected = -1.0 * beta * gamma0 + 3.0 * 50.0
         assert lemma3_closed(spec, params, 1) == pytest.approx(expected, rel=1e-12)
 
-    def test_closed_form_matches_convention_simulator(self):
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_closed_form_matches_convention_simulator(self, beta):
         for L, N, rho, k in self.GRID:
             spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
-            params = LemmaParams(beta=0.9, rho=rho, L=L)
+            params = LemmaParams(beta=beta, rho=rho, L=L)
             sim = simulate_lemma3_momentum(spec, params, steps=k * N)
             assert rel_err(lemma3_closed(spec, params, k), sim[-1]) <= 1e-10
 
-    def test_closed_form_matches_mechanistic_with_filled_warmup(self):
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_closed_form_matches_mechanistic_with_filled_warmup(self, beta):
         # real queue + real boost operator, warm-up set to "queue filled"
         for L, N, rho, k in self.GRID:
             spec = SparseSignalSpec(C=50.0, u=-1.0, N=N)
-            params = LemmaParams(beta=0.9, rho=rho, L=L)
+            params = LemmaParams(beta=beta, rho=rho, L=L)
             sim = stepwise_gq_momentum(spec, params, k * N, warmup=L)
             assert rel_err(lemma3_closed(spec, params, k), sim[-1]) <= 1e-10
 
@@ -546,7 +548,7 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: LemmaParams(beta=1.0, rho=3.0, L=2), "beta must lie in (0, 1)"),
+        (lambda: LemmaParams(beta=1.0, rho=3.0, L=2), "beta must lie in [0, 1), got 1.0"),
         (lambda: LemmaParams(beta=0.9, rho=0.5, L=2), "rho must be >= 1"),
         (lambda: LemmaParams(beta=0.9, rho=3.0, L=-1), "L must be >= 0, got -1"),
         (lambda: lemma3_closed(SPEC, PARAMS, 0), "k must be >= 1, got 0"),
@@ -588,11 +590,11 @@ CASE = BatchCompositionCase(B=10, p=9, q=1, eq_q=1.0, eq_p=-0.1)
         (lambda: simulate_gq_momentum(SPEC, PARAMS, 10.5), "steps must be an integer, got 10.5"),
         (lambda: simulate_lemma3_momentum(SPEC, PARAMS, 10.5), "steps must be an integer, got 10.5"),
         (lambda: simulate_momentum(SPEC, 0.9, math.nan), "steps must be an integer, got nan"),
-        # a beta outside (0, 1) or a rho of 0 would divide by zero, and a NaN would give NaN
-        (lambda: lemma1_closed(SPEC, 1.0, 2), "beta must lie in (0, 1)"),
-        (lambda: lemma1_closed(SPEC, math.nan, 2), "beta must lie in (0, 1)"),
-        (lambda: threshold_plain(9, 1.0), "beta must lie in (0, 1)"),
-        (lambda: threshold_plain(9, math.nan), "beta must lie in (0, 1)"),
+        # a beta of 1 or a rho of 0 would divide by zero, and a NaN would give NaN
+        (lambda: lemma1_closed(SPEC, 1.0, 2), "beta must lie in [0, 1), got 1.0"),
+        (lambda: lemma1_closed(SPEC, math.nan, 2), "beta must lie in [0, 1), got nan"),
+        (lambda: threshold_plain(9, 1.0), "beta must lie in [0, 1), got 1.0"),
+        (lambda: threshold_plain(9, math.nan), "beta must lie in [0, 1), got nan"),
         (lambda: boosted_batch_mean(CASE, 0.0), "rho must be > 0, got 0.0"),
         (lambda: boosted_batch_mean(CASE, -2.0), "rho must be > 0, got -2.0"),
         (lambda: boosted_batch_mean(CASE, math.nan), "rho must be > 0, got nan"),

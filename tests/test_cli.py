@@ -429,6 +429,8 @@ SMALL_TRAIN = ["--p", "8", "--q", "2", "--batch-size", "10"]
         (["train-lines", "--steps", "0", *SMALL_TRAIN], "steps must be >= 1, got 0"),
         (["train-lines", "--steps", "-4", *SMALL_TRAIN], "steps must be >= 1, got -4"),
         (["qlen-demo", "--steps", "0"], "steps must be >= 1, got 0"),
+        (["momentum-sim", "--capacity", "0"], "capacity must be >= 1, got 0"),
+        (["lemma-check", "--N", "2"], "N must be >= 3, got 2"),
         (["qlen-demo", "--steps", "-1", "--pattern", "flat"], "steps must be >= 1, got -1"),
         (
             ["qlen-demo", "--steps", "0", "--pattern", "train", *SMALL_TRAIN],

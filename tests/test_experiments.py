@@ -17,6 +17,7 @@ from gradqueue import (
     kmeans,
     lemma1_closed,
     nn,
+    optimizers,
     simulate_gq_momentum,
     simulate_lemma3_momentum,
     simulate_momentum,
@@ -93,8 +94,9 @@ class TestSeedsAndConfig:
 
 
 class TestLemmaCheck:
-    def test_default_grid_passes(self):
-        result = run_lemma_check(ExperimentConfig())
+    @pytest.mark.parametrize("beta", [0.9, 0.0])  # the default; plain SGD
+    def test_default_grid_passes(self, beta):
+        result = run_lemma_check(ExperimentConfig(beta=beta))
         assert result.exit_code == 0
         assert result.extras["n_fail"] == 0
         assert result.extras["n_pass"] > 300
@@ -125,6 +127,22 @@ class TestLemmaCheck:
             errs = [float(r[5]) for r in result.rows if r[0] == family and r[5] != ""]
             assert reported == float(f"{max(errs):.3g}")
             assert reported <= 1e-10
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(N=2), "N must be >= 3, got 2"),
+            (dict(beta=1.0), "beta must lie in [0, 1), got 1.0"),
+        ],
+        ids=["N", "beta"],
+    )
+    def test_bad_settings_refused_before_any_cell(self, monkeypatch, settings, message):
+        calls = []
+        monkeypatch.setattr(experiments, "simulate_momentum", lambda *a: calls.append(a))
+        with pytest.raises(ValueError) as exc:
+            run_lemma_check(ExperimentConfig(**settings))
+        assert str(exc.value) == message
+        assert calls == []
 
     def test_each_boosted_cell_simulated_once(self, monkeypatch):
         calls = []
@@ -248,8 +266,8 @@ class TestTrainLines:
     @pytest.mark.parametrize(
         "learning_rate, message",
         [
-            # both arms diverge, the boosted one first (at step 83): the plain arm's error
-            (50.0, "divergence: non-finite loss at step 106 (lr=50.0, boost=False)"),
+            # both arms diverge, the boosted one first (at step 83; the plain one at 106)
+            (50.0, "divergence: non-finite loss at step 83 (lr=50.0, rho=3.0, boost=True)"),
             # only the boosted arm diverges
             (5.0, "divergence: non-finite loss at step 172 (lr=5.0, rho=3.0, boost=True)"),
         ],
@@ -887,51 +905,25 @@ class TestLockstep:
             assert len(alone) == cfg.steps
             assert repr(history) == repr(alone)
 
-    def test_lowest_index_failure_is_raised(self):
+    def test_earliest_failure_is_raised(self):
         # alone, the boosted run diverges at step 83 and the plain run at step 106
         cfg = ExperimentConfig(learning_rate=50.0, steps=400, p=12, q=4, batch_size=16)
         seed, args = self.setup(cfg)
         plain, boosted = (False, 1, 0), (True, 1, seed)  # k = 1 at B = 16, as in train-lines
-        for runs, step in (([plain, boosted], 106), ([boosted, plain], 83)):
-            with pytest.raises(RuntimeError, match=f"at step {step} "):
+        for runs in ([plain, boosted], [boosted, plain]):
+            with pytest.raises(RuntimeError, match="at step 83 "):
                 experiments._train_single(*args, runs)
 
-    def test_diverged_run_leaves_the_stack(self, monkeypatch):
-        # alone, the boosted run diverges at step 172 and the plain run trains on to step 400
-        cfg = ExperimentConfig(learning_rate=5.0, steps=400, p=12, q=4, batch_size=16)
-        seed, args = self.setup(cfg)
-        aligned = []
-
-        def recording_alignment(model):  # one row per run of the stacked model
-            aligned.extend(row.tobytes() for row in model.to_vector())
-            return nn.template_alignment(model)
-
-        monkeypatch.setattr(experiments, "template_alignment", recording_alignment)
-        calls = count_per_sample_grads(monkeypatch)
-        experiments._train_single(*args, [(False, 1, 0)])
-        solo = aligned.copy()
-        aligned.clear()
-        calls.clear()
-        with pytest.raises(RuntimeError, match="at step 172 "):
-            experiments._train_single(*args, [(False, 1, 0), (True, 1, seed), (False, 1, 0)])
-        # one call over the distinct pairs at the start and one per step, cut or not
-        assert calls == [distinct_pairs(args[1])] * (1 + cfg.steps)
-        # per step, the runs align in order: all three for 171 steps; the diverged run cuts the
-        # stack at itself, so from then on only the first plain run aligns, with its solo
-        # parameters to the end
-        assert len(solo) == cfg.steps and len(aligned) == 3 * 171 + (cfg.steps - 171)
-        three, one = aligned[: 3 * 171], aligned[3 * 171 :]
-        assert three[0::3] == three[2::3] == solo[:171]
-        assert one == solo[171:]
-
     @pytest.mark.parametrize(
-        "fails",  # run index: the 0-based step at which its hook raises, or "diverges"
-        [{0: 50}, {2: "diverges"}, {3: 100}, {1: "diverges", 2: 171}, {1: 171, 2: "diverges"},
-         {1: 80, 2: 80}, {1: "diverges", 3: "diverges"}],
-        ids=["first-hook", "middle-diverges", "last-hook", "diverges-and-later-hook",
-             "hook-and-later-diverges", "two-hooks", "two-diverge"],
+        "fails",  # run index: "hook S" or "step S" raises at 0-based step S; "diverges" at 171
+        [{0: "hook 50"}, {2: "diverges"}, {3: "hook 100"}, {1: "step 60"},
+         {1: "diverges", 2: "hook 171"}, {1: "hook 171", 2: "diverges"},
+         {1: "hook 80", 2: "hook 80"}, {2: "hook 90", 3: "step 90"},
+         {1: "diverges", 3: "diverges"}],
+        ids=["first-hook", "middle-diverges", "last-hook", "step", "diverges-and-later-hook",
+             "hook-and-later-diverges", "two-hooks", "hook-and-later-step", "two-diverge"],
     )
-    def test_failure_cuts_the_stack(self, monkeypatch, fails):
+    def test_first_failure_stops_the_call(self, monkeypatch, fails):
         # alone, a boosted k = 1 run diverges at step 172 (0-based 171); plain runs and boosted
         # k = 2 runs train on. Healthy runs alternate plain and k = 2, to keep k-means cheap.
         cfg = ExperimentConfig(learning_rate=5.0, steps=180, p=12, q=4, batch_size=16)
@@ -941,11 +933,18 @@ class TestLockstep:
             else (True, 2, 1000 * r) if r in fails or r % 2 else (False, 1, 0)
             for r in range(4)
         ]
-        aligned = []
+        order, seen, aligned = [], {}, []
+        sgdm_step = optimizers.sgdm_step
+
+        def sgdm_failing(state, *a, **kw):  # a call's runs take their first steps in order
+            r, step = order[seen.setdefault(id(state), len(seen))], state.step_count
+            if fails.get(r) == f"step {step}":
+                raise ValueError(f"the step of run {r} raised at step {step}")
+            return sgdm_step(state, *a, **kw)
 
         def kmeans_failing(*a, seed, **kw):  # run r clusters with seed 1000 * r + step
             r, step = divmod(seed, 1000)
-            if fails.get(r) == step:
+            if fails.get(r) == f"hook {step}":
                 raise ValueError(f"the hook of run {r} raised at step {step}")
             return kmeans(*a, seed=seed, **kw)
 
@@ -953,51 +952,34 @@ class TestLockstep:
             aligned.extend(row.tobytes() for row in model.to_vector())
             return nn.template_alignment(model)
 
-        def train(runs):  # the aligned rows, and what the call raised
-            aligned.clear()
+        def train(indices):  # the aligned rows, what the call raised, its per_sample_grads calls
+            order[:], error = indices, None
+            for record in (seen, aligned, calls):
+                record.clear()
             try:
-                experiments._train_single(*args, runs)
+                experiments._train_single(*args, [runs[r] for r in indices])
             except (ValueError, RuntimeError) as exc:
-                return aligned.copy(), exc
-            return aligned.copy(), None
+                error = exc
+            return aligned.copy(), error, len(calls)
 
+        monkeypatch.setattr(optimizers, "sgdm_step", sgdm_failing)
         monkeypatch.setattr(experiments, "kmeans", kmeans_failing)
         monkeypatch.setattr(experiments, "template_alignment", recording_alignment)
-        alone = [train([run]) for run in runs]
-        stops = [171 if fails.get(r) == "diverges" else fails.get(r, cfg.steps) for r in range(4)]
-        assert [len(rows) for rows, _ in alone] == stops
-        together, error = train(runs)
-        # the lowest-index failure is raised
-        first = alone[min(fails)][1]
-        assert (type(error), str(error)) == (type(first), str(first))
-        # run j aligns, with its solo bytes, until the first failure at or before its index:
-        # runs before the cut train to the end, the others leave at the failing step
-        ends = np.minimum.accumulate(stops)
-        assert list(ends[: min(fails)]) == [cfg.steps] * min(fails)
-        assert together == [
-            rows[t] for t in range(cfg.steps) for (rows, _), end in zip(alone, ends) if t < end
+        calls = count_per_sample_grads(monkeypatch)
+        alone = [train([r]) for r in range(4)]
+        failures = {}  # run -> its solo failure as (0-based step, in the eval, run)
+        for r, fail in fails.items():
+            kind, _, step = fail.partition(" ")
+            failures[r] = (int(step or 171), kind == "diverges", r)
+        assert [len(rows) for rows, _, _ in alone] == [
+            failures.get(r, (cfg.steps,))[0] for r in range(4)
         ]
-
-    def test_failed_run_leaves_and_others_go_on(self, monkeypatch):
-        cfg = ExperimentConfig(seed=2, k=2, batch_size=25, **self.SMALL)
-        seed, args = self.setup(cfg)
-
-        def kmeans_failing(*a, **kw):
-            calls.append(kw["seed"])
-            if len(calls) == 3:
-                raise ValueError("k-means failed")
-            return kmeans(*a, **kw)
-
-        def counting_alignment(model):  # one row per run of the stacked model
-            aligned.extend(model.to_vector())
-            return nn.template_alignment(model)
-
-        calls, aligned = [], []
-        monkeypatch.setattr(experiments, "kmeans", kmeans_failing)
-        monkeypatch.setattr(experiments, "template_alignment", counting_alignment)
-        with pytest.raises(ValueError, match="k-means failed"):
-            experiments._train_single(*args, [(False, 1, 0), (True, 2, seed)])
-        # the boosted run clusters from step 3 (warm-up) and fails on its third clustering
-        # step, 5; the plain run trains on to the end
-        assert calls == [seed + 3, seed + 4, seed + 5]
-        assert len(aligned) == cfg.steps + 5
+        together, error, forwards = train([0, 1, 2, 3])
+        # the first solo failure in (step, updates before evals, run index) order is raised
+        stop, in_eval, first = min(failures.values())
+        first_error = alone[first][1]
+        assert (type(error), str(error)) == (type(first_error), str(first_error))
+        # every run aligns with its solo bytes up to the failing step, and none after it
+        assert together == [rows[t] for t in range(stop) for rows, _, _ in alone]
+        # one call at the start and one per step whose updates all ran, none after the failure
+        assert forwards == 1 + stop + in_eval

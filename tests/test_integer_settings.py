@@ -89,6 +89,11 @@ ENTRY_POINTS = [
     ("qlen-demo-train-steps", "steps", 1, lambda v: train(run_qlen_demo, pattern="train", steps=v)),
     # momentum-sim runs at least one period: its bound is N
     ("momentum-sim-steps", "steps", 9, lambda v: run_momentum_sim(ExperimentConfig(steps=v, N=9))),
+    # refused by the runner as the option the user set, not as the analysis's L
+    (
+        "momentum-sim-capacity", "capacity", 1,
+        lambda v: run_momentum_sim(ExperimentConfig(capacity=v)),
+    ),
 ]
 # train-lines reads k = None as "choose k from the batch size"
 NONE_ALLOWED = {"train-lines-k"}
